@@ -46,7 +46,9 @@ from .jsonio import instance_from_json, load_file
 from .routing import Instance, SolverConfig, solve_mc, solve_so, solve_ue
 from .scenarios import materialize, scenario_descriptions
 
-FORMAT_VERSION = 1
+# 2: so/ue ``path_flows`` list the paths the solve generated, not every
+# simple path
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_EXPECT_FAILED = 1

@@ -14,16 +14,18 @@ class TemplateConsistencyError(NetdesignError):
 
 
 class PathLimitExceeded(NetdesignError):
-    """Simple-path enumeration exceeded the configured cap.
+    """A trip needs more paths than the configured cap.
 
-    Signals that an instance is too large for path-based solving.
+    Raised when simple-path enumeration (mc solving and certification,
+    graph validation) lists more paths than the cap, and when so/ue path
+    generation would add a path beyond it.
     """
 
     def __init__(self, limit, trip=None):
         self.limit = limit
         self.trip = trip
         where = f" for trip {trip}" if trip is not None else ""
-        super().__init__(f"more than {limit} simple paths{where}")
+        super().__init__(f"more than {limit} paths{where} (path limit)")
 
 
 class DomainError(NetdesignError):

@@ -49,7 +49,7 @@ class Network:
     pairs are rejected.
     """
 
-    __slots__ = ("nodes", "_edges", "_succ")
+    __slots__ = ("nodes", "_edges", "_succ", "_pred")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         node_set = frozenset(int(n) for n in nodes)
@@ -63,11 +63,14 @@ class Network:
                 raise ValueError(f"duplicate edge ({e.tail}, {e.head})")
             edge_map[e.pair] = e
         succ = {}
+        pred = {}
         for (i, j) in edge_map:
             succ.setdefault(i, []).append(j)
+            pred.setdefault(j, []).append(i)
         object.__setattr__(self, "nodes", node_set)
         object.__setattr__(self, "_edges", edge_map)
         object.__setattr__(self, "_succ", {i: tuple(sorted(js)) for i, js in succ.items()})
+        object.__setattr__(self, "_pred", {j: tuple(sorted(tails)) for j, tails in pred.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -88,6 +91,9 @@ class Network:
 
     def successors(self, node: int) -> Tuple[int, ...]:
         return self._succ.get(node, ())
+
+    def predecessors(self, node: int) -> Tuple[int, ...]:
+        return self._pred.get(node, ())
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes

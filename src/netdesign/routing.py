@@ -1,13 +1,24 @@
 """Routing solvers for a network instance.
 
 Three problems share one path-based machinery: the capacitated
-constant-cost program (``mc``) solved exactly as a linear program, and the
-congestion-priced system-optimal (``so``) and user-equilibrium (``ue``)
-flows computed by Frank-Wolfe with exact line search. Every accepted
-solution carries an optimality certificate recomputed from first
-principles: equalized marginal costs across used paths for so, equal
-used-path travel times for ue, and dual feasibility plus complementary
-slackness for mc.
+constant-cost program (``mc``) solved exactly as a linear program over
+every simple path, and the congestion-priced system-optimal (``so``) and
+user-equilibrium (``ue``) flows computed by Frank-Wolfe with exact line
+search plus an active-set polish. so and ue never list every path: they
+work on a path set that starts from each trip's all-or-nothing path and
+grows by pricing, a Dijkstra shortest path on the current marginal costs
+(so) or travel times (ue) that joins the set when new. Because each
+pricing finds the cheapest of all simple paths, the duality gap and the
+certificates hold over all of them.
+
+Every accepted solution carries an optimality certificate recomputed from
+first principles: equalized marginal costs across used paths for so,
+equal used-path travel times for ue, both against the priced shortest
+path, and dual feasibility plus complementary slackness for mc.
+
+``SolverConfig.path_limit`` caps the paths per trip: the paths mc
+enumerates and the paths an so/ue solve generates. Passing it raises
+PathLimitExceeded.
 
 Solvers are deterministic: identical inputs and configuration produce
 bit-identical results. Shortest-path and direction-finding ties are broken
@@ -39,6 +50,7 @@ from .errors import (
     CapacitySaturation,
     Infeasible,
     NotConverged,
+    PathLimitExceeded,
     Unreachable,
 )
 from .network import (
@@ -86,7 +98,7 @@ class SolverConfig:
     max_iterations: int = 100_000
     line_search_tol: float = 1e-12
     capacity_margin: float = 1e-9
-    path_limit: int = DEFAULT_PATH_LIMIT
+    path_limit: int = DEFAULT_PATH_LIMIT  # paths per trip: mc enumerates, so/ue generate
     polish: bool = True  # terminal active-set refinement of the FW iterate
 
     def __post_init__(self):
@@ -146,41 +158,115 @@ def _num(x: float) -> float:
 
 
 class _PathSpace:
-    """Enumerated paths of an instance plus their edge incidence."""
+    """The paths a solve works on, grouped by trip, plus their edge incidence.
+
+    mc fills it with every simple path (``enumerated``). so and ue start
+    empty and grow it by pricing: ``price`` adds each trip's cheapest path
+    under given edge costs when it is new. Rows are numbered in the order
+    paths arrive and a flow vector sized before later arrivals gives them
+    zero flow; reports list each trip's paths in lexicographic order.
+    """
 
     def __init__(self, instance: Instance, limit: int):
         self.instance = instance
         net = instance.network
-        self.path_set = enumerate_trip_paths(net, instance.trips, limit)
-        self.paths = self.path_set.all_paths()
-        self.trip_slices = []
-        start = 0
-        for m, group in enumerate(self.path_set.per_trip):
-            if not group:
-                raise Unreachable(instance.trips[m])
-            self.trip_slices.append((start, start + len(group)))
-            start += len(group)
+        self.limit = limit  # most paths per trip
         self.edge_pairs = net.edge_pairs
         self.edge_index = {pair: k for k, pair in enumerate(self.edge_pairs)}
-        self.incidence = np.zeros((len(self.paths), len(self.edge_pairs)))
-        for pi, p in enumerate(self.paths):
-            for pair in p.edge_pairs:
-                self.incidence[pi, self.edge_index[pair]] = 1.0
         self.demands = np.array([t.demand for t in instance.trips])
         self.models = [net.edge(*pair).cost for pair in self.edge_pairs]
         self.capacities = np.array([net.edge(*pair).capacity for pair in self.edge_pairs])
         self.calc = _EdgeCalculator(self.models)
+        self.paths = []
+        self._row = {}  # (trip index, node sequence) -> row
+        self._groups = [[] for _ in instance.trips]
+        self._trip_rows = None
+        self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
+
+    @classmethod
+    def enumerated(cls, instance: Instance, limit: int) -> "_PathSpace":
+        """Every simple path of every trip, in lexicographic order."""
+        space = cls(instance, limit)
+        path_set = enumerate_trip_paths(instance.network, instance.trips, limit)
+        for m, group in enumerate(path_set.per_trip):
+            if not group:
+                raise Unreachable(instance.trips[m])
+        # built in bulk: the enumeration can hold thousands of paths
+        paths = space.paths = list(path_set.all_paths())
+        for r, p in enumerate(paths):
+            space._row[(p.trip_index, p.nodes)] = r
+            space._groups[p.trip_index].append(r)
+        cols = [space.edge_index[pair] for p in paths for pair in p.edge_pairs]
+        space._inc = np.zeros((len(paths), len(space.edge_pairs)))
+        space._inc[np.repeat(np.arange(len(paths)), [len(p) for p in paths]), cols] = 1.0
+        return space
+
+    @property
+    def incidence(self) -> np.ndarray:
+        return self._inc[:len(self.paths)]
+
+    @property
+    def trip_rows(self) -> Tuple[np.ndarray, ...]:
+        if self._trip_rows is None:
+            self._trip_rows = tuple(np.array(g, dtype=np.intp) for g in self._groups)
+        return self._trip_rows
+
+    def add(self, m: int, nodes: Tuple[int, ...]) -> int:
+        """Row of trip ``m``'s path ``nodes``, appended when new."""
+        row = self._row.get((m, nodes))
+        if row is not None:
+            return row
+        if len(self._groups[m]) >= self.limit:
+            raise PathLimitExceeded(self.limit, self.instance.trips[m])
+        row = len(self.paths)
+        if row == len(self._inc):
+            self._inc = np.concatenate([self._inc, np.zeros_like(self._inc)])
+        path = Path(m, nodes)
+        for pair in path.edge_pairs:
+            self._inc[row, self.edge_index[pair]] = 1.0
+        self.paths.append(path)
+        self._row[(m, nodes)] = row
+        self._groups[m].append(row)
+        self._trip_rows = None
+        return row
+
+    def row(self, path: Path) -> int:
+        """Row of a path already in the set; BadParams for any other path."""
+        row = self._row.get((path.trip_index, path.nodes))
+        if row is None:
+            raise BadParams(f"path {path.key()} of trip {path.trip_index} is not a "
+                            f"simple path of that trip in the instance")
+        return row
+
+    def price(self, edge_costs: np.ndarray) -> list:
+        """Rows of each trip's cheapest path under ``edge_costs``, added when new."""
+        net = self.instance.network
+        costs = dict(zip(self.edge_pairs, edge_costs.tolist()))
+        rows = []
+        for m, trip in enumerate(self.instance.trips):
+            nodes = shortest_path_nodes(net, costs, trip.source, trip.sink)
+            if nodes is None:
+                raise Unreachable(trip)
+            rows.append(self.add(m, nodes))
+        return rows
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """``x`` extended with zero flow on the paths added since it was sized."""
+        extra = len(self.paths) - len(x)
+        return np.concatenate([x, np.zeros(extra)]) if extra else x
 
     def edge_flows(self, x: np.ndarray) -> np.ndarray:
-        return self.incidence.T @ x
+        return self._inc[:len(x)].T @ x
 
     def assignment(self, x: np.ndarray) -> FlowAssignment:
+        x = self.pad(x)
         xe = self.edge_flows(x)
-        trip_totals = tuple(
-            _num(float(np.sum(x[a:b]))) for a, b in self.trip_slices)
+        order = [r for group in self._groups
+                 for r in sorted(group, key=lambda r: self.paths[r].nodes)]
+        trip_totals = tuple(_num(float(np.sum(x[rows]))) for rows in self.trip_rows)
         return FlowAssignment(
-            paths=self.paths,
-            flows=tuple(_num(v) for v in x),
+            paths=tuple(self.paths[r] for r in order),
+            flows=tuple(_num(v) for v in x[order]),
             edge_flows=tuple((pair, _num(float(xe[k])))
                              for k, pair in enumerate(self.edge_pairs)),
             trip_totals=trip_totals,
@@ -190,140 +276,141 @@ class _PathSpace:
 class _EdgeCalculator:
     """Vectorised value/derivative/integral evaluation over all edges.
 
-    Edges are grouped by model family once; per-call work is a handful of
-    numpy expressions, which keeps line searches cheap.
+    Edges are grouped by model family once, into index arrays with the
+    family's parameters gathered along them; per-call work is a handful of
+    numpy expressions on those groups, which keeps line searches cheap.
     """
 
     def __init__(self, models: Sequence):
         n = len(models)
         self.n = n
-        self.kind = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
-        self.marg = np.zeros(n, dtype=bool)
-        self.p1 = np.zeros(n)
-        self.p2 = np.zeros(n)
-        self.p3 = np.zeros(n)
-        self.p4 = np.zeros(n)
+        kind = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
+        marg = np.zeros(n, dtype=bool)
+        p1, p2, p3, p4 = (np.zeros(n) for _ in range(4))
         self.bound = np.full(n, math.inf)
         for k, model in enumerate(models):
             base = model
             if isinstance(model, Marginalized):
-                self.marg[k] = True
+                marg[k] = True
                 base = model.base
             self.bound[k] = max_flow_bound(base)
             if isinstance(base, Constant):
-                self.kind[k] = 0
-                self.p1[k] = base.c
+                kind[k] = 0
+                p1[k] = base.c
             elif isinstance(base, Affine):
-                self.kind[k] = 1
-                self.p1[k] = base.a
-                self.p2[k] = base.b
+                kind[k] = 1
+                p1[k] = base.a
+                p2[k] = base.b
             elif isinstance(base, Greenshields):
-                self.kind[k] = 2
-                self.p1[k] = base.l
-                self.p2[k] = base.v_max
-                self.p3[k] = base.u
+                kind[k] = 2
+                p1[k] = base.l
+                p2[k] = base.v_max
+                p3[k] = base.u
             elif isinstance(base, BPR):
-                self.kind[k] = 3
-                self.p1[k] = base.c0
-                self.p2[k] = base.u
-                self.p3[k] = base.alpha
-                self.p4[k] = base.beta
+                kind[k] = 3
+                p1[k] = base.c0
+                p2[k] = base.u
+                p3[k] = base.alpha
+                p4[k] = base.beta
             else:
                 raise TypeError(f"unsupported cost model {model!r}")
-        self.all_constant = bool(np.all(self.kind == 0) and not np.any(self.marg))
+        self.all_constant = bool(np.all(kind == 0) and not np.any(marg))
+        self.im = np.flatnonzero(marg)
+        # Per-family indices and the parameter expressions the closed forms
+        # use, each written exactly as evaluated, so results stay bit-stable.
+        self.ic = np.flatnonzero(kind == 0)
+        self.c_c = p1[self.ic]
+        self.ia = np.flatnonzero(kind == 1)
+        self.a_a, self.a_b = p1[self.ia], p2[self.ia]
+        ig = self.ig = np.flatnonzero(kind == 2)
+        self.g_l, self.g_v, self.g_u = p1[ig], p2[ig], p3[ig]
+        self.g_d1 = p1[ig] / (p2[ig] * p3[ig])
+        self.g_d2 = 2.0 * p1[ig] / (p2[ig] * p3[ig] ** 2)
+        self.g_d3 = 6.0 * p1[ig] / (p2[ig] * p3[ig] ** 3)
+        self.g_int = -(p1[ig] * p3[ig] / p2[ig])
+        ib = self.ib = np.flatnonzero(kind == 3)
+        c0, u, alpha, beta = p1[ib], p2[ib], p3[ib], p4[ib]
+        self.b_c0, self.b_u, self.b_alpha, self.b_beta = c0, u, alpha, beta
+        self.b_ub = u ** beta
+        self.b_d1 = c0 * alpha * beta
+        self.b_d1_at0 = np.where(beta == 1.0, c0 * alpha / u, 0.0)
+        self.b_d2 = c0 * alpha * beta * (beta - 1.0)
+        self.b_d2_at0 = np.where(beta == 2.0, self.b_d2 / u ** 2, 0.0)
+        self.b_d3 = c0 * alpha * beta * (beta - 1.0) * (beta - 2.0)
+        self.b_int = (beta + 1.0) * self.b_ub
 
     def _base(self, x, order):
         """Level (order=0), slope (1), curvature (2) or third derivative (3)."""
         out = np.zeros(self.n)
-        k = self.kind
-        c = k == 0
-        a = k == 1
-        g = k == 2
-        b = k == 3
+        a, g, b = self.ia, self.ig, self.ib
+        xg = x[g]
+        xb = x[b]
         if order == 0:
-            out[c] = self.p1[c]
-            out[a] = self.p1[a] + self.p2[a] * x[a]
-            out[g] = self.p1[g] / (self.p2[g] * (1.0 - x[g] / self.p3[g]))
-            if np.any(b):
-                out[b] = self.p1[b] * (1.0 + self.p3[b] * (x[b] / self.p2[b]) ** self.p4[b])
+            out[self.ic] = self.c_c
+            out[a] = self.a_a + self.a_b * x[a]
+            out[g] = self.g_l / (self.g_v * (1.0 - xg / self.g_u))
+            if b.size:
+                out[b] = self.b_c0 * (1.0 + self.b_alpha * (xb / self.b_u) ** self.b_beta)
         elif order == 1:
-            out[a] = self.p2[a]
-            out[g] = self.p1[g] / (self.p2[g] * self.p3[g]) / (1.0 - x[g] / self.p3[g]) ** 2
-            if np.any(b):
-                beta = self.p4[b]
-                xs = x[b]
+            out[a] = self.a_b
+            out[g] = self.g_d1 / (1.0 - xg / self.g_u) ** 2
+            if b.size:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    val = self.p1[b] * self.p3[b] * beta * xs ** (beta - 1.0) / self.p2[b] ** beta
-                val = np.where(xs == 0.0,
-                               np.where(beta == 1.0, self.p1[b] * self.p3[b] / self.p2[b], 0.0),
-                               val)
-                out[b] = val
+                    val = self.b_d1 * xb ** (self.b_beta - 1.0) / self.b_ub
+                out[b] = np.where(xb == 0.0, self.b_d1_at0, val)
         elif order == 2:
-            out[g] = (2.0 * self.p1[g] / (self.p2[g] * self.p3[g] ** 2)
-                      / (1.0 - x[g] / self.p3[g]) ** 3)
-            if np.any(b):
-                beta = self.p4[b]
-                coeff = self.p1[b] * self.p3[b] * beta * (beta - 1.0)
-                xs = x[b]
+            out[g] = self.g_d2 / (1.0 - xg / self.g_u) ** 3
+            if b.size:
+                coeff = self.b_d2
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    val = coeff * xs ** (beta - 2.0) / self.p2[b] ** beta
-                val = np.where(coeff == 0.0, 0.0,
-                               np.where(xs == 0.0,
-                                        np.where(beta == 2.0, coeff / self.p2[b] ** 2, 0.0),
-                                        val))
-                out[b] = val
+                    val = coeff * xb ** (self.b_beta - 2.0) / self.b_ub
+                out[b] = np.where(coeff == 0.0, 0.0,
+                                  np.where(xb == 0.0, self.b_d2_at0, val))
         elif order == 3:
-            out[g] = (6.0 * self.p1[g] / (self.p2[g] * self.p3[g] ** 3)
-                      / (1.0 - x[g] / self.p3[g]) ** 4)
-            if np.any(b):
-                beta = self.p4[b]
-                coeff = self.p1[b] * self.p3[b] * beta * (beta - 1.0) * (beta - 2.0)
-                xs = x[b]
+            out[g] = self.g_d3 / (1.0 - xg / self.g_u) ** 4
+            if b.size:
+                coeff = self.b_d3
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    val = coeff * xs ** (beta - 3.0) / self.p2[b] ** beta
-                val = np.where((coeff == 0.0) | (xs == 0.0), 0.0, val)
-                out[b] = val
+                    val = coeff * xb ** (self.b_beta - 3.0) / self.b_ub
+                out[b] = np.where((coeff == 0.0) | (xb == 0.0), 0.0, val)
         return out
 
     def value(self, x):
         """Effective edge travel time (marginal of the base where wrapped)."""
         v = self._base(x, 0)
-        if np.any(self.marg):
-            m = self.marg
-            v = np.where(m, v + x * self._base(x, 1), v)
+        m = self.im
+        if m.size:
+            v[m] = v[m] + x[m] * self._base(x, 1)[m]
         return v
 
     def deriv(self, x):
         d = self._base(x, 1)
-        if np.any(self.marg):
-            m = self.marg
-            d = np.where(m, 2.0 * self._base(x, 1) + x * self._base(x, 2), d)
+        m = self.im
+        if m.size:
+            d[m] = 2.0 * d[m] + x[m] * self._base(x, 2)[m]
         return d
 
     def second(self, x):
         s = self._base(x, 2)
-        if np.any(self.marg):
-            m = self.marg
-            s = np.where(m, 3.0 * self._base(x, 2) + x * self._base(x, 3), s)
+        m = self.im
+        if m.size:
+            s[m] = 3.0 * s[m] + x[m] * self._base(x, 3)[m]
         return s
 
     def integral(self, x):
         out = np.zeros(self.n)
-        k = self.kind
-        c = (k == 0) & ~self.marg
-        a = (k == 1) & ~self.marg
-        g = (k == 2) & ~self.marg
-        b = (k == 3) & ~self.marg
-        out[c] = self.p1[c] * x[c]
-        out[a] = self.p1[a] * x[a] + 0.5 * self.p2[a] * x[a] ** 2
-        out[g] = -(self.p1[g] * self.p3[g] / self.p2[g]) * np.log(1.0 - x[g] / self.p3[g])
-        if np.any(b):
-            beta = self.p4[b]
-            out[b] = self.p1[b] * (x[b] + self.p3[b] * x[b] ** (beta + 1.0)
-                                   / ((beta + 1.0) * self.p2[b] ** beta))
-        if np.any(self.marg):
-            m = self.marg
-            out = np.where(m, x * self._base(x, 0), out)
+        c, a, g, b = self.ic, self.ia, self.ig, self.ib
+        out[c] = self.c_c * x[c]
+        xa = x[a]
+        out[a] = self.a_a * xa + 0.5 * self.a_b * xa ** 2
+        out[g] = self.g_int * np.log(1.0 - x[g] / self.g_u)
+        if b.size:
+            xb = x[b]
+            out[b] = self.b_c0 * (xb + self.b_alpha * xb ** (self.b_beta + 1.0) / self.b_int)
+        m = self.im
+        if m.size:
+            # the integral of c + t*c' is exactly x*c(x)
+            out[m] = x[m] * self._base(x, 0)[m]
         return out
 
 
@@ -363,46 +450,45 @@ def shortest_path_nodes(net: Network, edge_costs: Mapping[Tuple[int, int], float
                         source: int, sink: int) -> Optional[Tuple[int, ...]]:
     """Lexicographically smallest minimum-cost simple path, or None.
 
-    Label-setting in both directions marks the edges lying on some shortest
-    path; walking that subgraph greedily toward the lowest node id yields a
-    deterministic representative among ties.
+    One label-setting pass toward the sink gives each node its distance to
+    the sink; an edge is tight when it lies on a shortest path. A
+    depth-first walk over tight edges, lowest node id first and never back
+    onto its own prefix, returns the first path that reaches the sink: the
+    smallest one among ties. With positive costs the tight edges form a
+    DAG and the walk never backs up; zero-cost edges can close tight
+    cycles, which the walk steps around. An edge of infinite cost is
+    closed.
     """
-    dist_from = _dijkstra(net, edge_costs, source, forward=True)
-    total = dist_from.get(sink)
+    dist_to = _distances_to(net, edge_costs, sink)
+    total = dist_to.get(source)
     if total is None:
         return None
-    dist_to = _dijkstra(net, edge_costs, sink, forward=False)
     tol = 1e-12 * (1.0 + abs(total))
     nodes = [source]
-    current = source
-    remaining = total
-    while current != sink:
-        if len(nodes) > len(net.nodes):
-            return None  # zero-cost tie cycle; cannot happen with positive costs
-        chosen = None
-        for nxt in net.successors(current):
-            cost = edge_costs[(current, nxt)]
-            through = cost + dist_to.get(nxt, math.inf)
-            if abs(through - remaining) <= tol:
-                chosen = nxt  # successors are sorted: first hit is smallest id
+    on_path = {source}
+    branches = [iter(net.successors(source))]
+    while branches:
+        current = nodes[-1]
+        here = dist_to[current]
+        for nxt in branches[-1]:  # successors are sorted: first hit is smallest id
+            if nxt in on_path or nxt not in dist_to:
+                continue
+            if abs(edge_costs[(current, nxt)] + dist_to[nxt] - here) <= tol:
                 break
-        if chosen is None:
-            return None  # numerically inconsistent labels; caller treats as unreachable
-        nodes.append(chosen)
-        remaining -= edge_costs[(current, chosen)]
-        current = chosen
-    return tuple(nodes)
+        else:
+            branches.pop()
+            on_path.discard(nodes.pop())
+            continue
+        nodes.append(nxt)
+        if nxt == sink:
+            return tuple(nodes)
+        on_path.add(nxt)
+        branches.append(iter(net.successors(nxt)))
+    return None
 
 
-def _dijkstra(net: Network, edge_costs, root: int, forward: bool):
-    """Distances from (or to) root; expansion order breaks ties on node id."""
-    if forward:
-        neighbours = lambda u: ((v, edge_costs[(u, v)]) for v in net.successors(u))
-    else:
-        incoming = {}
-        for (i, j) in net.edge_pairs:
-            incoming.setdefault(j, []).append(i)
-        neighbours = lambda u: ((v, edge_costs[(v, u)]) for v in sorted(incoming.get(u, ())))
+def _distances_to(net: Network, edge_costs, root: int):
+    """Cost of the cheapest path from each node that reaches ``root``."""
     dist = {root: 0.0}
     done = set()
     heap = [(0.0, root)]
@@ -411,7 +497,8 @@ def _dijkstra(net: Network, edge_costs, root: int, forward: bool):
         if u in done:
             continue
         done.add(u)
-        for v, w in neighbours(u):
+        for v in net.predecessors(u):
+            w = edge_costs[(v, u)]
             if w < 0:
                 raise ValueError(f"negative edge cost {w}")
             nd = d + w
@@ -448,26 +535,44 @@ def all_or_nothing(instance: Instance,
 # Frank-Wolfe with exact line search and terminal support polish
 
 
+SPREAD_PARTS = 8
+
+
 def _initial_point(space: _PathSpace, cfg: SolverConfig, kind: str, seed_paths: str):
+    """All-or-nothing flows under zero-flow costs ("aon"), falling back to
+    incremental loading when that saturates an edge, or incremental loading
+    outright ("spread")."""
     calc = space.calc
-    zero = np.zeros(len(space.edge_pairs))
-    g0 = _gradient(calc, zero, kind)
-    cost0 = space.incidence @ g0
+    if seed_paths == "aon":
+        best = space.price(_gradient(calc, np.zeros(len(space.edge_pairs)), kind))
+        x = np.zeros(len(space.paths))
+        x[best] = space.demands
+        if not np.any(space.edge_flows(x) >= calc.bound):
+            return x
+    return _incremental_load(space, kind)
+
+
+def _incremental_load(space: _PathSpace, kind: str) -> np.ndarray:
+    """Each trip's demand in equal parts, one at a time, each on the cheapest
+    path under the current gradient; an edge is closed to a part that would
+    bring it to its flow bound."""
+    calc = space.calc
+    net = space.instance.network
     x = np.zeros(len(space.paths))
-    for m, (a, b) in enumerate(space.trip_slices):
-        if seed_paths == "spread":
-            order = np.argsort(cost0[a:b], kind="stable")[:8]
-            share = space.demands[m] / len(order)
-            for j in order:
-                x[a + j] = share
-        else:
-            x[a + int(np.argmin(cost0[a:b]))] = space.demands[m]
-    xe = space.edge_flows(x)
-    if np.any(xe >= calc.bound):
-        if seed_paths == "aon":
-            return _initial_point(space, cfg, kind, "spread")
-        raise CapacitySaturation(
-            "no interior starting flow: demand saturates a congestion-priced edge")
+    xe = np.zeros(len(space.edge_pairs))
+    for _ in range(SPREAD_PARTS):
+        for m, trip in enumerate(space.instance.trips):
+            part = space.demands[m] / SPREAD_PARTS
+            open_costs = np.where(xe + part < calc.bound, _gradient(calc, xe, kind), math.inf)
+            nodes = shortest_path_nodes(net, dict(zip(space.edge_pairs, open_costs.tolist())),
+                                        trip.source, trip.sink)
+            if nodes is None:
+                raise CapacitySaturation(
+                    "no interior starting flow: demand saturates a congestion-priced edge")
+            row = space.add(m, nodes)
+            x = space.pad(x)
+            x[row] += part
+            xe = space.edge_flows(x)
     return x
 
 
@@ -506,14 +611,23 @@ def _line_search(space, x, dvec, kind, cfg):
     return 0.5 * (lo + hi)
 
 
-def _direction_and_gap(space, x, grad_paths):
+def _direction_and_gap(space, x, grad_edges):
+    """Frank-Wolfe target and gap at ``x`` under the edge gradient.
+
+    Pricing puts each trip's cheapest path in the set, so the gap is taken
+    against the shortest of all simple paths. Returns ``x`` padded to the
+    grown set, the target and the gap.
+    """
+    best = space.price(grad_edges)
+    x = space.pad(x)
+    grad_paths = space.incidence @ grad_edges
     s = np.zeros_like(x)
     gap = 0.0
-    for m, (a, b) in enumerate(space.trip_slices):
-        j = int(np.argmin(grad_paths[a:b]))  # first minimum = lexicographic tie-break
-        s[a + j] = space.demands[m]
-        gap += float(x[a:b] @ grad_paths[a:b]) - space.demands[m] * float(grad_paths[a + j])
-    return s, gap
+    for m, rows in enumerate(space.trip_rows):
+        s[best[m]] = space.demands[m]
+        g = grad_paths[rows]
+        gap += float(x[rows] @ g) - space.demands[m] * float(np.min(g))
+    return x, s, gap
 
 
 def _polish(space, x, kind, cfg):
@@ -527,22 +641,22 @@ def _polish(space, x, kind, cfg):
     calc = space.calc
     if calc.all_constant:
         return None
-    n = len(space.paths)
     support = []
-    for m, (a, b) in enumerate(space.trip_slices):
+    for m, rows in enumerate(space.trip_rows):
         thresh = 1e-8 * space.demands[m]
-        chosen = [a + j for j in range(b - a) if x[a + j] > thresh]
+        chosen = [int(j) for j in rows if x[j] > thresh]
         if not chosen:
-            chosen = [a + int(np.argmax(x[a:b]))]
+            chosen = [int(rows[np.argmax(x[rows])])]
         support.append(chosen)
 
-    max_rounds = 2 * len(space.paths) + 4  # each round drops or adds a path
-    for _round in range(max_rounds):
+    rounds = 0
+    while rounds < 2 * len(space.paths) + 4:  # each round drops or adds a path
+        rounds += 1
         flat = [j for group in support for j in group]
         trip_of = np.concatenate([
             np.full(len(group), m) for m, group in enumerate(support)])
         k = len(flat)
-        m_trips = len(space.trip_slices)
+        m_trips = len(space.trip_rows)
         a_sub = space.incidence[flat]
         xs = np.maximum(x[flat], 0.0)
         # keep conservation exact before iterating
@@ -616,17 +730,19 @@ def _polish(space, x, kind, cfg):
                 new_support.append(kept)
             support = new_support
             continue
-        candidate = np.zeros(n)
+        candidate = np.zeros(len(space.paths))
         for i, j in enumerate(flat):
             candidate[j] = xs[i]
-        # bring in any strictly better unused path and re-equalise
-        xe = space.edge_flows(candidate)
-        gp = space.incidence @ _gradient(calc, xe, kind)
+        # bring in each trip's cheapest path when it beats the used ones
+        # strictly, and re-equalise
+        grad_edges = _gradient(calc, space.edge_flows(candidate), kind)
+        best = space.price(grad_edges)
+        candidate = space.pad(candidate)
+        gp = space.incidence @ grad_edges
         grew = False
-        for m, (a, b) in enumerate(space.trip_slices):
-            best = int(np.argmin(gp[a:b])) + a
-            if best not in support[m] and gp[best] < lam[m] - 1e-10 * (1.0 + abs(lam[m])):
-                support[m] = sorted(support[m] + [best])
+        for m, j in enumerate(best):
+            if j not in support[m] and gp[j] < lam[m] - 1e-10 * (1.0 + abs(lam[m])):
+                support[m] = sorted(support[m] + [j])
                 grew = True
         if grew:
             x = candidate
@@ -648,11 +764,10 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         xe = space.edge_flows(x)
-        grad_paths = space.incidence @ _gradient(calc, xe, kind)
         f = _objective(calc, xe, kind)
         if trace is not None:
             trace.append(f)
-        s, gap = _direction_and_gap(space, x, grad_paths)
+        x, s, gap = _direction_and_gap(space, x, _gradient(calc, xe, kind))
         best_lb = max(best_lb, f - gap)
         rel_gap = (f - best_lb) / abs(f) if f != 0.0 else 0.0
         if rel_gap <= cfg.relative_gap_tol:
@@ -664,8 +779,7 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
             if refined is not None:
                 fe = space.edge_flows(refined)
                 f2 = _objective(calc, fe, kind)
-                g2 = space.incidence @ _gradient(calc, fe, kind)
-                _, gap2 = _direction_and_gap(space, refined, g2)
+                refined, _, gap2 = _direction_and_gap(space, refined, _gradient(calc, fe, kind))
                 # strict gap halving keeps repeated refinements terminating
                 if f2 <= f + 1e-11 * (1.0 + abs(f)) and gap2 <= 0.5 * gap:
                     x = refined
@@ -678,6 +792,7 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
             if accepted:
                 continue
             next_polish = it + 25
+        x, s = space.pad(x), space.pad(s)  # the polish may have added paths
         dvec = s - x
         t = _line_search(space, x, dvec, kind, cfg)
         if t is None:
@@ -699,25 +814,28 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
 def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
                         iterations: int, rel_gap: float) -> SolveResult:
     calc = space.calc
+    certificate = _flow_certificate(space, x, kind)
+    # The certificate priced every trip (on travel times for ue), so the set
+    # holds each trip's shortest path and the ue minimum below is over all
+    # simple paths.
+    x = space.pad(x)
     xe = space.edge_flows(x)
     total = float(np.sum(xe * calc.value(xe)))
-    assignment = space.assignment(x)
-    certificate = _flow_certificate(space, x, kind)
     path_costs = space.incidence @ calc.value(xe)
     per_trip_cost = []
     per_trip_range = []
-    for m, (a, b) in enumerate(space.trip_slices):
-        used = np.flatnonzero(x[a:b] > USED_FLOW_FRACTION * space.demands[m]) + a
+    for m, rows in enumerate(space.trip_rows):
+        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
         costs_used = path_costs[used]
         per_trip_range.append((_num(float(np.min(costs_used))),
                                _num(float(np.max(costs_used)))))
         if kind == UE:
-            per_trip_cost.append(_num(float(np.min(path_costs[a:b]))))
+            per_trip_cost.append(_num(float(np.min(path_costs[rows]))))
         else:
             per_trip_cost.append(_num(float(np.min(costs_used))))
     return SolveResult(
         routing=kind,
-        assignment=assignment,
+        assignment=space.assignment(x),
         total_cost=_num(total),
         per_trip_cost=tuple(per_trip_cost),
         per_trip_used_range=tuple(per_trip_range),
@@ -728,17 +846,19 @@ def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
 
 
 def _flow_certificate(space: _PathSpace, x: np.ndarray, kind: str) -> OptimalityCertificate:
-    calc = space.calc
-    xe = space.edge_flows(x)
-    values = space.incidence @ _gradient(calc, xe, kind) if kind == SO \
-        else space.incidence @ calc.value(xe)
+    """Used-path marginal costs (so) or travel times (ue) against the
+    cheapest path, which pricing puts in the set."""
+    edge_values = _gradient(space.calc, space.edge_flows(x), kind)
+    space.price(edge_values)
+    x = space.pad(x)
+    values = space.incidence @ edge_values
     worst = 0.0
     spreads = []
     tol = 0.0
-    for m, (a, b) in enumerate(space.trip_slices):
-        used = np.flatnonzero(x[a:b] > USED_FLOW_FRACTION * space.demands[m]) + a
+    for m, rows in enumerate(space.trip_rows):
+        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
         v_used_max = float(np.max(values[used]))
-        v_min = float(np.min(values[a:b]))
+        v_min = float(np.min(values[rows]))
         spread = max(0.0, v_used_max - v_min)
         spreads.append(_num(spread))
         trip_tol = 1e-6 * (1.0 + abs(v_min))
@@ -779,21 +899,22 @@ def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult
     """Exact minimum-cost routing with hard edge capacities.
 
     Requires constant edge costs; solved as a path-formulation linear
-    program over the full simple-path enumeration.
+    program over the full simple-path enumeration (``limit`` caps it per
+    trip).
     """
     net = instance.network
     for pair in net.edge_pairs:
         if not is_constant(net.edge(*pair).cost):
             raise BadParams("mc routing requires constant edge costs")
     try:
-        space = _PathSpace(instance, limit)
+        space = _PathSpace.enumerated(instance, limit)
     except Unreachable as exc:
         raise Infeasible(str(exc)) from exc
     path_costs = space.incidence @ space.calc.value(np.zeros(len(space.edge_pairs)))
     n_paths = len(space.paths)
     a_eq = np.zeros((len(instance.trips), n_paths))
-    for m, (a, b) in enumerate(space.trip_slices):
-        a_eq[m, a:b] = 1.0
+    for m, rows in enumerate(space.trip_rows):
+        a_eq[m, rows] = 1.0
     cap_rows = [k for k, cap in enumerate(space.capacities) if math.isfinite(cap)]
     a_ub = space.incidence.T[cap_rows] if cap_rows else None
     b_ub = space.capacities[cap_rows] if cap_rows else None
@@ -809,8 +930,8 @@ def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult
     certificate = _mc_certificate(space, x, path_costs, duals)
     per_trip_cost = []
     per_trip_range = []
-    for m, (a, b) in enumerate(space.trip_slices):
-        used = np.flatnonzero(x[a:b] > USED_FLOW_FRACTION * space.demands[m]) + a
+    for m, rows in enumerate(space.trip_rows):
+        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
         used_costs = path_costs[used]
         per_trip_cost.append(_num(float(np.min(used_costs))))
         per_trip_range.append((_num(float(np.min(used_costs))),
@@ -831,17 +952,15 @@ def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult
 def _mc_certificate(space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
                     duals: MCDuals) -> OptimalityCertificate:
     price = dict(duals.edge_prices)
+    route_prices = space.incidence @ np.array([price.get(pair, 0.0) for pair in space.edge_pairs])
     worst = 0.0
     spreads = []
-    for m, (a, b) in enumerate(space.trip_slices):
-        pi = duals.trip_potentials[m]
-        trip_worst = 0.0
-        for j in range(a, b):
-            reduced = path_costs[j] - pi + sum(
-                price.get(pair, 0.0) for pair in space.paths[j].edge_pairs)
-            trip_worst = max(trip_worst, -reduced)  # dual feasibility
-            if x[j] > USED_FLOW_FRACTION * space.demands[m]:
-                trip_worst = max(trip_worst, abs(reduced))  # complementary slackness
+    for m, rows in enumerate(space.trip_rows):
+        reduced = path_costs[rows] - duals.trip_potentials[m] + route_prices[rows]
+        used = x[rows] > USED_FLOW_FRACTION * space.demands[m]
+        trip_worst = max(0.0,
+                         float(np.max(-reduced)),  # dual feasibility
+                         float(np.max(np.abs(reduced[used]), initial=0.0)))  # compl. slackness
         spreads.append(_num(trip_worst))
         worst = max(worst, trip_worst)
     # capacity complementary slackness
@@ -857,7 +976,7 @@ def _mc_certificate(space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
         max_violation=_num(worst),
         per_trip_spread=tuple(spreads),
         tolerance=_num(tol),
-        satisfied=worst <= tol,
+        satisfied=bool(worst <= tol),
     )
 
 
@@ -870,21 +989,45 @@ def verify_certificate(instance: Instance, result: SolveResult,
                        limit: int = DEFAULT_PATH_LIMIT) -> OptimalityCertificate:
     """Recompute a result's optimality certificate from its assignment.
 
-    Never raises on a suboptimal assignment; the certificate simply reports
-    the violation it finds.
+    so and ue compare the used paths with each trip's shortest path, priced
+    with Dijkstra on the assignment's own edge flows, so the check covers
+    every simple path without listing them. mc checks reduced costs over
+    the full enumeration. ``limit`` caps the paths per trip either way.
+
+    Raises BadParams when the assignment holds a path that is not a simple
+    path of its trip in the instance. Never raises on a suboptimal
+    assignment; the certificate simply reports the violation it finds.
     """
     kind = kind or result.routing
-    space = _PathSpace(instance, limit)
-    index = {p.nodes: i for i, p in enumerate(space.paths)}
+    paths = result.assignment.paths
+    if kind == MC:
+        space = _PathSpace.enumerated(instance, limit)
+    else:
+        space = _PathSpace(instance, limit)
+        for p in paths:
+            if _is_trip_path(instance, p):
+                space.add(p.trip_index, p.nodes)
+    rows = [space.row(p) for p in paths]
     x = np.zeros(len(space.paths))
-    for p, f in zip(result.assignment.paths, result.assignment.flows):
-        x[index[p.nodes]] = f
+    x[rows] = result.assignment.flows
     if kind == MC:
         path_costs = space.incidence @ space.calc.value(np.zeros(len(space.edge_pairs)))
         duals = result.duals or MCDuals(
             trip_potentials=tuple(0.0 for _ in instance.trips), edge_prices=())
         return _mc_certificate(space, x, path_costs, duals)
     return _flow_certificate(space, x, kind)
+
+
+def _is_trip_path(instance: Instance, path: Path) -> bool:
+    """Whether ``path`` is a simple path of its trip in the instance."""
+    m = path.trip_index
+    nodes = path.nodes
+    trips = instance.trips
+    return (0 <= m < len(trips)
+            and len(nodes) >= 2
+            and (nodes[0], nodes[-1]) == (trips[m].source, trips[m].sink)
+            and len(set(nodes)) == len(nodes)
+            and all(instance.network.has_edge(*pair) for pair in path.edge_pairs))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,18 @@ def test_solve_pigou_ue(tmp_path, capsys):
     assert code == 0
     assert "total_cost=1.000000" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["format_version"] == 1
+    assert report["format_version"] == 2
     assert report["results"]["total_cost"] == pytest.approx(1.0)
     assert report["results"]["path_flows"]["0-2-3"] == pytest.approx(1.0)
+
+
+def test_solve_mc_writes_report(tmp_path):
+    out = tmp_path / "report.json"
+    code = run(["solve", "--scenario", "counterexample", "--routing", "mc", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["certificate"]["satisfied"] is True
+    assert report["results"]["total_cost"] == pytest.approx(5.0)  # every candidate added
 
 
 def test_solve_braess_so(capsys):

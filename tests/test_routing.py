@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
-from netdesign.costs import Constant, Greenshields
+from netdesign.costs import BPR, Affine, Constant, Greenshields, evaluate, marginal
 from netdesign.errors import (
     BadParams,
     CapacitySaturation,
@@ -12,7 +13,7 @@ from netdesign.errors import (
     PathLimitExceeded,
     Unreachable,
 )
-from netdesign.network import Edge, Network, Trip
+from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
 from netdesign.routing import (
     FlowAssignment,
     Instance,
@@ -200,6 +201,27 @@ def test_shortest_path_prefers_cheaper():
     assert nodes == (0, 2, 3)
 
 
+def test_shortest_path_steps_around_zero_cost_cycles():
+    # 0 <-> 1 cost nothing at zero flow, so the tie walk could circle them
+    free = Affine(0.0, 1.0)
+    paid = Affine(1.0, 1.0)
+    net = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
+                  (0, 2, paid, math.inf), (1, 2, paid, math.inf)])
+    costs = {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0, (1, 2): 1.0}
+    assert shortest_path_nodes(net, costs, 0, 2) == (0, 1, 2)
+    # from 1 the only tight way on leads back to 0: the walk backs up
+    dead_end = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
+                       (0, 2, paid, math.inf)])
+    assert shortest_path_nodes(dead_end, {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0},
+                               0, 2) == (0, 2)
+    instance = Instance(net, (Trip(0, 2, 1.0),))
+    assert all_or_nothing(instance, costs).paths[0].nodes == (0, 1, 2)
+    for solver in (solve_so, solve_ue):
+        r = solver(instance)
+        assert r.certificate.satisfied
+        assert verify_certificate(instance, r).satisfied
+
+
 # -- certificates -----------------------------------------------------------------
 
 
@@ -244,6 +266,19 @@ def test_perturbed_assignment_reports_violation(braess_with):
     cert = verify_certificate(braess_with.instance, perturbed)
     assert not cert.satisfied
     assert cert.max_violation > 1e-3
+
+
+@pytest.mark.parametrize("nodes", [(0, 3), (0, 2, 1, 3), (0, 1, 0, 2, 3), (1, 3)])
+def test_verify_certificate_rejects_paths_not_in_instance(braess_with, nodes):
+    # (0, 3) and (0, 2, 1, 3) use missing edges, (0, 1, 0, 2, 3) repeats a
+    # node and (1, 3) starts away from the trip's source
+    r = solve_ue(braess_with.instance)
+    foreign = Path(0, nodes)
+    bad = dataclasses.replace(r, assignment=dataclasses.replace(
+        r.assignment, paths=r.assignment.paths[:-1] + (foreign,)))
+    for kind in ("ue", "so", "mc"):
+        with pytest.raises(BadParams, match=foreign.key()):
+            verify_certificate(braess_with.instance, bad, kind)
 
 
 def test_so_certificate_on_counterexample(counterexample_gs):
@@ -393,6 +428,61 @@ def test_so_under_capacity_margin_stays_interior(counterexample_gs):
 
 
 # -- failure modes --------------------------------------------------------------------
+
+
+def bpr_grid(n, seed):
+    """An n x n grid of BPR edges with three corner-to-corner trips."""
+    rng = random.Random(seed)
+    defs = []
+    for a in range(n * n):
+        for b in (a + 1 if (a + 1) % n else None, a + n if a + n < n * n else None):
+            if b is not None:
+                for i, j in ((a, b), (b, a)):
+                    cost = BPR(round(rng.uniform(1.0, 3.0), 3), round(rng.uniform(2.0, 6.0), 3),
+                               0.15, 4.0)
+                    defs.append((i, j, cost, math.inf))
+    last = n * n - 1
+    trips = (Trip(0, last, 3.0), Trip(n - 1, last - (n - 1), 2.5), Trip(last, 0, 2.0))
+    return Instance(net_of(defs), trips)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_grids_beyond_enumeration(n):
+    # a 6x6 grid already has 1,262,816 corner-to-corner simple paths per trip
+    instance = bpr_grid(n, n)
+    if n == 6:
+        with pytest.raises(PathLimitExceeded):
+            enumerate_trip_paths(instance.network, instance.trips)
+    for solver in (solve_so, solve_ue):
+        r = solver(instance)
+        assert r.relative_gap <= 1e-8
+        assert r.certificate.satisfied
+        assert verify_certificate(instance, r).satisfied
+        assert_assignment_feasible(instance, r)
+
+
+def test_wardrop_against_every_simple_path():
+    # independent of the solver's pricing: networkx lists every path and
+    # the scalar cost closed forms price them
+    nx = pytest.importorskip("networkx")
+    instance = bpr_grid(4, 1)
+    net = instance.network
+    graph = nx.DiGraph(list(net.edge_pairs))
+    for solver, cost_of in ((solve_ue, evaluate), (solve_so, marginal)):
+        r = solver(instance)
+        xe = r.assignment.edge_flow_map()
+        for m, trip in enumerate(instance.trips):
+
+            def price(nodes):
+                return sum(cost_of(net.edge(i, j).cost, xe[(i, j)])
+                           for i, j in zip(nodes, nodes[1:]))
+
+            shortest = min(price(p) for p in nx.all_simple_paths(graph, trip.source, trip.sink))
+            used = [p for p, f in zip(r.assignment.paths, r.assignment.flows)
+                    if p.trip_index == m and f > 1e-6 * trip.demand]
+            assert used
+            for p in used:
+                assert price(p.nodes) <= shortest + 1e-6 * (1.0 + shortest)
 
 
 def test_not_converged():
