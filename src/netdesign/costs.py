@@ -135,7 +135,7 @@ def derivative(model: CostModel, x: float) -> float:
     if isinstance(model, BPR):
         if x == 0.0 and model.beta < 2:
             # x^(beta-1) is finite for beta >= 1; avoid 0**negative below
-            return model.c0 * model.alpha if model.beta == 1 else 0.0
+            return model.c0 * model.alpha / model.u if model.beta == 1 else 0.0
         return (
             model.c0 * model.alpha * model.beta
             * x ** (model.beta - 1.0) / model.u ** model.beta

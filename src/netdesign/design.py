@@ -9,18 +9,15 @@ parallel candidates that are node-disjoint except at the endpoints), the
 monotonicity and supermodularity checkers with explicit witnesses, the
 parallel-case closed forms and a greedy designer.
 
-Subset evaluations are cached by bitmask and may be computed in parallel
-(`NETDESIGN_THREADS`, 0 = serial); reports never depend on evaluation
-order.
+Subset evaluations are cached by bitmask; reports never depend on
+evaluation order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -185,36 +182,14 @@ class LambdaEvaluator:
         return lambda_eval(routing, state, self.cfg)
 
     def ensure(self, routing: str, masks: Iterable[int]) -> None:
-        """Populate the cache for ``masks``, possibly in parallel.
-
-        Parallelism is capped by the NETDESIGN_THREADS environment variable
-        (0, the default, runs serially). Results are inserted in sorted mask
-        order so downstream reports are order-independent.
-        """
-        missing = sorted({m for m in masks if (routing, m) not in self._cache})
-        if not missing:
-            return
-        threads = _thread_budget()
-        if threads > 1 and len(missing) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                computed = list(pool.map(lambda m: self._compute(routing, m), missing))
-            for mask, ev in zip(missing, computed):
-                self._cache[(routing, mask)] = ev
-        else:
-            for mask in missing:
-                self._cache[(routing, mask)] = self._compute(routing, mask)
+        """Populate the cache for ``masks``, in sorted mask order so
+        downstream reports are order-independent."""
+        for mask in sorted({m for m in masks if (routing, m) not in self._cache}):
+            self._cache[(routing, mask)] = self._compute(routing, mask)
 
     def evaluations(self, routing: str) -> Tuple[LambdaEvaluation, ...]:
         items = [ev for (r, _), ev in self._cache.items() if r == routing]
         return tuple(sorted(items, key=lambda ev: ev.bitmask))
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("NETDESIGN_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +334,6 @@ class PropertyReport:
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-
-def report_to_csv(report: "PropertyReport") -> str:
-    """One row per evaluated subset: bitmask, objective value, solver gap."""
-    lines = ["subset_bitmask,lambda_value,relative_gap"]
-    for ev in report.evaluations:
-        lines.append(f"{ev.bitmask},{ev.value!r},{ev.relative_gap!r}")
-    return "\n".join(lines) + "\n"
 
 
 def default_tolerance(routing: str, evaluator: LambdaEvaluator) -> float:

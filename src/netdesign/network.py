@@ -75,6 +75,11 @@ class Network:
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy would restore the slots through __setattr__;
+        # rebuild through the constructor instead
+        return (Network, (self.nodes, self.edges))
+
     @property
     def edges(self) -> Tuple[Edge, ...]:
         return tuple(self._edges[p] for p in sorted(self._edges))

@@ -3,8 +3,12 @@
 Three problems share one path-based machinery: the capacitated
 constant-cost program (``mc``) solved exactly as a linear program over
 every simple path, and the congestion-priced system-optimal (``so``) and
-user-equilibrium (``ue``) flows computed by Frank-Wolfe with exact line
-search plus an active-set polish. so and ue never list every path: they
+user-equilibrium (``ue``) flows computed by Frank-Wolfe plus an
+active-set Newton polish. The Frank-Wolfe step length is an exact line
+search: a safeguarded Newton iteration on the directional derivative,
+bracketed and bisecting when a Newton step leaves the bracket. Both
+Newton iterations take the objective's edge gradient and curvature from
+one closed-form pass per cost family. so and ue never list every path: they
 work on a path set that starts from each trip's all-or-nothing path and
 grows by pricing, a Dijkstra shortest path on the current marginal costs
 (so) or travel times (ue) that joins the set when new. Because each
@@ -181,6 +185,8 @@ class _PathSpace:
         self._row = {}  # (trip index, node sequence) -> row
         self._groups = [[] for _ in instance.trips]
         self._trip_rows = None
+        self._row_trip = None
+        self._priced = None  # (edge costs, rows) of the last pricing
         self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
 
     @classmethod
@@ -211,6 +217,13 @@ class _PathSpace:
             self._trip_rows = tuple(np.array(g, dtype=np.intp) for g in self._groups)
         return self._trip_rows
 
+    @property
+    def row_trip(self) -> np.ndarray:
+        """Trip index of each row."""
+        if self._row_trip is None:
+            self._row_trip = np.array([p.trip_index for p in self.paths], dtype=np.intp)
+        return self._row_trip
+
     def add(self, m: int, nodes: Tuple[int, ...]) -> int:
         """Row of trip ``m``'s path ``nodes``, appended when new."""
         row = self._row.get((m, nodes))
@@ -228,6 +241,7 @@ class _PathSpace:
         self._row[(m, nodes)] = row
         self._groups[m].append(row)
         self._trip_rows = None
+        self._row_trip = None
         return row
 
     def row(self, path: Path) -> int:
@@ -238,8 +252,15 @@ class _PathSpace:
                             f"simple path of that trip in the instance")
         return row
 
-    def price(self, edge_costs: np.ndarray) -> list:
-        """Rows of each trip's cheapest path under ``edge_costs``, added when new."""
+    def price(self, edge_costs: np.ndarray) -> np.ndarray:
+        """Rows of each trip's cheapest path under ``edge_costs``, added when new.
+
+        Pricing the same costs as the previous call returns its rows without
+        a search: a solve prices one point several times in a row (the
+        polish's last round, the gap after it and the certificate).
+        """
+        if self._priced is not None and np.array_equal(self._priced[0], edge_costs):
+            return self._priced[1]
         net = self.instance.network
         costs = dict(zip(self.edge_pairs, edge_costs.tolist()))
         rows = []
@@ -248,6 +269,8 @@ class _PathSpace:
             if nodes is None:
                 raise Unreachable(trip)
             rows.append(self.add(m, nodes))
+        rows = np.array(rows, dtype=np.intp)
+        self._priced = (edge_costs.copy(), rows)
         return rows
 
     def pad(self, x: np.ndarray) -> np.ndarray:
@@ -273,12 +296,26 @@ class _PathSpace:
         )
 
 
+# (A, B, C, D) of the Greenshields level-n forms, rows n = 0, 1, 2
+_GREENSHIELDS_LEVELS = np.array([[1.0, 0.0, 1.0, 0.0],
+                                 [1.0, 0.0, 2.0, 0.0],
+                                 [2.0, 1.0, 6.0, 2.0]])
+
+
 class _EdgeCalculator:
-    """Vectorised value/derivative/integral evaluation over all edges.
+    """Vectorised closed forms over all edges.
 
     Edges are grouped by model family once, into index arrays with the
     family's parameters gathered along them; per-call work is a handful of
-    numpy expressions on those groups, which keeps line searches cheap.
+    numpy expressions on those groups.
+
+    The so and ue edge gradients are one operation at different depths:
+    the level-n gradient is the travel time c with f -> (x*f)' applied n
+    times. A bare edge has level 0 under ue (gradient c) and 1 under so
+    (gradient c + x*c'), and a ``Marginalized`` edge one more. Each family's
+    level-n gradient has one closed form in n, and its derivative, the
+    curvature, shares that form's powers, so ``derivatives`` returns both
+    in one pass per family.
     """
 
     def __init__(self, models: Sequence):
@@ -315,87 +352,76 @@ class _EdgeCalculator:
             else:
                 raise TypeError(f"unsupported cost model {model!r}")
         self.all_constant = bool(np.all(kind == 0) and not np.any(marg))
+        self.ue_level = marg * 1.0
         self.im = np.flatnonzero(marg)
-        # Per-family indices and the parameter expressions the closed forms
-        # use, each written exactly as evaluated, so results stay bit-stable.
         self.ic = np.flatnonzero(kind == 0)
         self.c_c = p1[self.ic]
-        self.ia = np.flatnonzero(kind == 1)
-        self.a_a, self.a_b = p1[self.ia], p2[self.ia]
+        ia = self.ia = np.flatnonzero(kind == 1)
+        self.a_a, self.a_b = p1[ia], p2[ia]
         ig = self.ig = np.flatnonzero(kind == 2)
-        self.g_l, self.g_v, self.g_u = p1[ig], p2[ig], p3[ig]
-        self.g_d1 = p1[ig] / (p2[ig] * p3[ig])
-        self.g_d2 = 2.0 * p1[ig] / (p2[ig] * p3[ig] ** 2)
-        self.g_d3 = 6.0 * p1[ig] / (p2[ig] * p3[ig] ** 3)
+        self.g_u = p3[ig]
+        self.g_s = p1[ig] / p2[ig]  # l / v_max
         self.g_int = -(p1[ig] * p3[ig] / p2[ig])
         ib = self.ib = np.flatnonzero(kind == 3)
-        c0, u, alpha, beta = p1[ib], p2[ib], p3[ib], p4[ib]
-        self.b_c0, self.b_u, self.b_alpha, self.b_beta = c0, u, alpha, beta
-        self.b_ub = u ** beta
-        self.b_d1 = c0 * alpha * beta
-        self.b_d1_at0 = np.where(beta == 1.0, c0 * alpha / u, 0.0)
-        self.b_d2 = c0 * alpha * beta * (beta - 1.0)
-        self.b_d2_at0 = np.where(beta == 2.0, self.b_d2 / u ** 2, 0.0)
-        self.b_d3 = c0 * alpha * beta * (beta - 1.0) * (beta - 2.0)
-        self.b_int = (beta + 1.0) * self.b_ub
+        self.b_c0, self.b_u, self.b_alpha, self.b_beta = p1[ib], p2[ib], p3[ib], p4[ib]
+        self.b_pow = self.b_beta - 1.0
+        self.b_int = (self.b_beta + 1.0) * self.b_u ** self.b_beta
+        self._forms = {}  # level forms by objective kind, built on first use
 
-    def _base(self, x, order):
-        """Level (order=0), slope (1), curvature (2) or third derivative (3)."""
-        out = np.zeros(self.n)
-        a, g, b = self.ia, self.ig, self.ib
-        xg = x[g]
-        xb = x[b]
-        if order == 0:
-            out[self.ic] = self.c_c
-            out[a] = self.a_a + self.a_b * x[a]
-            out[g] = self.g_l / (self.g_v * (1.0 - xg / self.g_u))
-            if b.size:
-                out[b] = self.b_c0 * (1.0 + self.b_alpha * (xb / self.b_u) ** self.b_beta)
-        elif order == 1:
-            out[a] = self.a_b
-            out[g] = self.g_d1 / (1.0 - xg / self.g_u) ** 2
-            if b.size:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    val = self.b_d1 * xb ** (self.b_beta - 1.0) / self.b_ub
-                out[b] = np.where(xb == 0.0, self.b_d1_at0, val)
-        elif order == 2:
-            out[g] = self.g_d2 / (1.0 - xg / self.g_u) ** 3
-            if b.size:
-                coeff = self.b_d2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    val = coeff * xb ** (self.b_beta - 2.0) / self.b_ub
-                out[b] = np.where(coeff == 0.0, 0.0,
-                                  np.where(xb == 0.0, self.b_d2_at0, val))
-        elif order == 3:
-            out[g] = self.g_d3 / (1.0 - xg / self.g_u) ** 4
-            if b.size:
-                coeff = self.b_d3
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    val = coeff * xb ** (self.b_beta - 3.0) / self.b_ub
-                out[b] = np.where((coeff == 0.0) | (xb == 0.0), 0.0, val)
-        return out
+    def _level_forms(self, level):
+        """Per-family coefficients of the level-n gradient g and curvature k.
+
+        affine        g = a + 2^n b x                      k = 2^n b
+        greenshields  g = (l/v) r^(n+1) (A - B q)          k = (l/(v u)) r^(n+2) (C - D q)
+                      with q = 1 - x/u, r = 1/q and (A, B, C, D) from
+                      _GREENSHIELDS_LEVELS
+        bpr           g = c0 + G x^beta                    k = beta G x^(beta-1)
+                      with G = c0 alpha (beta+1)^n / u^beta
+        Constants have g = c and k = 0 at every level.
+        """
+        la, lg, lb = level[self.ia], level[self.ig].astype(int), level[self.ib]
+        slope = self.a_b * 2.0 ** la
+        s, u = self.g_s, self.g_u
+        a_, b_, c_, d_ = _GREENSHIELDS_LEVELS[lg].T
+        green = (lg + 1.0, s * a_, s * b_, s / u * c_, s / u * d_)
+        beta = self.b_beta
+        g_coef = self.b_c0 * self.b_alpha * (beta + 1.0) ** lb / self.b_u ** beta
+        return slope, green, (g_coef, beta * g_coef)
+
+    def derivatives(self, x, kind):
+        """Edge gradient and curvature of the ``kind`` objective at edge flows ``x``."""
+        forms = self._forms.get(kind)
+        if forms is None:
+            forms = self._forms[kind] = self._level_forms(self.ue_level + (kind == SO))
+        return self._evaluate(x, forms)
+
+    def _evaluate(self, x, forms):
+        slope, (power, g_a, g_b, k_c, k_d), (b_g, b_k) = forms
+        grad = np.empty(self.n)
+        curv = np.zeros(self.n)
+        grad[self.ic] = self.c_c
+        a = self.ia
+        if a.size:
+            grad[a] = self.a_a + slope * x[a]
+            curv[a] = slope
+        g = self.ig
+        if g.size:
+            q = 1.0 - x[g] / self.g_u
+            r = 1.0 / q
+            p = r ** power
+            grad[g] = p * (g_a - g_b * q)
+            curv[g] = p * r * (k_c - k_d * q)
+        b = self.ib
+        if b.size:
+            xb = x[b]
+            w = xb ** self.b_pow  # x^(beta-1); 0**0 is 1, so beta = 1 needs no guard
+            grad[b] = self.b_c0 + b_g * (xb * w)
+            curv[b] = b_k * w
+        return grad, curv
 
     def value(self, x):
         """Effective edge travel time (marginal of the base where wrapped)."""
-        v = self._base(x, 0)
-        m = self.im
-        if m.size:
-            v[m] = v[m] + x[m] * self._base(x, 1)[m]
-        return v
-
-    def deriv(self, x):
-        d = self._base(x, 1)
-        m = self.im
-        if m.size:
-            d[m] = 2.0 * d[m] + x[m] * self._base(x, 2)[m]
-        return d
-
-    def second(self, x):
-        s = self._base(x, 2)
-        m = self.im
-        if m.size:
-            s[m] = 3.0 * s[m] + x[m] * self._base(x, 3)[m]
-        return s
+        return self.derivatives(x, UE)[0]
 
     def integral(self, x):
         out = np.zeros(self.n)
@@ -410,27 +436,15 @@ class _EdgeCalculator:
         m = self.im
         if m.size:
             # the integral of c + t*c' is exactly x*c(x)
-            out[m] = x[m] * self._base(x, 0)[m]
+            base = self._level_forms(np.zeros(self.n))
+            out[m] = x[m] * self._evaluate(x, base)[0][m]
         return out
-
-
-def _gradient(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> np.ndarray:
-    if kind == UE:
-        return calc.value(xe)
-    return calc.value(xe) + xe * calc.deriv(xe)  # marginal: d(x c(x))/dx
 
 
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
     if kind == UE:
         return float(np.sum(calc.integral(xe)))
     return float(np.sum(xe * calc.value(xe)))
-
-
-def _curvature(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> np.ndarray:
-    """Second derivative of the objective integrand wrt edge flow."""
-    if kind == UE:
-        return calc.deriv(xe)
-    return 2.0 * calc.deriv(xe) + xe * calc.second(xe)
 
 
 def total_cost_under(network: Network, edge_flows: Mapping[Tuple[int, int], float]) -> float:
@@ -532,7 +546,7 @@ def all_or_nothing(instance: Instance,
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe with exact line search and terminal support polish
+# Frank-Wolfe with a Newton line search and terminal support polish
 
 
 SPREAD_PARTS = 8
@@ -544,7 +558,7 @@ def _initial_point(space: _PathSpace, cfg: SolverConfig, kind: str, seed_paths: 
     outright ("spread")."""
     calc = space.calc
     if seed_paths == "aon":
-        best = space.price(_gradient(calc, np.zeros(len(space.edge_pairs)), kind))
+        best = space.price(calc.derivatives(np.zeros(len(space.edge_pairs)), kind)[0])
         x = np.zeros(len(space.paths))
         x[best] = space.demands
         if not np.any(space.edge_flows(x) >= calc.bound):
@@ -563,7 +577,8 @@ def _incremental_load(space: _PathSpace, kind: str) -> np.ndarray:
     for _ in range(SPREAD_PARTS):
         for m, trip in enumerate(space.instance.trips):
             part = space.demands[m] / SPREAD_PARTS
-            open_costs = np.where(xe + part < calc.bound, _gradient(calc, xe, kind), math.inf)
+            open_costs = np.where(xe + part < calc.bound, calc.derivatives(xe, kind)[0],
+                                  math.inf)
             nodes = shortest_path_nodes(net, dict(zip(space.edge_pairs, open_costs.tolist())),
                                         trip.source, trip.sink)
             if nodes is None:
@@ -577,10 +592,19 @@ def _incremental_load(space: _PathSpace, kind: str) -> np.ndarray:
 
 
 def _line_search(space, x, dvec, kind, cfg):
-    """Exact minimisation of the objective along x + t*(s - x), t in [0, t_max]."""
+    """Exact minimisation of the objective along x + t*(s - x), t in [0, t_max].
+
+    Safeguarded Newton iteration on the slope phi'(t), with phi''(t) from
+    the edge curvatures. It keeps a bracket lo < root < hi, bisects when a
+    Newton step would leave it, and lengthens a step shorter than half the
+    tolerance to that length so the bracket closes from the other side.
+    Returns None when the direction does not descend, t_max when the slope
+    is still nonpositive there, and otherwise the middle of a bracket no
+    wider than ``line_search_tol``.
+    """
     calc = space.calc
     xe = space.edge_flows(x)
-    de = space.incidence.T @ dvec
+    de = space.edge_flows(dvec)
     t_max = 1.0
     rising = de > 0
     if np.any(rising & np.isfinite(calc.bound)):
@@ -588,24 +612,33 @@ def _line_search(space, x, dvec, kind, cfg):
         caps = (margin[rising] - xe[rising]) / de[rising]
         t_max = min(1.0, float(np.min(caps[np.isfinite(caps)], initial=1.0)))
         t_max = max(t_max, 0.0)
+    de2 = de * de
 
     def dphi(t):
-        return float(de @ _gradient(calc, xe + t * de, kind))
+        grad, curv = calc.derivatives(xe + t * de, kind)
+        return float(de @ grad), float(de2 @ curv)
 
-    if dphi(0.0) >= 0.0:
+    slope, curvature = dphi(0.0)
+    if slope >= 0.0:
         return None  # no descent: caller falls back to the open-loop step
-    if dphi(t_max) <= 0.0:
+    if dphi(t_max)[0] <= 0.0:
         return t_max
-    lo, hi = 0.0, t_max
+    lo, hi, t = 0.0, t_max, 0.0
+    half_tol = 0.5 * cfg.line_search_tol
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        slope = dphi(mid)
+        step = -slope / curvature if curvature > 0.0 else math.inf
+        if abs(step) < half_tol:
+            step = math.copysign(half_tol, step)
+        t += step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        slope, curvature = dphi(t)
         if slope == 0.0:
-            return mid
+            return t
         if slope > 0.0:
-            hi = mid
+            hi = t
         else:
-            lo = mid
+            lo = t
         if hi - lo <= cfg.line_search_tol:
             break
     return 0.5 * (lo + hi)
@@ -641,114 +674,107 @@ def _polish(space, x, kind, cfg):
     calc = space.calc
     if calc.all_constant:
         return None
-    support = []
-    for m, rows in enumerate(space.trip_rows):
-        thresh = 1e-8 * space.demands[m]
-        chosen = [int(j) for j in rows if x[j] > thresh]
-        if not chosen:
-            chosen = [int(rows[np.argmax(x[rows])])]
-        support.append(chosen)
+    x = space.pad(x)
+    demands = space.demands
+    n_trips = len(demands)
+    margin = calc.bound * (1.0 - cfg.capacity_margin)
+    bounded = np.isfinite(calc.bound)
+    support = x > 1e-8 * demands[space.row_trip]
+    for rows in space.trip_rows:
+        if not support[rows].any():
+            support[rows[np.argmax(x[rows])]] = True
 
     rounds = 0
     while rounds < 2 * len(space.paths) + 4:  # each round drops or adds a path
         rounds += 1
-        flat = [j for group in support for j in group]
-        trip_of = np.concatenate([
-            np.full(len(group), m) for m, group in enumerate(support)])
+        flat = np.flatnonzero(support)
+        flat = flat[np.argsort(space.row_trip[flat], kind="stable")]  # grouped by trip
+        trip_of = space.row_trip[flat]
         k = len(flat)
-        m_trips = len(space.trip_rows)
         a_sub = space.incidence[flat]
+        counts = np.bincount(trip_of, minlength=n_trips)
         xs = np.maximum(x[flat], 0.0)
         # keep conservation exact before iterating
-        for m in range(m_trips):
-            mask = trip_of == m
-            tot = xs[mask].sum()
-            if tot > 0:
-                xs[mask] *= space.demands[m] / tot
-        lam = np.zeros(m_trips)
+        tot = np.bincount(trip_of, weights=xs, minlength=n_trips)
+        xs *= np.divide(demands, tot, out=np.ones(n_trips), where=tot > 0)[trip_of]
+        # the conservation block of the KKT matrix; the Hessian block changes per step
+        kkt = np.zeros((k + n_trips, k + n_trips))
+        kkt[np.arange(k), k + trip_of] = -1.0
+        kkt[k + trip_of, np.arange(k)] = 1.0
         ok = False
-        forced_drops = []
+        dropped = np.zeros(k, dtype=bool)
         for _newton in range(40):
             xe = a_sub.T @ xs
-            if np.any(xe >= calc.bound):
+            if (xe >= calc.bound).any():
                 return None
-            g = a_sub @ _gradient(calc, xe, kind)
-            for m in range(m_trips):
-                mask = trip_of == m
-                lam[m] = float(np.mean(g[mask]))
-            r_g = g - lam[trip_of]
-            r_c = np.array([
-                xs[trip_of == m].sum() - space.demands[m] for m in range(m_trips)])
-            scale = 1.0 + float(np.max(np.abs(lam), initial=0.0))
-            if max(np.max(np.abs(r_g), initial=0.0),
-                   np.max(np.abs(r_c), initial=0.0)) <= 1e-12 * scale:
+            grad_e, curv_e = calc.derivatives(xe, kind)
+            g = a_sub @ grad_e
+            lam = np.bincount(trip_of, weights=g, minlength=n_trips) / counts
+            rhs = -np.concatenate([
+                g - lam[trip_of],
+                np.bincount(trip_of, weights=xs, minlength=n_trips) - demands])
+            if np.abs(rhs).max() <= 1e-12 * (1.0 + np.abs(lam).max()):
                 ok = True
                 break
-            w = _curvature(calc, xe, kind)
-            h = (a_sub * w) @ a_sub.T
-            kkt = np.zeros((k + m_trips, k + m_trips))
-            kkt[:k, :k] = h
-            for idx in range(k):
-                kkt[idx, k + trip_of[idx]] = -1.0
-                kkt[k + trip_of[idx], idx] = 1.0
-            rhs = -np.concatenate([r_g, r_c])
-            try:
-                delta = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
+            kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
+            delta = _solve_kkt(kkt, rhs)
+            if delta is None:
                 return None
             dx = delta[:k]
             # damp: stay nonnegative and strictly inside cost-model domains
             alpha = 1.0
             neg = dx < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(xs[neg] / -dx[neg])))
+            if neg.any():
+                alpha = min(alpha, float((xs[neg] / -dx[neg]).min()))
             de = a_sub.T @ dx
-            up = de > 0
-            finite = up & np.isfinite(calc.bound)
-            if np.any(finite):
-                room = (calc.bound[finite] * (1.0 - cfg.capacity_margin) - xe[finite])
-                alpha = min(alpha, 0.999999 * float(np.min(room / de[finite])))
+            up = (de > 0) & bounded
+            if up.any():
+                alpha = min(alpha, 0.999999 * float(((margin[up] - xe[up]) / de[up]).min()))
             if alpha <= 1e-14:
                 # a support member pinned at zero blocks the step: the
                 # equalised solution wants it negative, so retire it
-                forced_drops = [flat[i] for i in range(k)
-                                if xs[i] <= 1e-12 * space.demands[trip_of[i]] and dx[i] < 0.0]
+                dropped = (xs <= 1e-12 * demands[trip_of]) & (dx < 0.0)
                 break
-            xs = xs + alpha * dx
-            xs = np.maximum(xs, 0.0)
-        zero_drops = [flat[i] for i in range(k)
-                      if xs[i] <= 1e-14 * space.demands[trip_of[i]]]
-        drops = sorted(set(forced_drops) | (set(zero_drops) if ok else set()))
-        if not ok and not drops:
+            xs = np.maximum(xs + alpha * dx, 0.0)
+        if ok:
+            dropped = xs <= 1e-14 * demands[trip_of]
+        if not ok and not dropped.any():
             return None
-        if drops:
-            new_support = []
-            for m, group in enumerate(support):
-                kept = [j for j in group if j not in drops]
-                if not kept:
-                    return None
-                new_support.append(kept)
-            support = new_support
+        if dropped.any():
+            if np.any(np.bincount(trip_of[~dropped], minlength=n_trips) == 0):
+                return None
+            support[flat[dropped]] = False
             continue
         candidate = np.zeros(len(space.paths))
-        for i, j in enumerate(flat):
-            candidate[j] = xs[i]
+        candidate[flat] = xs
         # bring in each trip's cheapest path when it beats the used ones
         # strictly, and re-equalise
-        grad_edges = _gradient(calc, space.edge_flows(candidate), kind)
+        grad_edges = calc.derivatives(space.edge_flows(candidate), kind)[0]
         best = space.price(grad_edges)
         candidate = space.pad(candidate)
-        gp = space.incidence @ grad_edges
-        grew = False
-        for m, j in enumerate(best):
-            if j not in support[m] and gp[j] < lam[m] - 1e-10 * (1.0 + abs(lam[m])):
-                support[m] = sorted(support[m] + [j])
-                grew = True
-        if grew:
+        support = np.concatenate([support, np.zeros(len(candidate) - len(support), bool)])
+        enter = ~support[best] & (space.incidence[best] @ grad_edges
+                                  < lam - 1e-10 * (1.0 + np.abs(lam)))
+        if np.any(enter):
+            support[best[enter]] = True
             x = candidate
             continue
         return candidate
     return None
+
+
+def _solve_kkt(kkt, rhs):
+    """LU solve of the Newton system, least squares when that fails."""
+    try:
+        delta = np.linalg.solve(kkt, rhs)
+        if np.isfinite(delta).all():
+            return delta
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
@@ -767,7 +793,7 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
         f = _objective(calc, xe, kind)
         if trace is not None:
             trace.append(f)
-        x, s, gap = _direction_and_gap(space, x, _gradient(calc, xe, kind))
+        x, s, gap = _direction_and_gap(space, x, calc.derivatives(xe, kind)[0])
         best_lb = max(best_lb, f - gap)
         rel_gap = (f - best_lb) / abs(f) if f != 0.0 else 0.0
         if rel_gap <= cfg.relative_gap_tol:
@@ -779,7 +805,8 @@ def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
             if refined is not None:
                 fe = space.edge_flows(refined)
                 f2 = _objective(calc, fe, kind)
-                refined, _, gap2 = _direction_and_gap(space, refined, _gradient(calc, fe, kind))
+                refined, _, gap2 = _direction_and_gap(space, refined,
+                                                       calc.derivatives(fe, kind)[0])
                 # strict gap halving keeps repeated refinements terminating
                 if f2 <= f + 1e-11 * (1.0 + abs(f)) and gap2 <= 0.5 * gap:
                     x = refined
@@ -820,8 +847,9 @@ def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
     # simple paths.
     x = space.pad(x)
     xe = space.edge_flows(x)
-    total = float(np.sum(xe * calc.value(xe)))
-    path_costs = space.incidence @ calc.value(xe)
+    times = calc.value(xe)
+    total = float(np.sum(xe * times))
+    path_costs = space.incidence @ times
     per_trip_cost = []
     per_trip_range = []
     for m, rows in enumerate(space.trip_rows):
@@ -848,7 +876,7 @@ def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
 def _flow_certificate(space: _PathSpace, x: np.ndarray, kind: str) -> OptimalityCertificate:
     """Used-path marginal costs (so) or travel times (ue) against the
     cheapest path, which pricing puts in the set."""
-    edge_values = _gradient(space.calc, space.edge_flows(x), kind)
+    edge_values = space.calc.derivatives(space.edge_flows(x), kind)[0]
     space.price(edge_values)
     x = space.pad(x)
     values = space.incidence @ edge_values

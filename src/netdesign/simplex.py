@@ -9,12 +9,16 @@ pivots below ``tol`` are treated as zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, NotConverged, Unbounded
 
 PIVOT_TOL = 1e-9
+# A solve that pivots more than this many times per constraint row (plus
+# one) gives up with NotConverged.
+PIVOTS_PER_ROW = 10_000
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
             ratios.sort(key=lambda t: (t[0], t[1]))  # Bland tie-break on basic index
             pivot(ratios[0][2], entering)
             iterations += 1
-            if iterations > 10000 * (m + 1):
-                raise RuntimeError("simplex iteration guard tripped")
+            if iterations > PIVOTS_PER_ROW * (m + 1):
+                raise NotConverged(iterations, math.inf)
 
     total_cols = n + n_slack + n_art
     if n_art:

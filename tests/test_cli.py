@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from netdesign import simplex
 from netdesign.cli import emit_plot_data, main
 from netdesign.jsonio import instance_to_json
 from netdesign.scenarios import materialize
@@ -171,6 +172,13 @@ def test_solver_error_exit_code():
     code = run(["solve", "--scenario", "counterexample", "--routing", "so",
                 "--max-iters", "1", "--gap-tol", "1e-12"])
     assert code == 2
+
+
+def test_simplex_pivot_budget_exits_as_solver_error(monkeypatch, capsys):
+    monkeypatch.setattr(simplex, "PIVOTS_PER_ROW", 0)
+    code = run(["solve", "--scenario", "counterexample", "--routing", "mc"])
+    assert code == 2
+    assert "solver error: no convergence" in capsys.readouterr().err
 
 
 def test_emit_plot_data_empty_report():

@@ -300,7 +300,7 @@ def test_greedy_budget_out_of_range(counterexample_mc):
         greedy_designer("mc", counterexample_mc.candidate_set, budget=3)
 
 
-# -- serialization and parallel evaluation ---------------------------------------------
+# -- serialization ------------------------------------------------------------------
 
 
 def test_candidate_set_round_trip(counterexample_mc, braess_with, fig3, fig4):
@@ -312,20 +312,3 @@ def test_candidate_set_round_trip(counterexample_mc, braess_with, fig3, fig4):
         text = json.dumps(doc, sort_keys=True)
         back = candidate_set_from_json(json.loads(text), cs.declared_class)
         assert back == cs
-
-
-def test_threaded_evaluation_matches_serial(counterexample_gs, monkeypatch):
-    serial = check_supermodularity("so", counterexample_gs.candidate_set)
-    monkeypatch.setenv("NETDESIGN_THREADS", "2")
-    threaded = check_supermodularity("so", counterexample_gs.candidate_set)
-    assert serial == threaded
-
-
-def test_report_to_csv(counterexample_mc):
-    from netdesign.design import report_to_csv
-
-    report = check_supermodularity("mc", counterexample_mc.candidate_set)
-    lines = report_to_csv(report).strip().splitlines()
-    assert lines[0] == "subset_bitmask,lambda_value,relative_gap"
-    assert len(lines) == 5
-    assert [float(line.split(",")[1]) for line in lines[1:]] == [9.0, 9.0, 7.0, 5.0]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,8 @@ from netdesign.network import (
     validate_trip_path_graph,
     validate_trip_spanning_tree,
 )
+from netdesign.scenarios import SCENARIO_NAMES, materialize
+
 C1 = Constant(1.0)
 
 
@@ -321,3 +325,13 @@ def test_subgraph_issues():
     assert any("redefines" in msg for msg in subgraph_issues(redefined, template))
     stranger = net_of([(0, 7)])
     assert subgraph_issues(stranger, template) != ()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_network_pickle_and_deepcopy_round_trip(name):
+    net = materialize(name).instance.network
+    for back in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert back == net
+        assert back.edges == net.edges
+        assert all(back.successors(n) == net.successors(n)
+                   and back.predecessors(n) == net.predecessors(n) for n in net.nodes)

@@ -2,9 +2,22 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netdesign.costs import BPR, Affine, Constant, Greenshields, evaluate, marginal
+from netdesign.costs import (
+    BPR,
+    Affine,
+    Constant,
+    Greenshields,
+    Marginalized,
+    derivative,
+    evaluate,
+    marginal,
+    second_derivative,
+)
 from netdesign.errors import (
     BadParams,
     CapacitySaturation,
@@ -27,7 +40,10 @@ from netdesign.routing import (
     solve_ue,
     total_cost_under,
     verify_certificate,
+    _EdgeCalculator,
     _frank_wolfe,
+    _line_search,
+    _PathSpace,
 )
 from oracles import assert_assignment_feasible, mc_grid_oracle
 
@@ -425,6 +441,80 @@ def test_so_under_capacity_margin_stays_interior(counterexample_gs):
     for (pair, flow) in r.assignment.edge_flows:
         cap = counterexample_gs.instance.network.edge(*pair).capacity
         assert flow < cap
+
+
+# -- edge derivatives and the line search ----------------------------------------------
+
+
+_positive = st.floats(0.1, 10.0)
+_cost_models = st.one_of(
+    st.builds(Constant, _positive),
+    st.builds(Affine, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.builds(Greenshields, _positive, _positive, _positive),
+    st.builds(BPR, _positive, _positive, st.floats(0.0, 5.0), st.sampled_from([1.0, 2.0, 4.0])),
+)
+
+
+@st.composite
+def _edge_at_flow(draw):
+    model = draw(_cost_models)
+    if isinstance(model, Greenshields):
+        x = model.u * draw(st.floats(0.0, 0.999))
+    else:
+        x = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+    return (Marginalized(model) if draw(st.booleans()) else model), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edge_at_flow(), min_size=1, max_size=8))
+def test_edge_derivatives_match_scalar_closed_forms(edges):
+    # ue differentiates the travel time, so the marginal cost; both against
+    # the scalar forms of costs.py, bare and inside Marginalized
+    calc = _EdgeCalculator([m for m, _ in edges])
+    x = np.array([v for _, v in edges])
+    expected = {
+        "ue": [(evaluate(m, v), derivative(m, v)) for m, v in edges],
+        "so": [(marginal(m, v), 2.0 * derivative(m, v) + v * second_derivative(m, v))
+               for m, v in edges],
+    }
+    for kind, pairs in expected.items():
+        grad, curv = calc.derivatives(x, kind)
+        assert grad == pytest.approx([g for g, _ in pairs], rel=1e-9)
+        assert curv == pytest.approx([k for _, k in pairs], rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["so", "ue"])
+@pytest.mark.parametrize("l_b, u_b, full_step",
+                         [(0.02, 10.0, False), (0.5, 10.0, False), (0.5, 1000.0, True)])
+def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
+    # route a is the direct edge at 99% of its capacity; the step moves the
+    # whole demand onto route b, whose Greenshields edge comes near its
+    # capacity too, unless that is wide enough to take everything
+    defs = [(0, 1, Greenshields(1.0, 1.0, 10.0), 10.0),
+            (0, 2, Greenshields(l_b, 1.0, u_b), u_b),
+            (2, 1, Constant(0.001), 10.0)]
+    instance = Instance(net_of(defs), (Trip(0, 1, 9.9),))
+    space = _PathSpace(instance, 10)
+    space.add(0, (0, 1))
+    space.add(0, (0, 2, 1))
+    x = np.array([9.9, 0.0])
+    dvec = np.array([-9.9, 9.9])
+    cfg = SolverConfig()
+    cost_of = evaluate if kind == "ue" else marginal
+
+    def dphi(t):
+        flows = {(0, 1): 9.9 * (1.0 - t), (0, 2): 9.9 * t, (2, 1): 9.9 * t}
+        de = {(0, 1): -9.9, (0, 2): 9.9, (2, 1): 9.9}
+        return sum(de[pair] * cost_of(instance.network.edge(*pair).cost, flows[pair])
+                   for pair in de)
+
+    t = _line_search(space, x, dvec, kind, cfg)
+    if full_step:
+        assert t == 1.0 and dphi(1.0) <= 0.0
+    else:
+        half = 0.5 * cfg.line_search_tol
+        assert 0.0 < t < 1.0
+        assert dphi(t - half) <= 0.0 <= dphi(t + half)
 
 
 # -- failure modes --------------------------------------------------------------------
