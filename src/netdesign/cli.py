@@ -356,7 +356,8 @@ def build_parser() -> _Parser:
 
     def add_solver_opts(p):
         p.add_argument("--gap-tol", type=float, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
+        p.add_argument("--max-iters", type=int, default=None,
+                       help="so/ue Newton steps before the solve gives up")
         p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     p_solve = sub.add_parser("solve", help="solve one routing problem")

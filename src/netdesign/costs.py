@@ -17,7 +17,8 @@ from typing import Union
 from .errors import DomainError, FormatError
 
 # Greenshields times diverge at x = u; evaluation is refused this close to
-# the asymptote and line searches clamp strictly inside it.
+# the asymptote, and so/ue steps keep every edge flow a capacity margin
+# below u * (1 - GREENSHIELDS_GUARD), the model's max_flow_bound.
 GREENSHIELDS_GUARD = 1e-9
 
 

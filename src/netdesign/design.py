@@ -32,6 +32,7 @@ from .network import (
     subgraph_issues,
 )
 from .routing import (
+    CERTIFICATE_RTOL,
     MC,
     SO,
     UE,
@@ -336,13 +337,17 @@ class PropertyReport:
         return self.verdict == HOLDS
 
 
-def default_tolerance(routing: str, evaluator: LambdaEvaluator) -> float:
-    """1e-6 relative to the empty-set value for the exact program, an
-    absolute 5e-3 for the iterative ones."""
-    if routing == MC:
-        base = evaluator.value(MC, ()).value
-        return 1e-6 * (1.0 + base)
-    return 5e-3
+def default_tolerance(routing: str, evaluator: LambdaEvaluator, n_values: int) -> float:
+    """Certified error of a comparison of ``n_values`` subset values.
+
+    Each evaluation's error is its relative gap plus the certificates'
+    relative tolerance, times its value; the tolerance is ``n_values``
+    times the largest of them among the check's evaluations. It scales
+    with the values, so a verdict does not depend on the units of time or
+    flow.
+    """
+    return n_values * max(((ev.relative_gap + CERTIFICATE_RTOL) * abs(ev.value)
+                           for ev in evaluator.evaluations(routing)), default=0.0)
 
 
 def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = None,
@@ -372,7 +377,7 @@ def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = No
         evaluator.ensure(routing, {m for ab in pairs for m in ab})
     else:
         raise BadParams(f"unknown mode {mode!r}")
-    tol = default_tolerance(routing, evaluator) if tol is None else tol
+    tol = default_tolerance(routing, evaluator, 2) if tol is None else tol
 
     witnesses = []
     checked = 0
@@ -432,7 +437,7 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
         evaluator.ensure(routing, needed)
     else:
         raise BadParams(f"unknown mode {mode!r}")
-    tol = default_tolerance(routing, evaluator) if tol is None else tol
+    tol = default_tolerance(routing, evaluator, 4) if tol is None else tol
 
     witnesses = []
     for a, b, x in triples:

@@ -3,17 +3,21 @@
 Three problems share one path-based machinery: the capacitated
 constant-cost program (``mc``) solved exactly as a linear program over
 every simple path, and the congestion-priced system-optimal (``so``) and
-user-equilibrium (``ue``) flows computed by Frank-Wolfe plus an
-active-set Newton polish. The Frank-Wolfe step length is an exact line
-search: a safeguarded Newton iteration on the directional derivative,
-bracketed and bisecting when a Newton step leaves the bracket. Both
-Newton iterations take the objective's edge gradient and curvature from
-one closed-form pass per cost family. so and ue never list every path: they
-work on a path set that starts from each trip's all-or-nothing path and
-grows by pricing, a Dijkstra shortest path on the current marginal costs
-(so) or travel times (ue) that joins the set when new. Because each
-pricing finds the cheapest of all simple paths, the duality gap and the
-certificates hold over all of them.
+user-equilibrium (``ue``) flows computed by one path-based projected
+Newton method (Bertsekas & Gafni, 1983; Jayakrishnan et al., 1994). so and
+ue never list every path: they work on a path set that starts from each
+trip's all-or-nothing path and grows by pricing, a Dijkstra shortest path
+on the current marginal costs (so) or travel times (ue) that joins the set
+when new. Each step prices every trip and stops once the relative duality
+gap is within tolerance. Otherwise a priced path that beats its trip's used
+paths joins them, and a Newton step on the used paths' KKT system
+equalises their gradients. The step is taken whole when it lowers the
+objective and is cut back to the line minimum otherwise, found by a
+safeguarded Newton iteration on the directional derivative. Both Newton
+iterations take the objective's edge gradient and curvature from one
+closed-form pass per cost family. Because each pricing finds the cheapest
+of all simple paths, the duality gap and the certificates hold over all of
+them.
 
 Every accepted solution carries an optimality certificate recomputed from
 first principles: equalized marginal costs across used paths for so,
@@ -75,6 +79,10 @@ ROUTINGS = (MC, SO, UE)
 # trip's demand; certificates and support detection share the threshold.
 USED_FLOW_FRACTION = 1e-6
 
+# so/ue certificates let a used path cost this fraction of (1 + the
+# cheapest path's cost) more than the cheapest path.
+CERTIFICATE_RTOL = 1e-6
+
 _CERT_KIND = {
     MC: "mc-dual-feasible",
     SO: "so-marginal-equalized",
@@ -98,17 +106,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    relative_gap_tol: float = 1e-8
-    max_iterations: int = 100_000
-    line_search_tol: float = 1e-12
-    capacity_margin: float = 1e-9
+    relative_gap_tol: float = 1e-10  # so/ue stop once the relative duality gap is this small
+    max_iterations: int = 100_000  # so/ue Newton steps before NotConverged
+    capacity_margin: float = 1e-9  # so/ue steps keep flows this fraction inside flow bounds
     path_limit: int = DEFAULT_PATH_LIMIT  # paths per trip: mc enumerates, so/ue generate
-    polish: bool = True  # terminal active-set refinement of the FW iterate
 
     def __post_init__(self):
         if not (self.relative_gap_tol > 0 and self.max_iterations > 0
-                and self.line_search_tol > 0 and self.capacity_margin > 0
-                and self.path_limit > 0):
+                and self.capacity_margin > 0 and self.path_limit > 0):
             raise ValueError("solver configuration values must be positive")
 
 
@@ -150,7 +155,7 @@ class SolveResult:
     total_cost: float
     per_trip_cost: Tuple[float, ...]        # ue: the common cost; mc/so: min used-path cost
     per_trip_used_range: Tuple[Tuple[float, float], ...]
-    iterations: int
+    iterations: int                          # so/ue: Newton steps; mc: simplex pivots
     relative_gap: float
     certificate: OptimalityCertificate
     duals: Optional[MCDuals] = None
@@ -180,7 +185,6 @@ class _PathSpace:
         self.demands = np.array([t.demand for t in instance.trips])
         self.models = [net.edge(*pair).cost for pair in self.edge_pairs]
         self.capacities = np.array([net.edge(*pair).capacity for pair in self.edge_pairs])
-        self.calc = _EdgeCalculator(self.models)
         self.paths = []
         self._row = {}  # (trip index, node sequence) -> row
         self._groups = [[] for _ in instance.trips]
@@ -256,8 +260,7 @@ class _PathSpace:
         """Rows of each trip's cheapest path under ``edge_costs``, added when new.
 
         Pricing the same costs as the previous call returns its rows without
-        a search: a solve prices one point several times in a row (the
-        polish's last round, the gap after it and the certificate).
+        a search: a solve's last gap test and its certificate price one point.
         """
         if self._priced is not None and np.array_equal(self._priced[0], edge_costs):
             return self._priced[1]
@@ -351,7 +354,6 @@ class _EdgeCalculator:
                 p4[k] = base.beta
             else:
                 raise TypeError(f"unsupported cost model {model!r}")
-        self.all_constant = bool(np.all(kind == 0) and not np.any(marg))
         self.ue_level = marg * 1.0
         self.im = np.flatnonzero(marg)
         self.ic = np.flatnonzero(kind == 0)
@@ -546,37 +548,37 @@ def all_or_nothing(instance: Instance,
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe with a Newton line search and terminal support polish
+# path-based projected Newton
 
 
-SPREAD_PARTS = 8
+# Incremental loading places each trip's demand in this many equal parts.
+LOAD_PARTS = 8
+
+# The line search stops once its bracket on the step length is this narrow.
+LINE_SEARCH_TOL = 1e-12
 
 
-def _initial_point(space: _PathSpace, cfg: SolverConfig, kind: str, seed_paths: str):
-    """All-or-nothing flows under zero-flow costs ("aon"), falling back to
-    incremental loading when that saturates an edge, or incremental loading
-    outright ("spread")."""
-    calc = space.calc
-    if seed_paths == "aon":
-        best = space.price(calc.derivatives(np.zeros(len(space.edge_pairs)), kind)[0])
-        x = np.zeros(len(space.paths))
-        x[best] = space.demands
-        if not np.any(space.edge_flows(x) >= calc.bound):
-            return x
-    return _incremental_load(space, kind)
+def _initial_point(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np.ndarray:
+    """All-or-nothing flows under zero-flow costs, or incremental loading
+    when those reach a flow bound."""
+    best = space.price(calc.derivatives(np.zeros(len(space.edge_pairs)), kind)[0])
+    x = np.zeros(len(space.paths))
+    x[best] = space.demands
+    if np.any(space.edge_flows(x) >= calc.bound):
+        return _incremental_load(space, calc, kind)
+    return x
 
 
-def _incremental_load(space: _PathSpace, kind: str) -> np.ndarray:
+def _incremental_load(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np.ndarray:
     """Each trip's demand in equal parts, one at a time, each on the cheapest
     path under the current gradient; an edge is closed to a part that would
     bring it to its flow bound."""
-    calc = space.calc
     net = space.instance.network
     x = np.zeros(len(space.paths))
     xe = np.zeros(len(space.edge_pairs))
-    for _ in range(SPREAD_PARTS):
+    for _ in range(LOAD_PARTS):
         for m, trip in enumerate(space.instance.trips):
-            part = space.demands[m] / SPREAD_PARTS
+            part = space.demands[m] / LOAD_PARTS
             open_costs = np.where(xe + part < calc.bound, calc.derivatives(xe, kind)[0],
                                   math.inf)
             nodes = shortest_path_nodes(net, dict(zip(space.edge_pairs, open_costs.tolist())),
@@ -591,40 +593,32 @@ def _incremental_load(space: _PathSpace, kind: str) -> np.ndarray:
     return x
 
 
-def _line_search(space, x, dvec, kind, cfg):
-    """Exact minimisation of the objective along x + t*(s - x), t in [0, t_max].
+def _line_search(calc: _EdgeCalculator, xe: np.ndarray, de: np.ndarray, kind: str,
+                 t_max: float, grad: np.ndarray, curv: np.ndarray) -> Optional[float]:
+    """Minimiser of the objective along the edge flows xe + t*de, t in [0, t_max].
 
+    ``grad`` and ``curv`` are the edge gradient and curvature at ``xe``.
     Safeguarded Newton iteration on the slope phi'(t), with phi''(t) from
     the edge curvatures. It keeps a bracket lo < root < hi, bisects when a
     Newton step would leave it, and lengthens a step shorter than half the
     tolerance to that length so the bracket closes from the other side.
     Returns None when the direction does not descend, t_max when the slope
     is still nonpositive there, and otherwise the middle of a bracket no
-    wider than ``line_search_tol``.
+    wider than ``LINE_SEARCH_TOL``.
     """
-    calc = space.calc
-    xe = space.edge_flows(x)
-    de = space.edge_flows(dvec)
-    t_max = 1.0
-    rising = de > 0
-    if np.any(rising & np.isfinite(calc.bound)):
-        margin = calc.bound * (1.0 - cfg.capacity_margin)
-        caps = (margin[rising] - xe[rising]) / de[rising]
-        t_max = min(1.0, float(np.min(caps[np.isfinite(caps)], initial=1.0)))
-        t_max = max(t_max, 0.0)
     de2 = de * de
 
     def dphi(t):
         grad, curv = calc.derivatives(xe + t * de, kind)
         return float(de @ grad), float(de2 @ curv)
 
-    slope, curvature = dphi(0.0)
+    slope, curvature = float(de @ grad), float(de2 @ curv)
     if slope >= 0.0:
-        return None  # no descent: caller falls back to the open-loop step
+        return None
     if dphi(t_max)[0] <= 0.0:
         return t_max
     lo, hi, t = 0.0, t_max, 0.0
-    half_tol = 0.5 * cfg.line_search_tol
+    half_tol = 0.5 * LINE_SEARCH_TOL
     for _ in range(200):
         step = -slope / curvature if curvature > 0.0 else math.inf
         if abs(step) < half_tol:
@@ -639,209 +633,147 @@ def _line_search(space, x, dvec, kind, cfg):
             hi = t
         else:
             lo = t
-        if hi - lo <= cfg.line_search_tol:
+        if hi - lo <= LINE_SEARCH_TOL:
             break
     return 0.5 * (lo + hi)
 
 
-def _direction_and_gap(space, x, grad_edges):
-    """Frank-Wolfe target and gap at ``x`` under the edge gradient.
+def _newton_direction(space: _PathSpace, x: np.ndarray, g: np.ndarray,
+                      curv_e: np.ndarray, support: np.ndarray):
+    """Newton step on the KKT system of the paths in ``support``.
 
-    Pricing puts each trip's cheapest path in the set, so the gap is taken
-    against the shortest of all simple paths. Returns ``x`` padded to the
-    grown set, the target and the gap.
+    The step equalises the path gradients ``g`` within each trip and keeps
+    each trip's demand. A path at zero flow that the step would make
+    negative leaves the support, and the step is taken again without it.
+    Returns the support rows, their flow changes and the edge flow changes,
+    or None when the system cannot be solved.
     """
-    best = space.price(grad_edges)
-    x = space.pad(x)
-    grad_paths = space.incidence @ grad_edges
-    s = np.zeros_like(x)
-    gap = 0.0
-    for m, rows in enumerate(space.trip_rows):
-        s[best[m]] = space.demands[m]
-        g = grad_paths[rows]
-        gap += float(x[rows] @ g) - space.demands[m] * float(np.min(g))
-    return x, s, gap
+    n_trips = len(space.demands)
+    while True:
+        flat = np.flatnonzero(support)
+        trip_of = space.row_trip[flat]
+        k = len(flat)
+        a_sub = space.incidence[flat]
+        g_sub = g[flat]
+        lam = (np.bincount(trip_of, weights=g_sub, minlength=n_trips)
+               / np.bincount(trip_of, minlength=n_trips))
+        # the step keeps each trip's total; the multiplier estimate lam only
+        # keeps the right-hand side small near the solution
+        rhs = np.concatenate([lam[trip_of] - g_sub, np.zeros(n_trips)])
+        kkt = np.zeros((k + n_trips, k + n_trips))
+        kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
+        kkt[np.arange(k), k + trip_of] = -1.0
+        kkt[k + trip_of, np.arange(k)] = 1.0
+        step = _solve_kkt(kkt, rhs, a_sub)
+        if step is None:
+            return None
+        blocked = (x[flat] == 0.0) & (step[0] < 0.0)
+        if not blocked.any():
+            return (flat, *step)
+        support[flat[blocked]] = False
 
 
-def _polish(space, x, kind, cfg):
-    """Active-set refinement: equalise used-path gradients exactly.
+def _solve_kkt(kkt, rhs, a_sub):
+    """Path and edge flow changes of the Newton system, by LU solve.
 
-    Newton steps on the stationarity-plus-conservation system restricted to
-    the currently used paths. Entirely safeguarded: the caller only accepts
-    the refined point when it does not worsen the objective and shrinks the
-    optimality gap, so a failed refinement is merely ignored.
+    Least squares, the minimum-norm step, replaces LU when LU fails and
+    when the paths in ``a_sub`` are linearly dependent: their Hessian block
+    is then singular, and LU returns a step with a rounding-sized pivot's
+    huge component that moves path flows without moving edge flows.
     """
-    calc = space.calc
-    if calc.all_constant:
+    k = len(a_sub)
+    try:
+        dx = np.linalg.solve(kkt, rhs)[:k]
+        de = a_sub.T @ dx
+        if np.isfinite(dx).all() and np.abs(dx).max() <= 1e6 * np.abs(de).max():
+            return dx, de
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        dx = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+    except np.linalg.LinAlgError:
         return None
-    x = space.pad(x)
+    return dx, a_sub.T @ dx
+
+
+def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
+    """Path-based projected Newton (gradient projection on path flows).
+
+    Each step prices every trip and stops once the relative gap is within
+    tolerance. Otherwise each trip's priced path joins the used paths when
+    it is strictly cheaper than all of them, and a Newton step equalises
+    the used paths' gradients, as far as the nonnegativity and
+    capacity-margin limits allow. The step is taken whole when it lowers
+    the objective, and cut back to the line minimum otherwise, so the
+    objective never rises. Paths whose flow reaches zero are dropped. A
+    step that cannot descend while the gap is open ends the solve with
+    NotConverged.
+    """
+    space = _PathSpace(instance, cfg.path_limit)
+    calc = _EdgeCalculator(space.models)
     demands = space.demands
     n_trips = len(demands)
     margin = calc.bound * (1.0 - cfg.capacity_margin)
     bounded = np.isfinite(calc.bound)
-    support = x > 1e-8 * demands[space.row_trip]
-    for rows in space.trip_rows:
-        if not support[rows].any():
-            support[rows[np.argmax(x[rows])]] = True
-
-    rounds = 0
-    while rounds < 2 * len(space.paths) + 4:  # each round drops or adds a path
-        rounds += 1
-        flat = np.flatnonzero(support)
-        flat = flat[np.argsort(space.row_trip[flat], kind="stable")]  # grouped by trip
-        trip_of = space.row_trip[flat]
-        k = len(flat)
-        a_sub = space.incidence[flat]
-        counts = np.bincount(trip_of, minlength=n_trips)
-        xs = np.maximum(x[flat], 0.0)
-        # keep conservation exact before iterating
-        tot = np.bincount(trip_of, weights=xs, minlength=n_trips)
-        xs *= np.divide(demands, tot, out=np.ones(n_trips), where=tot > 0)[trip_of]
-        # the conservation block of the KKT matrix; the Hessian block changes per step
-        kkt = np.zeros((k + n_trips, k + n_trips))
-        kkt[np.arange(k), k + trip_of] = -1.0
-        kkt[k + trip_of, np.arange(k)] = 1.0
-        ok = False
-        dropped = np.zeros(k, dtype=bool)
-        for _newton in range(40):
-            xe = a_sub.T @ xs
-            if (xe >= calc.bound).any():
-                return None
-            grad_e, curv_e = calc.derivatives(xe, kind)
-            g = a_sub @ grad_e
-            lam = np.bincount(trip_of, weights=g, minlength=n_trips) / counts
-            rhs = -np.concatenate([
-                g - lam[trip_of],
-                np.bincount(trip_of, weights=xs, minlength=n_trips) - demands])
-            if np.abs(rhs).max() <= 1e-12 * (1.0 + np.abs(lam).max()):
-                ok = True
-                break
-            kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
-            delta = _solve_kkt(kkt, rhs)
-            if delta is None:
-                return None
-            dx = delta[:k]
-            # damp: stay nonnegative and strictly inside cost-model domains
-            alpha = 1.0
-            neg = dx < 0
-            if neg.any():
-                alpha = min(alpha, float((xs[neg] / -dx[neg]).min()))
-            de = a_sub.T @ dx
-            up = (de > 0) & bounded
-            if up.any():
-                alpha = min(alpha, 0.999999 * float(((margin[up] - xe[up]) / de[up]).min()))
-            if alpha <= 1e-14:
-                # a support member pinned at zero blocks the step: the
-                # equalised solution wants it negative, so retire it
-                dropped = (xs <= 1e-12 * demands[trip_of]) & (dx < 0.0)
-                break
-            xs = np.maximum(xs + alpha * dx, 0.0)
-        if ok:
-            dropped = xs <= 1e-14 * demands[trip_of]
-        if not ok and not dropped.any():
-            return None
-        if dropped.any():
-            if np.any(np.bincount(trip_of[~dropped], minlength=n_trips) == 0):
-                return None
-            support[flat[dropped]] = False
-            continue
-        candidate = np.zeros(len(space.paths))
-        candidate[flat] = xs
-        # bring in each trip's cheapest path when it beats the used ones
-        # strictly, and re-equalise
-        grad_edges = calc.derivatives(space.edge_flows(candidate), kind)[0]
-        best = space.price(grad_edges)
-        candidate = space.pad(candidate)
-        support = np.concatenate([support, np.zeros(len(candidate) - len(support), bool)])
-        enter = ~support[best] & (space.incidence[best] @ grad_edges
-                                  < lam - 1e-10 * (1.0 + np.abs(lam)))
-        if np.any(enter):
-            support[best[enter]] = True
-            x = candidate
-            continue
-        return candidate
-    return None
-
-
-def _solve_kkt(kkt, rhs):
-    """LU solve of the Newton system, least squares when that fails."""
-    try:
-        delta = np.linalg.solve(kkt, rhs)
-        if np.isfinite(delta).all():
-            return delta
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _frank_wolfe(instance: Instance, cfg: SolverConfig, kind: str,
-                 seed_paths: str = "aon", trace: Optional[list] = None):
-    space = _PathSpace(instance, cfg.path_limit)
-    calc = space.calc
-    x = _initial_point(space, cfg, kind, seed_paths)
+    x = _initial_point(space, calc, kind)
+    xe = space.edge_flows(x)
+    f = _objective(calc, xe, kind)
     best_lb = -math.inf
-    rel_gap = math.inf
-    next_polish = 2
     iterations = 0
-    converged = False
-    for it in range(1, cfg.max_iterations + 1):
-        iterations = it
-        xe = space.edge_flows(x)
-        f = _objective(calc, xe, kind)
-        if trace is not None:
-            trace.append(f)
-        x, s, gap = _direction_and_gap(space, x, calc.derivatives(xe, kind)[0])
-        best_lb = max(best_lb, f - gap)
-        rel_gap = (f - best_lb) / abs(f) if f != 0.0 else 0.0
+    while True:
+        grad_e, curv_e = calc.derivatives(xe, kind)
+        best = space.price(grad_e)
+        x = space.pad(x)
+        g = space.incidence @ grad_e
+        best_lb = max(best_lb, f - float(x @ g - demands @ g[best]))
+        rel_gap = max(0.0, (f - best_lb) / abs(f)) if f != 0.0 else 0.0
         if rel_gap <= cfg.relative_gap_tol:
-            converged = True
-            break
-        if cfg.polish and it >= next_polish:
-            accepted = False
-            refined = _polish(space, x, kind, cfg)
-            if refined is not None:
-                fe = space.edge_flows(refined)
-                f2 = _objective(calc, fe, kind)
-                refined, _, gap2 = _direction_and_gap(space, refined,
-                                                       calc.derivatives(fe, kind)[0])
-                # strict gap halving keeps repeated refinements terminating
-                if f2 <= f + 1e-11 * (1.0 + abs(f)) and gap2 <= 0.5 * gap:
-                    x = refined
-                    accepted = True
-                    best_lb = max(best_lb, f2 - gap2)
-                    rel_gap = (f2 - best_lb) / abs(f2) if f2 != 0.0 else 0.0
-                    if rel_gap <= cfg.relative_gap_tol:
-                        converged = True
-                        break
-            if accepted:
-                continue
-            next_polish = it + 25
-        x, s = space.pad(x), space.pad(s)  # the polish may have added paths
-        dvec = s - x
-        t = _line_search(space, x, dvec, kind, cfg)
-        if t is None:
-            t = min(2.0 / (it + 2.0), 1.0)
-            trial = x + t * dvec
-            if _objective(calc, space.edge_flows(trial), kind) > f:
-                break  # numerically at the floor; accept the current point
-            x = trial
-        elif t <= 0.0:
-            break
-        else:
-            x = x + t * dvec
-        np.clip(x, 0.0, None, out=x)
-    if not converged and rel_gap > cfg.relative_gap_tol:
-        raise NotConverged(iterations, rel_gap)
-    return space, x, iterations, rel_gap
+            return space, calc, x, kind, iterations, rel_gap
+        if iterations == cfg.max_iterations:
+            raise NotConverged(iterations, rel_gap)
+        iterations += 1
+        # bring in each trip's priced path when it beats the used ones strictly
+        support = x > 0.0
+        row_trip = space.row_trip
+        used_low = np.full(n_trips, math.inf)
+        np.minimum.at(used_low, row_trip[support], g[support])
+        support[best[g[best] < used_low - 1e-10 * np.abs(used_low)]] = True
+        newton = _newton_direction(space, x, g, curv_e, support)
+        if newton is None:
+            raise NotConverged(iterations, rel_gap)
+        flat, dx, de = newton
+        t = 1.0
+        neg = dx < 0.0
+        if neg.any():
+            t = min(t, float(np.min(x[flat][neg] / -dx[neg])))
+        up = (de > 0.0) & bounded
+        if up.any():
+            t = min(t, float(np.min((margin[up] - xe[up]) / de[up])))
+        if t <= 0.0:  # an edge already at its capacity margin blocks the step
+            raise NotConverged(iterations, rel_gap)
+        step = _take_step(space, calc, x, flat, dx, t, kind)
+        if not step[2] < f:
+            t = _line_search(calc, xe, de, kind, t, grad_e, curv_e)
+            if t is None:
+                raise NotConverged(iterations, rel_gap)
+            step = _take_step(space, calc, x, flat, dx, t, kind)
+        x, xe, f = step
 
 
-def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
-                        iterations: int, rel_gap: float) -> SolveResult:
-    calc = space.calc
-    certificate = _flow_certificate(space, x, kind)
+def _take_step(space, calc, x, flat, dx, t, kind):
+    """Flows after a step of length t, with paths that reach zero dropped,
+    plus their edge flows and objective."""
+    x = x.copy()
+    x[flat] += t * dx
+    # the path that limits the step keeps only a rounding residue
+    x[x <= 1e-14 * space.demands[space.row_trip]] = 0.0
+    xe = space.edge_flows(x)
+    return x, xe, _objective(calc, xe, kind)
+
+
+def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
+                        kind: str, iterations: int, rel_gap: float) -> SolveResult:
+    certificate = _flow_certificate(space, calc, x, kind)
     # The certificate priced every trip (on travel times for ue), so the set
     # holds each trip's shortest path and the ue minimum below is over all
     # simple paths.
@@ -873,10 +805,11 @@ def _finish_flow_result(space: _PathSpace, x: np.ndarray, kind: str,
     )
 
 
-def _flow_certificate(space: _PathSpace, x: np.ndarray, kind: str) -> OptimalityCertificate:
+def _flow_certificate(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
+                      kind: str) -> OptimalityCertificate:
     """Used-path marginal costs (so) or travel times (ue) against the
     cheapest path, which pricing puts in the set."""
-    edge_values = space.calc.derivatives(space.edge_flows(x), kind)[0]
+    edge_values = calc.derivatives(space.edge_flows(x), kind)[0]
     space.price(edge_values)
     x = space.pad(x)
     values = space.incidence @ edge_values
@@ -889,7 +822,7 @@ def _flow_certificate(space: _PathSpace, x: np.ndarray, kind: str) -> Optimality
         v_min = float(np.min(values[rows]))
         spread = max(0.0, v_used_max - v_min)
         spreads.append(_num(spread))
-        trip_tol = 1e-6 * (1.0 + abs(v_min))
+        trip_tol = CERTIFICATE_RTOL * (1.0 + abs(v_min))
         tol = max(tol, trip_tol)
         worst = max(worst, spread - trip_tol)
     max_violation = max(0.0, *(s for s in spreads)) if spreads else 0.0
@@ -904,19 +837,12 @@ def _flow_certificate(space: _PathSpace, x: np.ndarray, kind: str) -> Optimality
 
 def solve_so(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Minimise total system travel time sum(x_e * c_e(x_e))."""
-    space, x, iterations, rel_gap = _frank_wolfe(instance, cfg, SO)
-    return _finish_flow_result(space, x, SO, iterations, rel_gap)
+    return _finish_flow_result(*_solve_flows(instance, cfg, SO))
 
 
-def solve_ue(instance: Instance, cfg: SolverConfig = SolverConfig(),
-             _seed_paths: str = "aon") -> SolveResult:
-    """Equilibrium flows: minimise the summed edge cost integrals.
-
-    ``_seed_paths`` is a testing hook ("aon" or "spread") selecting the
-    starting assignment; equilibria from either seed agree on total cost.
-    """
-    space, x, iterations, rel_gap = _frank_wolfe(instance, cfg, UE, _seed_paths)
-    return _finish_flow_result(space, x, UE, iterations, rel_gap)
+def solve_ue(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
+    """Equilibrium flows: minimise the summed edge cost integrals."""
+    return _finish_flow_result(*_solve_flows(instance, cfg, UE))
 
 
 # ---------------------------------------------------------------------------
@@ -930,15 +856,12 @@ def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult
     program over the full simple-path enumeration (``limit`` caps it per
     trip).
     """
-    net = instance.network
-    for pair in net.edge_pairs:
-        if not is_constant(net.edge(*pair).cost):
-            raise BadParams("mc routing requires constant edge costs")
+    edge_costs = _constant_edge_costs(instance.network)
     try:
         space = _PathSpace.enumerated(instance, limit)
     except Unreachable as exc:
         raise Infeasible(str(exc)) from exc
-    path_costs = space.incidence @ space.calc.value(np.zeros(len(space.edge_pairs)))
+    path_costs = space.incidence @ edge_costs
     n_paths = len(space.paths)
     a_eq = np.zeros((len(instance.trips), n_paths))
     for m, rows in enumerate(space.trip_rows):
@@ -975,6 +898,14 @@ def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult
         certificate=certificate,
         duals=duals,
     )
+
+
+def _constant_edge_costs(net: Network) -> np.ndarray:
+    """Edge costs in ``net.edge_pairs`` order; BadParams unless all are constant."""
+    models = [net.edge(*pair).cost for pair in net.edge_pairs]
+    if not all(is_constant(m) for m in models):
+        raise BadParams("mc routing requires constant edge costs")
+    return np.array([m.c for m in models])
 
 
 def _mc_certificate(space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
@@ -1039,11 +970,11 @@ def verify_certificate(instance: Instance, result: SolveResult,
     x = np.zeros(len(space.paths))
     x[rows] = result.assignment.flows
     if kind == MC:
-        path_costs = space.incidence @ space.calc.value(np.zeros(len(space.edge_pairs)))
+        path_costs = space.incidence @ _constant_edge_costs(instance.network)
         duals = result.duals or MCDuals(
             trip_potentials=tuple(0.0 for _ in instance.trips), edge_prices=())
         return _mc_certificate(space, x, path_costs, duals)
-    return _flow_certificate(space, x, kind)
+    return _flow_certificate(space, _EdgeCalculator(space.models), x, kind)
 
 
 def _is_trip_path(instance: Instance, path: Path) -> bool:

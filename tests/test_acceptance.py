@@ -39,7 +39,7 @@ from netdesign.scenarios import (
     random_candidate_set,
     random_parallel_family,
 )
-from oracles import mc_grid_oracle
+from brute_force import mc_grid_oracle
 
 
 def test_criterion_01_braess_equilibrium_reproduction(braess_with, braess_without):

@@ -312,3 +312,59 @@ def test_candidate_set_round_trip(counterexample_mc, braess_with, fig3, fig4):
         text = json.dumps(doc, sort_keys=True)
         back = candidate_set_from_json(json.loads(text), cs.declared_class)
         assert back == cs
+
+
+# -- unit invariance ---------------------------------------------------------------
+
+# cost fields measured in time, and those measured in flow (Affine's b is
+# time per flow, so a flow rescaling divides it)
+_TIME_FIELDS = {"constant": ("c",), "affine": ("a", "b"), "greenshields": ("l",), "bpr": ("c0",)}
+_FLOW_FIELDS = {"greenshields": ("u",), "bpr": ("u",)}
+
+
+def _rescaled(cs, unit, factor):
+    """The candidate set with every time, or every flow, multiplied by factor."""
+    doc = candidate_set_to_json(cs)
+    for edge in doc["edges"]:
+        cost = edge["cost"]
+        if unit == "time":
+            for field in _TIME_FIELDS[cost["kind"]]:
+                cost[field] *= factor
+        else:
+            for field in _FLOW_FIELDS.get(cost["kind"], ()):
+                cost[field] *= factor
+            if cost["kind"] == "affine":
+                cost["b"] /= factor
+            if edge["capacity"] != "inf":
+                edge["capacity"] *= factor
+    if unit == "flow":
+        for trip in doc["trips"]:
+            trip["demand"] *= factor
+    return candidate_set_from_json(doc, cs.declared_class)
+
+
+def _verdicts(routing, cs):
+    return [(r.verdict, [(w.subset_a, w.subset_b, w.x) for w in r.witnesses])
+            for r in (check_monotonicity(routing, cs), check_supermodularity(routing, cs))]
+
+
+_DESIGN_SCENARIOS = [("braess", {}, ("so", "ue")),
+                     ("fig3", {}, ("mc", "so", "ue")),
+                     ("fig4", {}, ("mc", "so", "ue")),
+                     ("counterexample", {"costing": "mc"}, ("mc", "so", "ue")),
+                     ("counterexample", {"costing": "greenshields"}, ("so", "ue")),
+                     ("parallel", {}, ("so", "ue"))]
+
+
+@pytest.mark.parametrize("name, params, routings", _DESIGN_SCENARIOS,
+                         ids=[f"{n}-{p.get('costing', '')}" for n, p, _ in _DESIGN_SCENARIOS])
+def test_verdicts_invariant_under_units(name, params, routings):
+    # the greenshields counterexample's so/ue margins are -1.78 and -3.33,
+    # which an absolute tolerance would forgive once times shrink 1000-fold
+    cs = materialize(name, params).candidate_set
+    for routing in routings:
+        expected = _verdicts(routing, cs)
+        for unit in ("time", "flow"):
+            for factor in (1e-3, 1e3):
+                assert _verdicts(routing, _rescaled(cs, unit, factor)) == expected, (
+                    routing, unit, factor)

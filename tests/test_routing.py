@@ -26,6 +26,8 @@ from netdesign.errors import (
     PathLimitExceeded,
     Unreachable,
 )
+from netdesign import routing
+from netdesign.design import parallel_uniform_value
 from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
 from netdesign.routing import (
     FlowAssignment,
@@ -40,12 +42,12 @@ from netdesign.routing import (
     solve_ue,
     total_cost_under,
     verify_certificate,
+    LINE_SEARCH_TOL,
     _EdgeCalculator,
-    _frank_wolfe,
     _line_search,
     _PathSpace,
 )
-from oracles import assert_assignment_feasible, mc_grid_oracle
+from brute_force import assert_assignment_feasible, mc_grid_oracle
 
 C1 = Constant(1.0)
 
@@ -413,11 +415,28 @@ def test_ue_total_equals_demand_times_common_cost(counterexample_gs, braess_with
         assert r.total_cost == pytest.approx(recomposed, rel=1e-8)
 
 
-def test_ue_value_unique_across_seeds(counterexample_gs, braess_with):
-    for scenario in (counterexample_gs, braess_with):
-        a = solve_ue(scenario.instance, _seed_paths="aon")
-        b = solve_ue(scenario.instance, _seed_paths="spread")
-        assert a.total_cost == pytest.approx(b.total_cost, rel=1e-6)
+@pytest.mark.parametrize("kind", ["so", "ue"])
+def test_incremental_start_matches_parallel_closed_form(kind, monkeypatch):
+    # three identical routes of capacity 10 and a demand of 12: the
+    # all-or-nothing start would put 12 on one route, so the solve starts
+    # from incremental loading and must still split the demand evenly
+    n, l, v_max, u, d = 3, 1.0, 1.0, 10.0, 12.0
+    half = Greenshields(l / 2.0, v_max, u)
+    defs = [pair for i in range(n) for pair in ((0, 2 + i, half, u), (2 + i, 1, half, u))]
+    instance = Instance(net_of(defs), (Trip(0, 1, d),))
+    loads = []
+    original = routing._incremental_load
+
+    def spy(*args):
+        loads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(routing, "_incremental_load", spy)
+    r = (solve_so if kind == "so" else solve_ue)(instance)
+    assert len(loads) == 1
+    assert r.total_cost == pytest.approx(parallel_uniform_value(kind, n, l, v_max, u, d),
+                                         rel=1e-9)
+    assert r.certificate.satisfied
 
 
 def test_total_cost_matches_recomputation(counterexample_gs):
@@ -427,13 +446,49 @@ def test_total_cost_matches_recomputation(counterexample_gs):
     assert r.total_cost == pytest.approx(recomputed, rel=1e-10)
 
 
-def test_frank_wolfe_objective_monotone(counterexample_gs):
-    cfg = SolverConfig(polish=False, relative_gap_tol=1e-6)
-    trace = []
-    _frank_wolfe(counterexample_gs.instance, cfg, "so", trace=trace)
-    assert len(trace) >= 2
-    for a, b in zip(trace, trace[1:]):
-        assert b <= a + 1e-9 * (1.0 + abs(a))
+def greenshields_pair(l_b, u_b):
+    """Route a, one Greenshields edge, and route b, a Greenshields edge plus
+    a short constant one; a demand of 9.9 fills route a to 99 %."""
+    defs = [(0, 1, Greenshields(1.0, 1.0, 10.0), 10.0),
+            (0, 2, Greenshields(l_b, 1.0, u_b), u_b),
+            (2, 1, Constant(0.001), 10.0)]
+    return Instance(net_of(defs), (Trip(0, 1, 9.9),))
+
+
+@pytest.mark.parametrize("kind", ["so", "ue"])
+@pytest.mark.parametrize("case", ["counterexample", "pair-at-99-percent"])
+def test_objective_never_rises(kind, case, counterexample_gs, monkeypatch):
+    # every iterate is priced, and the last objective value computed
+    # before its pricing is the iterate's: a rejected trial step comes first
+    if case == "counterexample":
+        instance = counterexample_gs.instance
+    else:
+        instance = greenshields_pair(0.02, 10.0)
+    events = []
+    objective, price = routing._objective, routing._PathSpace.price
+
+    def objective_spy(*args):
+        events.append(objective(*args))
+        return events[-1]
+
+    def price_spy(self, edge_costs):
+        events.append(None)
+        return price(self, edge_costs)
+
+    monkeypatch.setattr(routing, "_objective", objective_spy)
+    monkeypatch.setattr(routing._PathSpace, "price", price_spy)
+    r = (solve_so if kind == "so" else solve_ue)(instance)
+    values, last = [], None
+    for e in events:
+        if e is not None:
+            last = e
+        elif last is not None:
+            values.append(last)
+            last = None
+    assert len(values) == r.iterations + 1
+    assert r.iterations >= 2
+    for a, b in zip(values, values[1:]):
+        assert b <= a + 1e-12 * abs(a)
 
 
 def test_so_under_capacity_margin_stays_interior(counterexample_gs):
@@ -490,16 +545,12 @@ def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
     # route a is the direct edge at 99% of its capacity; the step moves the
     # whole demand onto route b, whose Greenshields edge comes near its
     # capacity too, unless that is wide enough to take everything
-    defs = [(0, 1, Greenshields(1.0, 1.0, 10.0), 10.0),
-            (0, 2, Greenshields(l_b, 1.0, u_b), u_b),
-            (2, 1, Constant(0.001), 10.0)]
-    instance = Instance(net_of(defs), (Trip(0, 1, 9.9),))
+    instance = greenshields_pair(l_b, u_b)
     space = _PathSpace(instance, 10)
     space.add(0, (0, 1))
     space.add(0, (0, 2, 1))
     x = np.array([9.9, 0.0])
     dvec = np.array([-9.9, 9.9])
-    cfg = SolverConfig()
     cost_of = evaluate if kind == "ue" else marginal
 
     def dphi(t):
@@ -508,11 +559,13 @@ def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
         return sum(de[pair] * cost_of(instance.network.edge(*pair).cost, flows[pair])
                    for pair in de)
 
-    t = _line_search(space, x, dvec, kind, cfg)
+    calc = _EdgeCalculator(space.models)
+    xe = space.edge_flows(x)
+    t = _line_search(calc, xe, space.edge_flows(dvec), kind, 1.0, *calc.derivatives(xe, kind))
     if full_step:
         assert t == 1.0 and dphi(1.0) <= 0.0
     else:
-        half = 0.5 * cfg.line_search_tol
+        half = 0.5 * LINE_SEARCH_TOL
         assert 0.0 < t < 1.0
         assert dphi(t - half) <= 0.0 <= dphi(t + half)
 
@@ -576,7 +629,7 @@ def test_wardrop_against_every_simple_path():
 
 
 def test_not_converged():
-    scenario_cfg = SolverConfig(max_iterations=1, polish=False, relative_gap_tol=1e-12)
+    scenario_cfg = SolverConfig(max_iterations=1, relative_gap_tol=1e-12)
     defs = [
         (0, 1, Greenshields(1.0, 1.0, 10.0), 10.0), (1, 3, Greenshields(1.0, 1.0, 10.0), 10.0),
         (0, 2, Greenshields(2.0, 1.0, 10.0), 10.0), (2, 3, Greenshields(2.0, 1.0, 10.0), 10.0),
