@@ -47,8 +47,9 @@ from .routing import Instance, SolverConfig, solve_mc, solve_so, solve_ue
 from .scenarios import materialize, scenario_descriptions
 
 # 2: so/ue ``path_flows`` list the paths the solve generated, not every
-# simple path
-FORMAT_VERSION = 2
+# simple path; 3: so do mc's, and mc ``iterations`` sum the pivots of all
+# master solves
+FORMAT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_EXPECT_FAILED = 1
@@ -197,8 +198,7 @@ def _write_report(report: dict, out: Optional[str], csv_path: Optional[str] = No
 
 
 def _solver_for(routing: str):
-    return {"mc": lambda inst, cfg: solve_mc(inst, cfg.path_limit),
-            "so": solve_so, "ue": solve_ue}[routing]
+    return {"mc": solve_mc, "so": solve_so, "ue": solve_ue}[routing]
 
 
 def cmd_solve(args) -> int:

@@ -148,7 +148,7 @@ def lambda_eval(routing: str, state: DesignState,
         raise BadParams(f"unknown routing {routing!r}")
     instance = Instance(state.network, state.candidate_set.trips)
     if routing == MC:
-        result = solve_mc(instance, cfg.path_limit)
+        result = solve_mc(instance, cfg)
     elif routing == SO:
         result = solve_so(instance, cfg)
     else:

@@ -16,9 +16,9 @@ class TemplateConsistencyError(NetdesignError):
 class PathLimitExceeded(NetdesignError):
     """A trip needs more paths than the configured cap.
 
-    Raised when simple-path enumeration (mc solving and certification,
-    graph validation) lists more paths than the cap, and when so/ue path
-    generation would add a path beyond it.
+    Raised when a solve's path generation (mc, so or ue) would add a path
+    beyond the cap, and when simple-path enumeration (graph validation and
+    scenario generation) lists more paths than it.
     """
 
     def __init__(self, limit, trip=None):

@@ -1,32 +1,42 @@
 """Routing solvers for a network instance.
 
-Three problems share one path-based machinery: the capacitated
-constant-cost program (``mc``) solved exactly as a linear program over
-every simple path, and the congestion-priced system-optimal (``so``) and
-user-equilibrium (``ue``) flows computed by one path-based projected
-Newton method (Bertsekas & Gafni, 1983; Jayakrishnan et al., 1994). so and
-ue never list every path: they work on a path set that starts from each
-trip's all-or-nothing path and grows by pricing, a Dijkstra shortest path
-on the current marginal costs (so) or travel times (ue) that joins the set
-when new. Each step prices every trip and stops once the relative duality
-gap is within tolerance. Otherwise a priced path that beats its trip's used
-paths joins them, and a Newton step on the used paths' KKT system
-equalises their gradients. The step is taken whole when it lowers the
-objective and is cut back to the line minimum otherwise, found by a
-safeguarded Newton iteration on the directional derivative. Both Newton
-iterations take the objective's edge gradient and curvature from one
-closed-form pass per cost family. Because each pricing finds the cheapest
-of all simple paths, the duality gap and the certificates hold over all of
-them.
+Three problems share one path space, which never lists every simple
+path: it starts from each trip's cheapest path and grows by pricing, a
+Dijkstra shortest path under given edge costs that joins the set when new.
+
+The capacitated constant-cost program (``mc``) is solved exactly by path
+column generation (Ford & Fulkerson, 1958): a restricted master linear
+program over the generated paths is solved with the simplex, and each
+trip is priced on the edge costs plus the master's capacity prices. A
+priced path joins the master when it is cheaper than its trip's potential;
+when none is, the master's solution is optimal over all paths. When the
+cheapest paths overload a capacity, the same loop first runs on the
+phase-1 master, whose artificial columns carry the demand no path takes
+(Farkas pricing; Lübbecke & Desrosiers, 2005); artificial flow that no
+path can replace means the instance is infeasible.
+
+The congestion-priced system-optimal (``so``) and user-equilibrium
+(``ue``) flows are computed by one path-based projected Newton method
+(Bertsekas & Gafni, 1983; Jayakrishnan et al., 1994), pricing on the
+current marginal costs (so) or travel times (ue). Each step prices every
+trip and stops once the relative duality gap is within tolerance.
+Otherwise a priced path that beats its trip's used paths joins them, and a
+Newton step on the used paths' KKT system equalises their gradients. The
+step is taken whole when it lowers the objective and is cut back to the
+line minimum otherwise, found by a safeguarded Newton iteration on the
+directional derivative. Both Newton iterations take the objective's edge
+gradient and curvature from one closed-form pass per cost family.
 
 Every accepted solution carries an optimality certificate recomputed from
-first principles: equalized marginal costs across used paths for so,
-equal used-path travel times for ue, both against the priced shortest
-path, and dual feasibility plus complementary slackness for mc.
+first principles: each trip meets its demand, and its used paths cost no
+more than its cheapest path, priced with Dijkstra, under marginal costs
+(so), travel times (ue) or costs plus capacity prices (mc); mc also
+checks that loads stay within capacity and that every priced edge is
+full. Because each pricing finds the cheapest of all simple paths, the
+duality gaps and the certificates hold over all of them.
 
-``SolverConfig.path_limit`` caps the paths per trip: the paths mc
-enumerates and the paths an so/ue solve generates. Passing it raises
-PathLimitExceeded.
+``SolverConfig.path_limit`` caps the paths a solve generates per trip, for
+all three routings. Passing it raises PathLimitExceeded.
 
 Solvers are deterministic: identical inputs and configuration produce
 bit-identical results. Shortest-path and direction-finding ties are broken
@@ -66,7 +76,7 @@ from .network import (
     Network,
     Path,
     Trip,
-    enumerate_trip_paths,
+    enumerate_trip_paths,  # unused here; perfbench's traced run binds this attribute
 )
 from .simplex import solve_lp
 
@@ -79,9 +89,14 @@ ROUTINGS = (MC, SO, UE)
 # trip's demand; certificates and support detection share the threshold.
 USED_FLOW_FRACTION = 1e-6
 
-# so/ue certificates let a used path cost this fraction of (1 + the
-# cheapest path's cost) more than the cheapest path.
+# Certificates let a used path cost this fraction of (1 + the cheapest
+# path's cost) more than the cheapest path, and allow flow errors of this
+# fraction of (1 + the demand or capacity).
 CERTIFICATE_RTOL = 1e-6
+
+# mc pricing: a path joins the master when it is cheaper than its trip's
+# potential by more than this fraction of (1 + |potential|).
+MC_PRICE_RTOL = 1e-9
 
 _CERT_KIND = {
     MC: "mc-dual-feasible",
@@ -109,7 +124,7 @@ class SolverConfig:
     relative_gap_tol: float = 1e-10  # so/ue stop once the relative duality gap is this small
     max_iterations: int = 100_000  # so/ue Newton steps before NotConverged
     capacity_margin: float = 1e-9  # so/ue steps keep flows this fraction inside flow bounds
-    path_limit: int = DEFAULT_PATH_LIMIT  # paths per trip: mc enumerates, so/ue generate
+    path_limit: int = DEFAULT_PATH_LIMIT  # paths a solve generates per trip
 
     def __post_init__(self):
         if not (self.relative_gap_tol > 0 and self.max_iterations > 0
@@ -155,7 +170,7 @@ class SolveResult:
     total_cost: float
     per_trip_cost: Tuple[float, ...]        # ue: the common cost; mc/so: min used-path cost
     per_trip_used_range: Tuple[Tuple[float, float], ...]
-    iterations: int                          # so/ue: Newton steps; mc: simplex pivots
+    iterations: int                          # so/ue: Newton steps; mc: pivots of all master solves
     relative_gap: float
     certificate: OptimalityCertificate
     duals: Optional[MCDuals] = None
@@ -169,11 +184,11 @@ def _num(x: float) -> float:
 class _PathSpace:
     """The paths a solve works on, grouped by trip, plus their edge incidence.
 
-    mc fills it with every simple path (``enumerated``). so and ue start
-    empty and grow it by pricing: ``price`` adds each trip's cheapest path
-    under given edge costs when it is new. Rows are numbered in the order
-    paths arrive and a flow vector sized before later arrivals gives them
-    zero flow; reports list each trip's paths in lexicographic order.
+    It starts empty and grows by pricing: ``price`` adds each trip's
+    cheapest path under given edge costs when it is new. Rows are numbered
+    in the order paths arrive and a flow vector sized before later arrivals
+    gives them zero flow; reports list each trip's paths in lexicographic
+    order.
     """
 
     def __init__(self, instance: Instance, limit: int):
@@ -192,24 +207,6 @@ class _PathSpace:
         self._row_trip = None
         self._priced = None  # (edge costs, rows) of the last pricing
         self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
-
-    @classmethod
-    def enumerated(cls, instance: Instance, limit: int) -> "_PathSpace":
-        """Every simple path of every trip, in lexicographic order."""
-        space = cls(instance, limit)
-        path_set = enumerate_trip_paths(instance.network, instance.trips, limit)
-        for m, group in enumerate(path_set.per_trip):
-            if not group:
-                raise Unreachable(instance.trips[m])
-        # built in bulk: the enumeration can hold thousands of paths
-        paths = space.paths = list(path_set.all_paths())
-        for r, p in enumerate(paths):
-            space._row[(p.trip_index, p.nodes)] = r
-            space._groups[p.trip_index].append(r)
-        cols = [space.edge_index[pair] for p in paths for pair in p.edge_pairs]
-        space._inc = np.zeros((len(paths), len(space.edge_pairs)))
-        space._inc[np.repeat(np.arange(len(paths)), [len(p) for p in paths]), cols] = 1.0
-        return space
 
     @property
     def incidence(self) -> np.ndarray:
@@ -773,26 +770,28 @@ def _take_step(space, calc, x, flat, dx, t, kind):
 
 def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
                         kind: str, iterations: int, rel_gap: float) -> SolveResult:
-    certificate = _flow_certificate(space, calc, x, kind)
+    xe = space.edge_flows(x)
+    certificate = _certificate(space, x, calc.derivatives(xe, kind)[0], kind)
     # The certificate priced every trip (on travel times for ue), so the set
     # holds each trip's shortest path and the ue minimum below is over all
     # simple paths.
-    x = space.pad(x)
-    xe = space.edge_flows(x)
     times = calc.value(xe)
-    total = float(np.sum(xe * times))
-    path_costs = space.incidence @ times
+    return _result(kind, space, x, space.incidence @ times, float(np.sum(xe * times)),
+                   iterations, rel_gap, certificate)
+
+
+def _result(kind: str, space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
+            total: float, iterations: int, rel_gap: float,
+            certificate: OptimalityCertificate, duals: Optional[MCDuals] = None) -> SolveResult:
+    """The solve result of path flows ``x``, whose paths cost ``path_costs``."""
+    x = space.pad(x)
     per_trip_cost = []
     per_trip_range = []
     for m, rows in enumerate(space.trip_rows):
-        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
-        costs_used = path_costs[used]
-        per_trip_range.append((_num(float(np.min(costs_used))),
-                               _num(float(np.max(costs_used)))))
-        if kind == UE:
-            per_trip_cost.append(_num(float(np.min(path_costs[rows]))))
-        else:
-            per_trip_cost.append(_num(float(np.min(costs_used))))
+        used = path_costs[rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]]
+        low = _num(float(np.min(used)))
+        per_trip_range.append((low, _num(float(np.max(used)))))
+        per_trip_cost.append(_num(float(np.min(path_costs[rows]))) if kind == UE else low)
     return SolveResult(
         routing=kind,
         assignment=space.assignment(x),
@@ -802,36 +801,56 @@ def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
         iterations=iterations,
         relative_gap=_num(rel_gap),
         certificate=certificate,
+        duals=duals,
     )
 
 
-def _flow_certificate(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
-                      kind: str) -> OptimalityCertificate:
-    """Used-path marginal costs (so) or travel times (ue) against the
-    cheapest path, which pricing puts in the set."""
-    edge_values = calc.derivatives(space.edge_flows(x), kind)[0]
+def _certificate(space: _PathSpace, x: np.ndarray, edge_values: np.ndarray, kind: str,
+                 prices: Optional[np.ndarray] = None) -> OptimalityCertificate:
+    """Each trip's used paths against its cheapest path under ``edge_values``,
+    which pricing puts in the set, plus feasibility.
+
+    A trip is violated when a used path costs more than its cheapest path
+    or when its flows miss its demand (a trip with no used path misses all
+    of it). With capacity ``prices`` (mc, where ``edge_values`` are the
+    costs plus the prices) an edge is also violated when its load exceeds
+    its capacity or when it has a price but room to spare; these are the
+    complementary slackness conditions of the path linear program.
+    ``max_violation`` is the largest spread, flow error or unused priced
+    capacity; ``tolerance`` is the largest per-trip spread tolerance.
+    """
     space.price(edge_values)
     x = space.pad(x)
     values = space.incidence @ edge_values
-    worst = 0.0
     spreads = []
     tol = 0.0
+    checks = []  # (violation, tolerance)
     for m, rows in enumerate(space.trip_rows):
-        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
-        v_used_max = float(np.max(values[used]))
+        demand = space.demands[m]
+        used = rows[x[rows] > USED_FLOW_FRACTION * demand]
         v_min = float(np.min(values[rows]))
-        spread = max(0.0, v_used_max - v_min)
+        spread = float(np.max(values[used], initial=v_min)) - v_min
         spreads.append(_num(spread))
         trip_tol = CERTIFICATE_RTOL * (1.0 + abs(v_min))
         tol = max(tol, trip_tol)
-        worst = max(worst, spread - trip_tol)
-    max_violation = max(0.0, *(s for s in spreads)) if spreads else 0.0
+        checks.append((spread, trip_tol))
+        checks.append((abs(float(np.sum(x[rows])) - demand),
+                       CERTIFICATE_RTOL * (1.0 + demand)))
+    if prices is not None:
+        xe = space.edge_flows(x)
+        caps = space.capacities
+        bounded = np.isfinite(caps)
+        over = np.maximum(0.0, xe[bounded] - caps[bounded])
+        checks += zip(over.tolist(), (CERTIFICATE_RTOL * (1.0 + caps[bounded])).tolist())
+        idle = prices[bounded] * np.maximum(0.0, caps[bounded] - xe[bounded])
+        scale = CERTIFICATE_RTOL * (1.0 + abs(float(xe @ (edge_values - prices))))
+        checks += ((v, scale) for v in idle.tolist())
     return OptimalityCertificate(
         kind=_CERT_KIND[kind],
-        max_violation=_num(max_violation),
+        max_violation=_num(max(v for v, _ in checks)),
         per_trip_spread=tuple(spreads),
         tolerance=_num(tol),
-        satisfied=worst <= 0.0,
+        satisfied=all(v <= t for v, t in checks),
     )
 
 
@@ -849,55 +868,87 @@ def solve_ue(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
 # constant-cost capacitated program
 
 
-def solve_mc(instance: Instance, limit: int = DEFAULT_PATH_LIMIT) -> SolveResult:
+def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Exact minimum-cost routing with hard edge capacities.
 
-    Requires constant edge costs; solved as a path-formulation linear
-    program over the full simple-path enumeration (``limit`` caps it per
-    trip).
+    Requires constant edge costs. Path column generation: the restricted
+    master linear program over the generated paths is re-solved while
+    pricing on the costs plus its capacity prices finds a path cheaper than
+    its trip's potential. When the cheapest paths overload a capacity, the
+    phase-1 master first finds columns that carry the demand.
     """
     edge_costs = _constant_edge_costs(instance.network)
+    space = _PathSpace(instance, cfg.path_limit)
     try:
-        space = _PathSpace.enumerated(instance, limit)
+        start = space.price(edge_costs)
     except Unreachable as exc:
         raise Infeasible(str(exc)) from exc
-    path_costs = space.incidence @ edge_costs
-    n_paths = len(space.paths)
-    a_eq = np.zeros((len(instance.trips), n_paths))
-    for m, rows in enumerate(space.trip_rows):
-        a_eq[m, rows] = 1.0
-    cap_rows = [k for k, cap in enumerate(space.capacities) if math.isfinite(cap)]
-    a_ub = space.incidence.T[cap_rows] if cap_rows else None
-    b_ub = space.capacities[cap_rows] if cap_rows else None
-    lp = solve_lp(path_costs, a_eq, space.demands, a_ub, b_ub)
+    cap_rows = np.flatnonzero(np.isfinite(space.capacities))
+    pivots = 0
+    if np.any(space.demands @ space.incidence[start] > space.capacities):
+        pivots += _phase_one(space, cap_rows)
+    while True:
+        path_costs = space.incidence @ edge_costs
+        lp, prices = _restricted_master(space, cap_rows, path_costs)
+        pivots += lp.iterations
+        if not _generate(space, edge_costs + prices, lp.duals_eq):
+            break
     x = np.maximum(lp.x, 0.0)
     duals = MCDuals(
         trip_potentials=tuple(_num(v) for v in lp.duals_eq),
-        edge_prices=tuple(
-            (space.edge_pairs[k], _num(max(0.0, -lp.duals_ub[i])))
-            for i, k in enumerate(cap_rows)),
+        edge_prices=tuple((space.edge_pairs[k], _num(prices[k])) for k in cap_rows),
     )
-    assignment = space.assignment(x)
-    certificate = _mc_certificate(space, x, path_costs, duals)
-    per_trip_cost = []
-    per_trip_range = []
-    for m, rows in enumerate(space.trip_rows):
-        used = rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]
-        used_costs = path_costs[used]
-        per_trip_cost.append(_num(float(np.min(used_costs))))
-        per_trip_range.append((_num(float(np.min(used_costs))),
-                               _num(float(np.max(used_costs)))))
-    return SolveResult(
-        routing=MC,
-        assignment=assignment,
-        total_cost=_num(float(path_costs @ x)),
-        per_trip_cost=tuple(per_trip_cost),
-        per_trip_used_range=tuple(per_trip_range),
-        iterations=lp.iterations,
-        relative_gap=0.0,
-        certificate=certificate,
-        duals=duals,
-    )
+    certificate = _certificate(space, x, edge_costs + prices, MC, prices)
+    return _result(MC, space, x, space.incidence @ edge_costs, float(path_costs @ x),
+                   pivots, 0.0, certificate, duals)
+
+
+def _phase_one(space: _PathSpace, cap_rows: np.ndarray) -> int:
+    """Grow the space until its paths carry every trip's demand within the
+    capacities; returns the pivots spent. Infeasible when the phase-1
+    master keeps artificial flow and pricing finds no path to replace it."""
+    feasible = 1e-9 * (1.0 + float(np.sum(space.demands)))
+    pivots = 0
+    while True:
+        lp, prices = _restricted_master(space, cap_rows)
+        pivots += lp.iterations
+        if lp.objective <= feasible:
+            return pivots
+        if not _generate(space, prices, lp.duals_eq):
+            raise Infeasible(f"capacities cannot carry the demand "
+                             f"(phase-1 residual {lp.objective:.3e})")
+
+
+def _restricted_master(space: _PathSpace, cap_rows: np.ndarray,
+                       path_costs: Optional[np.ndarray] = None):
+    """The path linear program over the space's paths, with capacity rows
+    for the edges ``cap_rows``, and its capacity prices (the negated
+    capacity duals, one per edge, zero on uncapacitated edges).
+
+    Without ``path_costs`` it is the phase-1 master: paths cost nothing
+    and one artificial column per trip, at cost 1, carries the demand its
+    paths do not."""
+    n_trips, n_paths = len(space.demands), len(space.paths)
+    a_eq = np.zeros((n_trips, n_paths))
+    a_eq[space.row_trip, np.arange(n_paths)] = 1.0
+    a_ub = space.incidence.T[cap_rows]
+    if path_costs is None:
+        path_costs = np.concatenate([np.zeros(n_paths), np.ones(n_trips)])
+        a_eq = np.hstack([a_eq, np.eye(n_trips)])
+        a_ub = np.hstack([a_ub, np.zeros((len(cap_rows), n_trips))])
+    lp = solve_lp(path_costs, a_eq, space.demands, a_ub, space.capacities[cap_rows])
+    prices = np.zeros(len(space.edge_pairs))
+    prices[cap_rows] = np.maximum(0.0, -lp.duals_ub)
+    return lp, prices
+
+
+def _generate(space: _PathSpace, edge_costs: np.ndarray, potentials: np.ndarray) -> bool:
+    """Price every trip on ``edge_costs``; whether a new path is cheaper
+    than its trip's potential, so that it improves the master."""
+    known = len(space.paths)
+    rows = space.price(edge_costs)
+    reduced = space.incidence[rows] @ edge_costs - potentials
+    return bool(np.any((rows >= known) & (reduced < -MC_PRICE_RTOL * (1.0 + np.abs(potentials)))))
 
 
 def _constant_edge_costs(net: Network) -> np.ndarray:
@@ -906,37 +957,6 @@ def _constant_edge_costs(net: Network) -> np.ndarray:
     if not all(is_constant(m) for m in models):
         raise BadParams("mc routing requires constant edge costs")
     return np.array([m.c for m in models])
-
-
-def _mc_certificate(space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
-                    duals: MCDuals) -> OptimalityCertificate:
-    price = dict(duals.edge_prices)
-    route_prices = space.incidence @ np.array([price.get(pair, 0.0) for pair in space.edge_pairs])
-    worst = 0.0
-    spreads = []
-    for m, rows in enumerate(space.trip_rows):
-        reduced = path_costs[rows] - duals.trip_potentials[m] + route_prices[rows]
-        used = x[rows] > USED_FLOW_FRACTION * space.demands[m]
-        trip_worst = max(0.0,
-                         float(np.max(-reduced)),  # dual feasibility
-                         float(np.max(np.abs(reduced[used]), initial=0.0)))  # compl. slackness
-        spreads.append(_num(trip_worst))
-        worst = max(worst, trip_worst)
-    # capacity complementary slackness
-    xe = space.edge_flows(x)
-    for k, pair in enumerate(space.edge_pairs):
-        mu = price.get(pair, 0.0)
-        if mu > 0.0:
-            worst = max(worst, mu * max(0.0, space.capacities[k] - xe[k]))
-    scale = 1.0 + float(abs(path_costs @ x))
-    tol = 1e-7 * scale
-    return OptimalityCertificate(
-        kind=_CERT_KIND[MC],
-        max_violation=_num(worst),
-        per_trip_spread=tuple(spreads),
-        tolerance=_num(tol),
-        satisfied=bool(worst <= tol),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -948,33 +968,35 @@ def verify_certificate(instance: Instance, result: SolveResult,
                        limit: int = DEFAULT_PATH_LIMIT) -> OptimalityCertificate:
     """Recompute a result's optimality certificate from its assignment.
 
-    so and ue compare the used paths with each trip's shortest path, priced
-    with Dijkstra on the assignment's own edge flows, so the check covers
-    every simple path without listing them. mc checks reduced costs over
-    the full enumeration. ``limit`` caps the paths per trip either way.
+    The used paths are compared with each trip's shortest path, priced with
+    Dijkstra, so the check covers every simple path without listing them:
+    for so and ue on the assignment's own marginal costs or travel times,
+    for mc on the costs plus the result's capacity prices (zero without
+    duals). Demand residuals, and for mc capacity excess and priced edges
+    with room to spare, count as violations. ``limit`` caps the paths per
+    trip.
 
     Raises BadParams when the assignment holds a path that is not a simple
-    path of its trip in the instance. Never raises on a suboptimal
-    assignment; the certificate simply reports the violation it finds.
+    path of its trip in the instance. Never raises on a suboptimal or
+    infeasible assignment; the certificate simply reports the violation it
+    finds.
     """
     kind = kind or result.routing
     paths = result.assignment.paths
-    if kind == MC:
-        space = _PathSpace.enumerated(instance, limit)
-    else:
-        space = _PathSpace(instance, limit)
-        for p in paths:
-            if _is_trip_path(instance, p):
-                space.add(p.trip_index, p.nodes)
+    space = _PathSpace(instance, limit)
+    for p in paths:
+        if _is_trip_path(instance, p):
+            space.add(p.trip_index, p.nodes)
     rows = [space.row(p) for p in paths]
     x = np.zeros(len(space.paths))
     x[rows] = result.assignment.flows
     if kind == MC:
-        path_costs = space.incidence @ _constant_edge_costs(instance.network)
-        duals = result.duals or MCDuals(
-            trip_potentials=tuple(0.0 for _ in instance.trips), edge_prices=())
-        return _mc_certificate(space, x, path_costs, duals)
-    return _flow_certificate(space, _EdgeCalculator(space.models), x, kind)
+        price = dict(result.duals.edge_prices if result.duals else ())
+        prices = np.array([price.get(pair, 0.0) for pair in space.edge_pairs])
+        edge_values = _constant_edge_costs(instance.network) + prices
+        return _certificate(space, x, edge_values, MC, prices)
+    calc = _EdgeCalculator(space.models)
+    return _certificate(space, x, calc.derivatives(space.edge_flows(x), kind)[0], kind)
 
 
 def _is_trip_path(instance: Instance, path: Path) -> bool:

@@ -1,10 +1,19 @@
 """Dense two-phase primal simplex with Bland's rule.
 
 Solves  min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0  for the
-small path-formulation programs produced by this package (at most a few
-hundred columns), so a dense tableau is the simplest correct choice.
-Bland's entering/leaving rule guarantees termination without cycling;
-pivots below ``tol`` are treated as zero.
+small restricted path programs produced by this package (tens of
+columns), so a dense tableau is the simplest correct choice.
+
+Bland's rule enters the eligible column of smallest index and, among the
+rows tied for the minimum ratio, removes the basic variable of smallest
+index. It prevents cycling only in exact arithmetic: in floating point,
+rounding separates ratios that are tied, so an exact comparison would
+break the ties at random and degenerate programs (integer data) can
+cycle. The ratio test therefore counts as tied every ratio within
+``tol * (1 + |minimum ratio|)`` of the minimum; that tolerance is part of
+the termination guarantee. Pivots below ``tol`` are treated as zero, and
+a solve that still exceeds ``PIVOTS_PER_ROW`` pivots per row raises
+NotConverged.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ class LPResult:
     objective: float
     duals_eq: np.ndarray  # one per equality row, free sign
     duals_ub: np.ndarray  # one per inequality row, <= 0 at optimality
-    slacks: np.ndarray
     iterations: int
 
 
@@ -53,25 +61,21 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
     full = np.zeros((m, n + n_slack + n_art))
     full[:m_eq, :n] = a_eq
     full[m_eq:, :n] = a_ub
-    if n_slack:
-        full[m_eq:, n:n + n_slack] = np.eye(m_ub)
-    if n_art:
-        full[:m_eq, n + n_slack:] = np.eye(m_eq)
+    full[m_eq:, n:n + n_slack] = np.eye(m_ub)
+    full[:m_eq, n + n_slack:] = np.eye(m_eq)
     rhs = np.concatenate([b_eq, b_ub])
+    # eq rows first: their artificials, then the slacks of the ub rows
     basis = list(range(n + n_slack, n + n_slack + n_art)) + list(range(n, n + n_slack))
-    # Row order matches the basis layout above: eq rows first.
-    basis = basis[:m_eq] + basis[m_eq:]
 
     tableau = np.hstack([full, rhs[:, None]])
 
     iterations = 0
 
     def pivot(row, col):
-        piv = tableau[row, col]
-        tableau[row] /= piv
-        for r in range(m):
-            if r != row and abs(tableau[r, col]) > 0.0:
-                tableau[r] -= tableau[r, col] * tableau[row]
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau[:] -= np.outer(factors, tableau[row])
         basis[row] = col
 
     def run_phase(cost_vec, allowed):
@@ -79,22 +83,17 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
         while True:
             cb = cost_vec[basis]
             reduced = cost_vec[:-1] - cb @ tableau[:, :-1]
-            entering = -1
-            for j in range(len(reduced)):  # Bland: smallest eligible index
-                if allowed[j] and reduced[j] < -tol:
-                    entering = j
-                    break
-            if entering < 0:
+            eligible = np.flatnonzero(allowed & (reduced < -tol))
+            if not eligible.size:
                 return
-            ratios = []
-            for i in range(m):
-                coef = tableau[i, entering]
-                if coef > tol:
-                    ratios.append((tableau[i, -1] / coef, basis[i], i))
-            if not ratios:
+            entering = eligible[0]  # Bland: smallest eligible index
+            rows = np.flatnonzero(tableau[:, entering] > tol)
+            if not rows.size:
                 raise Unbounded("objective unbounded along a feasible ray")
-            ratios.sort(key=lambda t: (t[0], t[1]))  # Bland tie-break on basic index
-            pivot(ratios[0][2], entering)
+            ratios = tableau[rows, -1] / tableau[rows, entering]
+            low = ratios.min()
+            tied = rows[ratios <= low + tol * (1.0 + abs(low))]
+            pivot(min(tied, key=basis.__getitem__), entering)  # Bland: smallest basic index
             iterations += 1
             if iterations > PIVOTS_PER_ROW * (m + 1):
                 raise NotConverged(iterations, math.inf)
@@ -127,44 +126,13 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
     run_phase(phase2_cost, allowed)
 
     x_full = np.zeros(total_cols)
-    for i in range(m):
-        if basis[i] < total_cols:
-            x_full[basis[i]] = tableau[i, -1]
+    x_full[basis] = tableau[:, -1]
     x = x_full[:n]
-    slacks = x_full[n:n + n_slack]
-    objective = float(c @ x)
 
-    duals_eq, duals_ub = _recover_duals(c, a_eq, a_ub, basis, n, n_slack, tol)
-    return LPResult(x=x, objective=objective, duals_eq=duals_eq,
-                    duals_ub=duals_ub, slacks=slacks, iterations=iterations)
+    # y = c_B B^-1, read off the slack and artificial columns: their
+    # original columns are unit vectors, so the tableau holds B^-1 there
+    y = phase2_cost[basis] @ tableau[:, n:total_cols]
+    duals_ub, duals_eq = y[:n_slack], y[n_slack:]
+    return LPResult(x=x, objective=float(c @ x), duals_eq=duals_eq, duals_ub=duals_ub,
+                    iterations=iterations)
 
-
-def _recover_duals(c, a_eq, a_ub, basis, n, n_slack, tol):
-    """Solve B^T y = c_B over the standard-form columns.
-
-    y is split row-wise: equality rows first (free sign), then inequality
-    rows (non-positive at optimality for a min problem).
-    """
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
-    if m == 0:
-        return np.zeros(0), np.zeros(0)
-    a_struct = np.vstack([a_eq, a_ub]) if m else np.zeros((0, n))
-    bmat = np.zeros((m, m))
-    cb = np.zeros(m)
-    for k, var in enumerate(basis):
-        if var < n:
-            bmat[:, k] = a_struct[:, var]
-            cb[k] = c[var]
-        elif var < n + n_slack:
-            col = np.zeros(m)
-            col[m_eq + (var - n)] = 1.0
-            bmat[:, k] = col
-        else:
-            # Artificial for eq row (var - n - n_slack); only survives on a
-            # zeroed redundant row, whose dual is immaterial.
-            col = np.zeros(m)
-            col[var - n - n_slack] = 1.0
-            bmat[:, k] = col
-    y, *_ = np.linalg.lstsq(bmat.T, cb, rcond=None)
-    return y[:m_eq].copy(), y[m_eq:].copy()

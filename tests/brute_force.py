@@ -78,3 +78,36 @@ def assert_assignment_feasible(instance, result, check_capacity=False, tol=1e-9)
     if check_capacity:
         for pair, flow in edge_flow.items():
             assert flow <= instance.network.edge(*pair).capacity + tol
+
+
+def mc_highs_value(instance):
+    """Optimal mc value from an arc-node multicommodity LP solved by HiGHS,
+    independent of paths; needs scipy."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    net = instance.network
+    nodes = sorted(net.nodes)
+    pairs = list(net.edge_pairs)
+    n_e, n_t = len(pairs), len(instance.trips)
+    costs = np.array([net.edge(*pair).cost.c for pair in pairs])
+    a_eq = np.zeros((n_t * len(nodes), n_t * n_e))
+    b_eq = np.zeros(n_t * len(nodes))
+    row_of = {v: r for r, v in enumerate(nodes)}
+    for m, trip in enumerate(instance.trips):
+        base = m * len(nodes)
+        for k, (i, j) in enumerate(pairs):
+            a_eq[base + row_of[i], m * n_e + k] = 1.0
+            a_eq[base + row_of[j], m * n_e + k] = -1.0
+        b_eq[base + row_of[trip.source]] = trip.demand
+        b_eq[base + row_of[trip.sink]] = -trip.demand
+    caps = np.array([net.edge(*pair).capacity for pair in pairs])
+    bounded = np.flatnonzero(np.isfinite(caps))
+    a_ub = np.zeros((len(bounded), n_t * n_e))
+    for r, k in enumerate(bounded):
+        a_ub[r, k::n_e] = 1.0
+    res = linprog(np.tile(costs, n_t), A_ub=a_ub if len(bounded) else None,
+                  b_ub=caps[bounded] if len(bounded) else None, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)

@@ -18,7 +18,7 @@ def test_solve_pigou_ue(tmp_path, capsys):
     assert code == 0
     assert "total_cost=1.000000" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["format_version"] == 2
+    assert report["format_version"] == 3
     assert report["results"]["total_cost"] == pytest.approx(1.0)
     assert report["results"]["path_flows"]["0-2-3"] == pytest.approx(1.0)
 

@@ -32,6 +32,7 @@ from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
 from netdesign.routing import (
     FlowAssignment,
     Instance,
+    MCDuals,
     SolverConfig,
     all_or_nothing,
     price_of_anarchy,
@@ -47,7 +48,7 @@ from netdesign.routing import (
     _line_search,
     _PathSpace,
 )
-from brute_force import assert_assignment_feasible, mc_grid_oracle
+from brute_force import assert_assignment_feasible, mc_grid_oracle, mc_highs_value
 
 C1 = Constant(1.0)
 
@@ -55,6 +56,22 @@ C1 = Constant(1.0)
 def net_of(defs):
     nodes = {n for i, j, *_ in defs for n in (i, j)}
     return Network(nodes, [Edge(i, j, cost, cap) for i, j, cost, cap in defs])
+
+
+def corner_grid(n, seed, draw):
+    """An n x n grid, both directions between neighbours, with three
+    corner-to-corner trips; ``draw(rng)`` gives each edge's cost model and
+    capacity."""
+    rng = random.Random(seed)
+    defs = []
+    for a in range(n * n):
+        for b in (a + 1 if (a + 1) % n else None, a + n if a + n < n * n else None):
+            if b is not None:
+                for i, j in ((a, b), (b, a)):
+                    defs.append((i, j, *draw(rng)))
+    last = n * n - 1
+    trips = (Trip(0, last, 3.0), Trip(n - 1, last - (n - 1), 2.5), Trip(last, 0, 2.0))
+    return Instance(net_of(defs), trips)
 
 
 # -- classic fixtures -----------------------------------------------------------
@@ -115,12 +132,17 @@ def test_mc_single_edge():
     assert r.total_cost == pytest.approx(8.0)
 
 
-def test_mc_capacity_forces_split():
-    # cheap route capped below demand; remainder takes the expensive one
-    instance = Instance(net_of([
+def capacity_split():
+    """Demand 2 over a cheap route of capacity 1 and a dear one of capacity 10."""
+    return Instance(net_of([
         (0, 1, Constant(1.0), 1.0), (1, 3, Constant(1.0), 1.0),
         (0, 2, Constant(3.0), 10.0), (2, 3, Constant(3.0), 10.0),
     ]), (Trip(0, 3, 2.0),))
+
+
+def test_mc_capacity_forces_split():
+    # cheap route capped below demand; remainder takes the expensive one
+    instance = capacity_split()
     r = solve_mc(instance)
     assert r.total_cost == pytest.approx(1.0 * 2 + 1.0 * 6)
     flows = r.assignment.path_flow_map()
@@ -143,6 +165,81 @@ def test_mc_unreachable_is_infeasible():
     net = Network({0, 1, 2}, [Edge(0, 1, C1, 5.0)])
     with pytest.raises(Infeasible):
         solve_mc(Instance(net, (Trip(0, 2, 1.0),)))
+
+
+def test_mc_infeasible_after_phase_one(monkeypatch):
+    # the cheapest route overloads its capacity, so phase 1 runs; it brings
+    # in every route, and together they hold 4.5 of the demand of 5
+    instance = Instance(net_of([
+        (0, 1, Constant(1.0), 2.0), (1, 3, Constant(1.0), 2.0),
+        (0, 2, Constant(3.0), 2.0), (2, 3, Constant(3.0), 2.0),
+        (0, 4, Constant(5.0), 0.5), (4, 3, Constant(5.0), 0.5),
+    ]), (Trip(0, 3, 5.0),))
+    masters = []
+    original = routing._restricted_master
+
+    def spy(space, cap_rows, path_costs=None):
+        masters.append((len(space.paths), path_costs is None))
+        return original(space, cap_rows, path_costs)
+
+    monkeypatch.setattr(routing, "_restricted_master", spy)
+    with pytest.raises(Infeasible, match="cannot carry"):
+        solve_mc(instance)
+    assert masters[0] == (1, True)
+    assert masters[-1] == (3, True)
+
+
+def test_mc_grid_beyond_enumeration():
+    pytest.importorskip("scipy")
+    instance = corner_grid(6, 0, lambda rng: (Constant(round(rng.uniform(1.0, 9.0), 3)),
+                                              round(rng.uniform(2.0, 6.0), 3)))
+    with pytest.raises(PathLimitExceeded):
+        enumerate_trip_paths(instance.network, instance.trips)
+    r = solve_mc(instance)
+    highs = mc_highs_value(instance)
+    assert abs(r.total_cost - highs) <= 1e-7 * (1.0 + highs)
+    assert r.certificate.satisfied
+    assert verify_certificate(instance, r).satisfied
+    assert_assignment_feasible(instance, r, check_capacity=True)
+    assert any(price > 0.0 for _, price in r.duals.edge_prices)  # capacities bind
+    assert len(r.assignment.paths) < 50
+
+
+def test_mc_certificate_rejects_capacity_excess():
+    # all demand on the cheap route, twice its capacity, under duals that
+    # would certify it if capacity were ignored
+    instance = capacity_split()
+    r = solve_mc(instance)
+    overloaded = dataclasses.replace(
+        r, assignment=dataclasses.replace(r.assignment, paths=(Path(0, (0, 1, 3)),),
+                                          flows=(2.0,)),
+        duals=MCDuals((2.0,), ()))
+    cert = verify_certificate(instance, overloaded)
+    assert not cert.satisfied
+    assert cert.max_violation == pytest.approx(1.0)
+
+
+def test_mc_certificate_needs_capacity_prices():
+    # trip 1 has the capacitated edge 1->2 to itself; trip 0's cheapest
+    # route 0-1-2-3 crosses it, so trip 0 pays 7 more on 0-4-3
+    instance = Instance(net_of([
+        (0, 1, C1, 5.0), (1, 2, C1, 1.0), (2, 3, C1, 5.0),
+        (0, 4, Constant(5.0), 5.0), (4, 3, Constant(5.0), 5.0),
+        (1, 5, Constant(10.0), 5.0), (5, 2, Constant(10.0), 5.0),
+    ]), (Trip(0, 3, 1.0), Trip(1, 2, 1.0)))
+    r = solve_mc(instance)
+    assert r.total_cost == pytest.approx(11.0)
+    used = [(p, f) for p, f in zip(r.assignment.paths, r.assignment.flows) if f > 0.0]
+    assert [p.key() for p, _ in used] == ["0-4-3", "1-2"]
+    # the used paths alone, without the zero-flow start 0-1-2-3
+    stripped = dataclasses.replace(r, assignment=dataclasses.replace(
+        r.assignment, paths=tuple(p for p, _ in used), flows=tuple(f for _, f in used)))
+    assert verify_certificate(instance, stripped).satisfied
+    unpriced = dataclasses.replace(
+        stripped, duals=dataclasses.replace(r.duals, edge_prices=()))
+    cert = verify_certificate(instance, unpriced)
+    assert not cert.satisfied
+    assert cert.per_trip_spread == pytest.approx((7.0, 0.0))
 
 
 def test_mc_matches_grid_oracle_corpus():
@@ -286,6 +383,20 @@ def test_perturbed_assignment_reports_violation(braess_with):
     assert cert.max_violation > 1e-3
 
 
+@pytest.mark.parametrize("kind", ["so", "ue"])
+def test_certificate_reports_an_unserved_trip(kind):
+    # trip 1 loses its flow: a violation of its whole demand, not an error
+    instance = shared_corridor()
+    r = (solve_so if kind == "so" else solve_ue)(instance)
+    flows = tuple(0.0 if p.trip_index == 1 else f
+                  for p, f in zip(r.assignment.paths, r.assignment.flows))
+    cert = verify_certificate(instance, dataclasses.replace(
+        r, assignment=dataclasses.replace(r.assignment, flows=flows)))
+    assert not cert.satisfied
+    assert cert.max_violation == pytest.approx(8.0)
+    assert cert.per_trip_spread[1] == 0.0
+
+
 @pytest.mark.parametrize("nodes", [(0, 3), (0, 2, 1, 3), (0, 1, 0, 2, 3), (1, 3)])
 def test_verify_certificate_rejects_paths_not_in_instance(braess_with, nodes):
     # (0, 3) and (0, 2, 1, 3) use missing edges, (0, 1, 0, 2, 3) repeats a
@@ -321,8 +432,8 @@ def test_bridge_counterexample(counterexample_gs):
     assert bridge.difference <= 1e-4 * (1.0 + bridge.so_total)
 
 
-def test_multi_trip_shared_congestion():
-    # two trips crossing through one congested middle corridor
+def shared_corridor():
+    """Two trips crossing through one congested middle corridor."""
     g = Greenshields(1.0, 1.0, 20.0)
     defs = [
         (0, 4, g, 20.0), (4, 5, g, 20.0), (5, 1, g, 20.0),   # trip 0 via corridor
@@ -330,7 +441,11 @@ def test_multi_trip_shared_congestion():
         (2, 4, g, 20.0), (5, 3, g, 20.0),                     # trip 1 via corridor
         (2, 7, g, 20.0), (7, 3, g, 20.0),                     # trip 1 bypass
     ]
-    instance = Instance(net_of(defs), (Trip(0, 1, 6.0), Trip(2, 3, 8.0)))
+    return Instance(net_of(defs), (Trip(0, 1, 6.0), Trip(2, 3, 8.0)))
+
+
+def test_multi_trip_shared_congestion():
+    instance = shared_corridor()
     for solver in (solve_so, solve_ue):
         r = solver(instance)
         assert_assignment_feasible(instance, r)
@@ -575,18 +690,9 @@ def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
 
 def bpr_grid(n, seed):
     """An n x n grid of BPR edges with three corner-to-corner trips."""
-    rng = random.Random(seed)
-    defs = []
-    for a in range(n * n):
-        for b in (a + 1 if (a + 1) % n else None, a + n if a + n < n * n else None):
-            if b is not None:
-                for i, j in ((a, b), (b, a)):
-                    cost = BPR(round(rng.uniform(1.0, 3.0), 3), round(rng.uniform(2.0, 6.0), 3),
-                               0.15, 4.0)
-                    defs.append((i, j, cost, math.inf))
-    last = n * n - 1
-    trips = (Trip(0, last, 3.0), Trip(n - 1, last - (n - 1), 2.5), Trip(last, 0, 2.0))
-    return Instance(net_of(defs), trips)
+    return corner_grid(n, seed, lambda rng: (
+        BPR(round(rng.uniform(1.0, 3.0), 3), round(rng.uniform(2.0, 6.0), 3), 0.15, 4.0),
+        math.inf))
 
 
 @pytest.mark.parametrize("n", [6, 8])

@@ -1,8 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
+from netdesign import simplex
+from netdesign.costs import Constant
 from netdesign.errors import Infeasible, Unbounded
+from netdesign.network import Edge, Network, Trip, enumerate_trip_paths
+from netdesign.routing import Instance, solve_mc
 from netdesign.simplex import solve_lp
+from brute_force import mc_highs_value
 
 
 def test_single_variable():
@@ -94,3 +101,64 @@ def test_matches_vertex_enumeration():
                 best = val
         assert best is not None
         assert res.objective == pytest.approx(best, abs=1e-8)
+
+
+# -- degenerate integer programs ---------------------------------------------------
+
+
+def integer_grid(seed):
+    """A 4x5 grid, both directions between neighbours, with integer costs
+    1-9, capacities 2-6 and three trips of demand 2-4 (0->19, 4->15, 15->4).
+
+    Seeds 5, 14, 20 and 22 give path programs so degenerate that an exact
+    float comparison of tied ratios lets Bland's rule cycle at the optimum.
+    """
+    rng = random.Random(f"cyc-{seed}")
+    demands = [rng.randint(2, 4) for _ in range(3)]
+    pairs = []
+    for a in range(20):
+        if (a + 1) % 5:
+            pairs += [(a, a + 1), (a + 1, a)]
+        if a + 5 < 20:
+            pairs += [(a, a + 5), (a + 5, a)]
+    pairs.sort()
+    costs = [rng.randint(1, 9) for _ in pairs]
+    caps = [rng.randint(2, 6) for _ in pairs]
+    net = Network(range(20), [Edge(i, j, Constant(float(c)), float(u))
+                              for (i, j), c, u in zip(pairs, costs, caps)])
+    trips = tuple(Trip(s, t, float(d)) for (s, t), d in zip(((0, 19), (4, 15), (15, 4)), demands))
+    return Instance(net, trips)
+
+
+INTEGER_OPTIMA = {5: 241.0, 14: 343.0, 20: 387.0, 22: 253.0}
+
+
+@pytest.mark.parametrize("seed", [5, 22])
+def test_tied_ratios_do_not_cycle(seed, monkeypatch):
+    # the full path program over all 2,928 simple paths, within a budget of
+    # 100 pivots per row: an exact-float ratio test was still cycling there
+    monkeypatch.setattr(simplex, "PIVOTS_PER_ROW", 100)
+    instance = integer_grid(seed)
+    net = instance.network
+    paths = list(enumerate_trip_paths(net, instance.trips).all_paths())
+    col = {pair: k for k, pair in enumerate(net.edge_pairs)}
+    incidence = np.zeros((len(paths), len(col)))
+    for r, p in enumerate(paths):
+        incidence[r, [col[pair] for pair in p.edge_pairs]] = 1.0
+    a_eq = np.zeros((len(instance.trips), len(paths)))
+    a_eq[[p.trip_index for p in paths], np.arange(len(paths))] = 1.0
+    costs = incidence @ np.array([net.edge(*pair).cost.c for pair in net.edge_pairs])
+    caps = [net.edge(*pair).capacity for pair in net.edge_pairs]
+    res = solve_lp(costs, a_eq, [t.demand for t in instance.trips], incidence.T, caps)
+    assert res.objective == pytest.approx(INTEGER_OPTIMA[seed], rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", sorted(INTEGER_OPTIMA))
+def test_integer_grids_match_highs(seed):
+    pytest.importorskip("scipy")
+    instance = integer_grid(seed)
+    highs = mc_highs_value(instance)
+    assert highs == pytest.approx(INTEGER_OPTIMA[seed], rel=1e-9)
+    r = solve_mc(instance)
+    assert abs(r.total_cost - highs) <= 1e-7 * (1.0 + highs)
+    assert r.certificate.satisfied
