@@ -9,8 +9,8 @@ parallel candidates that are node-disjoint except at the endpoints), the
 monotonicity and supermodularity checkers with explicit witnesses, the
 parallel-case closed forms and a greedy designer.
 
-Subset evaluations are cached by bitmask; reports never depend on
-evaluation order.
+Subset evaluations are cached by bitmask, and subsets with equal union
+graphs share one solve; reports never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .costs import evaluate, is_constant
@@ -134,7 +134,10 @@ class LambdaEvaluation:
 
 
 def subset_bitmask(subset: Iterable[int]) -> int:
-    return sum(1 << i for i in set(subset))
+    chosen = set(subset)
+    if chosen and min(chosen) < 0:
+        raise BadParams(f"candidate index {min(chosen)} out of range")
+    return sum(1 << i for i in chosen)
 
 
 def bitmask_subset(mask: int) -> Tuple[int, ...]:
@@ -164,29 +167,51 @@ def lambda_eval(routing: str, state: DesignState,
 
 
 class LambdaEvaluator:
-    """Caching evaluator for subset objective values, keyed by bitmask."""
+    """Caching evaluator for subset objective values.
+
+    Evaluations are cached by bitmask. Subsets with equal union graphs
+    share one solve: the value depends only on the union graph and every
+    solver is deterministic, so a shared evaluation is bit-identical to a
+    cold solve of each subset. ``misses`` counts solver calls and ``hits``
+    the lookups answered without one, by bitmask or by union graph.
+    """
 
     def __init__(self, candidate_set: CandidateSet, cfg: SolverConfig = SolverConfig()):
         self.candidate_set = candidate_set
         self.cfg = cfg
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
+        # edge pairs suffice beside the nodes: members never redefine a
+        # template edge, so equal pairs mean equal edges
+        self._graphs: Dict[tuple, LambdaEvaluation] = {}
+        self.hits = 0
+        self.misses = 0
 
     def value(self, routing: str, subset: Iterable[int]) -> LambdaEvaluation:
         mask = subset_bitmask(subset)
-        key = (routing, mask)
-        if key not in self._cache:
-            self._cache[key] = self._compute(routing, mask)
-        return self._cache[key]
+        ev = self._cache.get((routing, mask))
+        if ev is None:
+            return self._compute(routing, mask)
+        self.hits += 1
+        return ev
 
     def _compute(self, routing: str, mask: int) -> LambdaEvaluation:
         state = DesignState.create(self.candidate_set, bitmask_subset(mask))
-        return lambda_eval(routing, state, self.cfg)
+        graph = (routing, state.network.nodes, state.network.edge_pairs)
+        first = self._graphs.get(graph)
+        if first is None:
+            self.misses += 1
+            ev = self._graphs[graph] = lambda_eval(routing, state, self.cfg)
+        else:
+            self.hits += 1
+            ev = replace(first, subset=state.chosen, bitmask=mask)
+        self._cache[(routing, mask)] = ev
+        return ev
 
     def ensure(self, routing: str, masks: Iterable[int]) -> None:
         """Populate the cache for ``masks``, in sorted mask order so
         downstream reports are order-independent."""
         for mask in sorted({m for m in masks if (routing, m) not in self._cache}):
-            self._cache[(routing, mask)] = self._compute(routing, mask)
+            self._compute(routing, mask)
 
     def evaluations(self, routing: str) -> Tuple[LambdaEvaluation, ...]:
         items = [ev for (r, _), ev in self._cache.items() if r == routing]

@@ -49,7 +49,7 @@ class Network:
     pairs are rejected.
     """
 
-    __slots__ = ("nodes", "_edges", "_succ", "_pred")
+    __slots__ = ("nodes", "_edges", "_pairs", "_succ", "_pred")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         node_set = frozenset(int(n) for n in nodes)
@@ -69,6 +69,7 @@ class Network:
             pred.setdefault(j, []).append(i)
         object.__setattr__(self, "nodes", node_set)
         object.__setattr__(self, "_edges", edge_map)
+        object.__setattr__(self, "_pairs", tuple(sorted(edge_map)))
         object.__setattr__(self, "_succ", {i: tuple(sorted(js)) for i, js in succ.items()})
         object.__setattr__(self, "_pred", {j: tuple(sorted(tails)) for j, tails in pred.items()})
 
@@ -82,11 +83,11 @@ class Network:
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(self._edges[p] for p in sorted(self._edges))
+        return tuple(self._edges[p] for p in self._pairs)
 
     @property
     def edge_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._edges))
+        return self._pairs
 
     def edge(self, tail: int, head: int) -> Edge:
         return self._edges[(tail, head)]

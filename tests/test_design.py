@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from netdesign.costs import Constant
+from netdesign import design
+from netdesign.costs import Affine, Constant
 from netdesign.design import (
     DOUBLE_PRIME,
     HOLDS,
@@ -11,6 +12,7 @@ from netdesign.design import (
     CandidateSet,
     DesignState,
     LambdaEvaluator,
+    bitmask_subset,
     candidate_set_from_json,
     candidate_set_to_json,
     check_monotonicity,
@@ -54,6 +56,36 @@ def parallel_mc_set(spanning_cost, candidate_costs, demand, capacity=10.0):
                         candidates=candidates, declared_class=DOUBLE_PRIME)
 
 
+def crossing_set(routing):
+    """Trip 0 -> 3 with demand 3 over a tree 0-1-3 and three candidates:
+    0-4-5-3, 0-6-4-7-3 and 0-4-7-3. Candidate 2's edges lie in candidates
+    0 and 1, so subsets {0, 1} and {0, 1, 2} have one union graph; the
+    other six subsets have six more. Costs are constant for mc, with
+    capacity 2 off the tree, and affine for so and ue."""
+    from netdesign.network import Edge, Network, TemplateGraph, Trip
+    from netdesign.network import validate_trip_path_graph, validate_trip_spanning_tree
+
+    trip = Trip(0, 3, 3.0)
+    times = {(0, 1): 5.0, (1, 3): 5.0, (0, 4): 1.0, (4, 5): 2.0, (5, 3): 2.0,
+             (0, 6): 1.0, (6, 4): 1.0, (4, 7): 1.5, (7, 3): 1.0}
+    if routing == "mc":
+        edges = [Edge(i, j, Constant(t), 3.0 if (i, j) in ((0, 1), (1, 3)) else 2.0)
+                 for (i, j), t in times.items()]
+    else:
+        edges = [Edge(i, j, Affine(t, 0.5 * t)) for (i, j), t in times.items()]
+    tem = Network(range(8), edges)
+
+    def member(nodes):
+        return Network(nodes, [tem.edge(i, j) for i, j in zip(nodes, nodes[1:])])
+
+    tree = validate_trip_spanning_tree(member((0, 1, 3)), (trip,))
+    candidates = tuple(
+        validate_trip_path_graph(member(nodes), trip, 0, pos)
+        for pos, nodes in enumerate([(0, 4, 5, 3), (0, 6, 4, 7, 3), (0, 4, 7, 3)]))
+    return CandidateSet(template=TemplateGraph(tem), spanning_tree=tree,
+                        candidates=candidates)
+
+
 # -- objective values --------------------------------------------------------------
 
 
@@ -88,6 +120,36 @@ def test_evaluator_caches(counterexample_mc):
     first = evaluator.value("mc", (0,))
     again = evaluator.value("mc", (0,))
     assert first is again
+
+
+@pytest.mark.parametrize("routing", ["mc", "so", "ue"])
+def test_equal_union_graphs_share_one_solve(routing, monkeypatch):
+    cs = crossing_set(routing)
+    masks = range(1 << len(cs.candidates))
+    graphs = {cs.subset_network(bitmask_subset(m)) for m in masks}
+    assert len(graphs) == 7
+    cold = tuple(lambda_eval(routing, DesignState.create(cs, bitmask_subset(m)))
+                 for m in masks)
+    solved = []
+
+    def counting(*args):
+        solved.append(args[1].chosen)
+        return lambda_eval(*args)
+
+    monkeypatch.setattr(design, "lambda_eval", counting)
+    evaluator = LambdaEvaluator(cs)
+    evaluator.ensure(routing, masks)
+    assert len(solved) == len(graphs)
+    assert (evaluator.misses, evaluator.hits) == (7, 1)
+    assert tuple(evaluator.value(routing, bitmask_subset(m)) for m in masks) == cold
+    assert (evaluator.misses, evaluator.hits) == (7, 9)
+
+    solved.clear()
+    assert check_supermodularity(routing, cs).evaluations == cold
+    assert len(solved) == len(graphs)
+    solved.clear()
+    assert greedy_designer(routing, cs, budget=3).evaluations == cold
+    assert len(solved) == len(graphs)
 
 
 def test_so_never_above_ue(counterexample_gs):
@@ -298,6 +360,13 @@ def test_greedy_parallel_tie_break():
 def test_greedy_budget_out_of_range(counterexample_mc):
     with pytest.raises(BadParams):
         greedy_designer("mc", counterexample_mc.candidate_set, budget=3)
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_candidate_index_out_of_range(counterexample_mc, index):
+    evaluator = LambdaEvaluator(counterexample_mc.candidate_set)
+    with pytest.raises(BadParams, match=f"candidate index {index} out of range"):
+        evaluator.value("mc", [index])
 
 
 # -- serialization ------------------------------------------------------------------
