@@ -103,7 +103,10 @@ def _config_from(args) -> SolverConfig:
 
 
 def _load_source(args, routing: Optional[str]):
-    """Returns (scenario, instance, candidate_set, labels, source descriptor)."""
+    """Returns (scenario, instance, candidate_set, labels, source descriptor).
+
+    A design document has no instance here: only ``solve`` needs one, the
+    union of all its members, and builds it."""
     if args.scenario:
         scenario = materialize(args.scenario, _gather_params(args, routing))
         return (scenario, scenario.instance, scenario.candidate_set,
@@ -114,8 +117,7 @@ def _load_source(args, routing: Optional[str]):
     if isinstance(doc, dict) and ("candidates" in doc or "spanning_tree" in doc):
         cs = candidate_set_from_json(doc)
         labels = tuple(f"g{i}" for i in range(len(cs.candidates)))
-        instance = Instance(cs.subset_network(range(len(cs.candidates))), cs.trips)
-        return None, instance, cs, labels, descriptor
+        return None, None, cs, labels, descriptor
     net, trips = instance_from_json(doc)
     return None, Instance(net, trips), None, (), descriptor
 
@@ -203,7 +205,10 @@ def _solver_for(routing: str):
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args)
-    _, instance, _, _, source = _load_source(args, args.routing)
+    _, instance, candidate_set, _, source = _load_source(args, args.routing)
+    if instance is None:
+        instance = Instance(candidate_set.subset_network(range(len(candidate_set.candidates))),
+                            candidate_set.trips)
     result = _solver_for(args.routing)(instance, cfg)
     report = _base_report("solve", args.routing, source, cfg)
     report["results"] = _solve_results(result)

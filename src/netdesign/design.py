@@ -172,17 +172,30 @@ class LambdaEvaluator:
     Evaluations are cached by bitmask. Subsets with equal union graphs
     share one solve: the value depends only on the union graph and every
     solver is deterministic, so a shared evaluation is bit-identical to a
-    cold solve of each subset. ``misses`` counts solver calls and ``hits``
-    the lookups answered without one, by bitmask or by union graph.
+    cold solve of each subset. A union graph is keyed by the bitsets of its
+    template node positions and template edge ids, OR-ed from per-member
+    bitsets, so its ``Network`` is built only for a graph not yet solved.
+    ``misses`` counts solver calls; ``hits`` counts ``value`` lookups
+    answered from the bitmask cache and bitmasks whose union graph was
+    already solved. Reads through ``values`` count as neither.
     """
 
     def __init__(self, candidate_set: CandidateSet, cfg: SolverConfig = SolverConfig()):
         self.candidate_set = candidate_set
         self.cfg = cfg
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
-        # edge pairs suffice beside the nodes: members never redefine a
-        # template edge, so equal pairs mean equal edges
-        self._graphs: Dict[tuple, LambdaEvaluation] = {}
+        # edge ids suffice beside the nodes: members never redefine a
+        # template edge, so equal ids mean equal edges
+        template = candidate_set.template.network
+        edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
+
+        def bits(net):
+            return (sum(1 << template.position(v) for v in net.nodes),
+                    sum(1 << edge_id[pair] for pair in net.edge_pairs))
+
+        self._tree_bits = bits(candidate_set.spanning_tree.network)
+        self._member_bits = [bits(c.network) for c in candidate_set.candidates]
+        self._graphs: Dict[Tuple[str, int, int], LambdaEvaluation] = {}
         self.hits = 0
         self.misses = 0
 
@@ -194,16 +207,33 @@ class LambdaEvaluator:
         self.hits += 1
         return ev
 
+    def values(self, routing: str) -> Dict[int, float]:
+        """Value of every cached bitmask under ``routing``."""
+        return {mask: ev.value for (r, mask), ev in self._cache.items() if r == routing}
+
     def _compute(self, routing: str, mask: int) -> LambdaEvaluation:
-        state = DesignState.create(self.candidate_set, bitmask_subset(mask))
-        graph = (routing, state.network.nodes, state.network.edge_pairs)
+        if mask < 0:
+            raise BadParams(f"bitmask {mask} is negative")
+        n = len(self._member_bits)
+        beyond = mask >> n
+        if beyond:
+            low = (beyond & -beyond).bit_length() - 1
+            raise BadParams(f"candidate index {n + low} out of range")
+        subset = bitmask_subset(mask)
+        nodes, edges = self._tree_bits
+        for i in subset:
+            member_nodes, member_edges = self._member_bits[i]
+            nodes |= member_nodes
+            edges |= member_edges
+        graph = (routing, nodes, edges)
         first = self._graphs.get(graph)
         if first is None:
             self.misses += 1
+            state = DesignState.create(self.candidate_set, subset)
             ev = self._graphs[graph] = lambda_eval(routing, state, self.cfg)
         else:
             self.hits += 1
-            ev = replace(first, subset=state.chosen, bitmask=mask)
+            ev = replace(first, subset=subset, bitmask=mask)
         self._cache[(routing, mask)] = ev
         return ev
 
@@ -404,12 +434,13 @@ def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = No
         raise BadParams(f"unknown mode {mode!r}")
     tol = default_tolerance(routing, evaluator, 2) if tol is None else tol
 
+    v = evaluator.values(routing)
     witnesses = []
     checked = 0
     for a, b in pairs:
         checked += 1
-        va = evaluator.value(routing, bitmask_subset(a)).value
-        vb = evaluator.value(routing, bitmask_subset(b)).value
+        va = v[a]
+        vb = v[b]
         if vb > va + tol:
             witnesses.append(Witness(
                 subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=None,
@@ -464,12 +495,13 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
         raise BadParams(f"unknown mode {mode!r}")
     tol = default_tolerance(routing, evaluator, 4) if tol is None else tol
 
+    v = evaluator.values(routing)
     witnesses = []
     for a, b, x in triples:
-        va = evaluator.value(routing, bitmask_subset(a)).value
-        vax = evaluator.value(routing, bitmask_subset(a | (1 << x))).value
-        vb = evaluator.value(routing, bitmask_subset(b)).value
-        vbx = evaluator.value(routing, bitmask_subset(b | (1 << x))).value
+        va = v[a]
+        vax = v[a | (1 << x)]
+        vb = v[b]
+        vbx = v[b | (1 << x)]
         lhs = va - vax
         rhs = vb - vbx
         if lhs < rhs - tol:
@@ -653,8 +685,9 @@ def greedy_designer(routing: str, cs: CandidateSet, budget: int,
     if n <= EXHAUSTIVE_SUPERMODULAR_CAP:
         masks = [m for m in range(1 << n) if bin(m).count("1") <= budget]
         evaluator.ensure(routing, masks)
+        value_of = evaluator.values(routing)
         for m in masks:
-            v = evaluator.value(routing, bitmask_subset(m)).value
+            v = value_of[m]
             if best_value is None or v < best_value - 1e-15 * (1.0 + abs(v)):
                 best_value = v
                 best_subset = bitmask_subset(m)

@@ -47,9 +47,17 @@ class Network:
 
     Every edge endpoint must be a declared node and duplicate ordered
     pairs are rejected.
+
+    Pricing works on integer ids fixed at construction. An edge's id is its
+    index in the sorted ``edge_pairs`` and a node's position its index in
+    the sorted ``node_order``, so ascending positions are ascending node
+    ids. ``out_adjacency[p]`` and ``in_adjacency[p]`` hold the (neighbour
+    position, edge id) pairs of the node at position ``p``, by ascending
+    neighbour.
     """
 
-    __slots__ = ("nodes", "_edges", "_pairs", "_succ", "_pred")
+    __slots__ = ("nodes", "node_order", "out_adjacency", "in_adjacency",
+                 "_edges", "_pairs", "_position", "_succ", "_pred")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         node_set = frozenset(int(n) for n in nodes)
@@ -57,21 +65,36 @@ class Network:
             raise ValueError("node ids must be non-negative")
         edge_map = {}
         for e in edges:
+            pair = (e.tail, e.head)
             if e.tail not in node_set or e.head not in node_set:
-                raise ValueError(f"edge ({e.tail}, {e.head}) has an undeclared endpoint")
-            if e.pair in edge_map:
-                raise ValueError(f"duplicate edge ({e.tail}, {e.head})")
-            edge_map[e.pair] = e
-        succ = {}
-        pred = {}
-        for (i, j) in edge_map:
-            succ.setdefault(i, []).append(j)
-            pred.setdefault(j, []).append(i)
+                raise ValueError(f"edge {pair} has an undeclared endpoint")
+            if pair in edge_map:
+                raise ValueError(f"duplicate edge {pair}")
+            edge_map[pair] = e
+        pairs = tuple(sorted(edge_map))
+        order = tuple(sorted(node_set))
+        position = {n: p for p, n in enumerate(order)}
+        out_adj = [[] for _ in order]
+        in_adj = [[] for _ in order]
+        succ = [[] for _ in order]
+        pred = [[] for _ in order]
+        # sorted pairs give every list ascending neighbours
+        for k, (i, j) in enumerate(pairs):
+            pi = position[i]
+            pj = position[j]
+            out_adj[pi].append((pj, k))
+            in_adj[pj].append((pi, k))
+            succ[pi].append(j)
+            pred[pj].append(i)
         object.__setattr__(self, "nodes", node_set)
+        object.__setattr__(self, "node_order", order)
+        object.__setattr__(self, "out_adjacency", tuple(map(tuple, out_adj)))
+        object.__setattr__(self, "in_adjacency", tuple(map(tuple, in_adj)))
         object.__setattr__(self, "_edges", edge_map)
-        object.__setattr__(self, "_pairs", tuple(sorted(edge_map)))
-        object.__setattr__(self, "_succ", {i: tuple(sorted(js)) for i, js in succ.items()})
-        object.__setattr__(self, "_pred", {j: tuple(sorted(tails)) for j, tails in pred.items()})
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -95,11 +118,17 @@ class Network:
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self._edges
 
+    def position(self, node: int) -> int:
+        """Index of ``node`` in ``node_order``; KeyError for other nodes."""
+        return self._position[node]
+
     def successors(self, node: int) -> Tuple[int, ...]:
-        return self._succ.get(node, ())
+        p = self._position.get(node)
+        return () if p is None else self._succ[p]
 
     def predecessors(self, node: int) -> Tuple[int, ...]:
-        return self._pred.get(node, ())
+        p = self._position.get(node)
+        return () if p is None else self._pred[p]
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes

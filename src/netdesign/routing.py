@@ -48,6 +48,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,10 +197,12 @@ class _PathSpace:
         net = instance.network
         self.limit = limit  # most paths per trip
         self.edge_pairs = net.edge_pairs
-        self.edge_index = {pair: k for k, pair in enumerate(self.edge_pairs)}
+        edges = net.edges
         self.demands = np.array([t.demand for t in instance.trips])
-        self.models = [net.edge(*pair).cost for pair in self.edge_pairs]
-        self.capacities = np.array([net.edge(*pair).capacity for pair in self.edge_pairs])
+        self.models = [e.cost for e in edges]
+        self.capacities = np.array([e.capacity for e in edges])
+        # node positions of each trip's source and sink
+        self.ends = [(net.position(t.source), net.position(t.sink)) for t in instance.trips]
         self.paths = []
         self._row = {}  # (trip index, node sequence) -> row
         self._groups = [[] for _ in instance.trips]
@@ -225,8 +228,14 @@ class _PathSpace:
             self._row_trip = np.array([p.trip_index for p in self.paths], dtype=np.intp)
         return self._row_trip
 
-    def add(self, m: int, nodes: Tuple[int, ...]) -> int:
-        """Row of trip ``m``'s path ``nodes``, appended when new."""
+    @cached_property
+    def edge_index(self) -> Dict[Tuple[int, int], int]:
+        """Edge id of each edge pair."""
+        return {pair: k for k, pair in enumerate(self.edge_pairs)}
+
+    def add(self, m: int, nodes: Tuple[int, ...], ids: Optional[Sequence[int]] = None) -> int:
+        """Row of trip ``m``'s path ``nodes``, appended when new; ``ids`` are
+        the path's edge ids, looked up from its pairs when not given."""
         row = self._row.get((m, nodes))
         if row is not None:
             return row
@@ -235,10 +244,10 @@ class _PathSpace:
         row = len(self.paths)
         if row == len(self._inc):
             self._inc = np.concatenate([self._inc, np.zeros_like(self._inc)])
-        path = Path(m, nodes)
-        for pair in path.edge_pairs:
-            self._inc[row, self.edge_index[pair]] = 1.0
-        self.paths.append(path)
+        if ids is None:
+            ids = [self.edge_index[pair] for pair in zip(nodes, nodes[1:])]
+        self._inc[row, ids] = 1.0
+        self.paths.append(Path(m, nodes))
         self._row[(m, nodes)] = row
         self._groups[m].append(row)
         self._trip_rows = None
@@ -262,13 +271,13 @@ class _PathSpace:
         if self._priced is not None and np.array_equal(self._priced[0], edge_costs):
             return self._priced[1]
         net = self.instance.network
-        costs = dict(zip(self.edge_pairs, edge_costs.tolist()))
+        costs = edge_costs.tolist()
         rows = []
-        for m, trip in enumerate(self.instance.trips):
-            nodes = shortest_path_nodes(net, costs, trip.source, trip.sink)
-            if nodes is None:
-                raise Unreachable(trip)
-            rows.append(self.add(m, nodes))
+        for m, (source, sink) in enumerate(self.ends):
+            found = _cheapest_path(net, costs, source, sink)
+            if found is None:
+                raise Unreachable(self.instance.trips[m])
+            rows.append(self.add(m, *found))
         rows = np.array(rows, dtype=np.intp)
         self._priced = (edge_costs.copy(), rows)
         return rows
@@ -463,6 +472,22 @@ def shortest_path_nodes(net: Network, edge_costs: Mapping[Tuple[int, int], float
                         source: int, sink: int) -> Optional[Tuple[int, ...]]:
     """Lexicographically smallest minimum-cost simple path, or None.
 
+    ``edge_costs`` must map every edge pair of ``net`` to its cost. An edge
+    of infinite cost is closed. The search runs on edge ids; see
+    ``_cheapest_path``.
+    """
+    if source not in net.nodes or sink not in net.nodes:
+        return None
+    found = _cheapest_path(net, [edge_costs[pair] for pair in net.edge_pairs],
+                           net.position(source), net.position(sink))
+    return None if found is None else found[0]
+
+
+def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int):
+    """Node sequence and edge ids of the lexicographically smallest
+    minimum-cost simple path from node position ``source`` to ``sink``, or
+    None; ``costs`` is indexed by edge id.
+
     One label-setting pass toward the sink gives each node its distance to
     the sink; an edge is tight when it lies on a shortest path. A
     depth-first walk over tight edges, lowest node id first and never back
@@ -472,50 +497,59 @@ def shortest_path_nodes(net: Network, edge_costs: Mapping[Tuple[int, int], float
     cycles, which the walk steps around. An edge of infinite cost is
     closed.
     """
-    dist_to = _distances_to(net, edge_costs, sink)
-    total = dist_to.get(source)
-    if total is None:
+    inf = math.inf
+    dist = _distances_to(net, costs, sink)
+    total = dist[source]
+    if total == inf:
         return None
     tol = 1e-12 * (1.0 + abs(total))
+    out_adj = net.out_adjacency
     nodes = [source]
+    ids = []
     on_path = {source}
-    branches = [iter(net.successors(source))]
+    branches = [iter(out_adj[source])]
     while branches:
-        current = nodes[-1]
-        here = dist_to[current]
-        for nxt in branches[-1]:  # successors are sorted: first hit is smallest id
-            if nxt in on_path or nxt not in dist_to:
+        here = dist[nodes[-1]]
+        for nxt, e in branches[-1]:  # ascending positions: first hit is smallest id
+            if nxt in on_path or dist[nxt] == inf:
                 continue
-            if abs(edge_costs[(current, nxt)] + dist_to[nxt] - here) <= tol:
+            if abs(costs[e] + dist[nxt] - here) <= tol:
                 break
         else:
             branches.pop()
             on_path.discard(nodes.pop())
+            if ids:
+                ids.pop()
             continue
         nodes.append(nxt)
+        ids.append(e)
         if nxt == sink:
-            return tuple(nodes)
+            order = net.node_order
+            return tuple(order[p] for p in nodes), ids
         on_path.add(nxt)
-        branches.append(iter(net.successors(nxt)))
+        branches.append(iter(out_adj[nxt]))
     return None
 
 
-def _distances_to(net: Network, edge_costs, root: int):
-    """Cost of the cheapest path from each node that reaches ``root``."""
-    dist = {root: 0.0}
-    done = set()
+def _distances_to(net: Network, costs: Sequence[float], root: int):
+    """Cost of the cheapest path from each node position to position
+    ``root``, indexed by position; inf where no path reaches it."""
+    dist = [math.inf] * len(net.node_order)
+    dist[root] = 0.0
+    done = [False] * len(dist)
     heap = [(0.0, root)]
+    in_adj = net.in_adjacency
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
-        for v in net.predecessors(u):
-            w = edge_costs[(v, u)]
+        done[u] = True
+        for v, e in in_adj[u]:
+            w = costs[e]
             if w < 0:
                 raise ValueError(f"negative edge cost {w}")
             nd = d + w
-            if nd < dist.get(v, math.inf):
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
@@ -574,16 +608,15 @@ def _incremental_load(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np
     x = np.zeros(len(space.paths))
     xe = np.zeros(len(space.edge_pairs))
     for _ in range(LOAD_PARTS):
-        for m, trip in enumerate(space.instance.trips):
+        for m, (source, sink) in enumerate(space.ends):
             part = space.demands[m] / LOAD_PARTS
             open_costs = np.where(xe + part < calc.bound, calc.derivatives(xe, kind)[0],
                                   math.inf)
-            nodes = shortest_path_nodes(net, dict(zip(space.edge_pairs, open_costs.tolist())),
-                                        trip.source, trip.sink)
-            if nodes is None:
+            found = _cheapest_path(net, open_costs.tolist(), source, sink)
+            if found is None:
                 raise CapacitySaturation(
                     "no interior starting flow: demand saturates a congestion-priced edge")
-            row = space.add(m, nodes)
+            row = space.add(m, *found)
             x = space.pad(x)
             x[row] += part
             xe = space.edge_flows(x)

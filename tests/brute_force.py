@@ -111,3 +111,59 @@ def mc_highs_value(instance):
                   bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def dict_shortest_path(net, edge_costs, source, sink):
+    """Reference for the id-based shortest-path search: the same Dijkstra
+    and tie walk over node ids, with costs read from a dict keyed by edge
+    pair and adjacency taken from ``net.edge_pairs``.
+
+    Returns the lexicographically smallest minimum-cost simple path (None
+    when the sink is unreachable) and the distance to ``sink`` of every
+    node that reaches it.
+    """
+    import heapq
+    import math
+
+    succ, pred = {}, {}
+    for i, j in net.edge_pairs:
+        succ.setdefault(i, []).append(j)
+        pred.setdefault(j, []).append(i)
+    dist_to = {sink: 0.0}
+    done = set()
+    heap = [(0.0, sink)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v in sorted(pred.get(u, ())):
+            nd = d + edge_costs[(v, u)]
+            if nd < dist_to.get(v, math.inf):
+                dist_to[v] = nd
+                heapq.heappush(heap, (nd, v))
+    total = dist_to.get(source)
+    if total is None:
+        return None, dist_to
+    tol = 1e-12 * (1.0 + abs(total))
+    nodes = [source]
+    on_path = {source}
+    branches = [iter(sorted(succ.get(source, ())))]
+    while branches:
+        current = nodes[-1]
+        here = dist_to[current]
+        for nxt in branches[-1]:
+            if nxt in on_path or nxt not in dist_to:
+                continue
+            if abs(edge_costs[(current, nxt)] + dist_to[nxt] - here) <= tol:
+                break
+        else:
+            branches.pop()
+            on_path.discard(nodes.pop())
+            continue
+        nodes.append(nxt)
+        if nxt == sink:
+            return tuple(nodes), dist_to
+        on_path.add(nxt)
+        branches.append(iter(sorted(succ.get(nxt, ()))))
+    return None, dist_to

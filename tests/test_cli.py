@@ -161,6 +161,22 @@ def test_design_document_check(tmp_path):
     assert code == 0
 
 
+def test_design_document_solve_routes_the_full_union(tmp_path):
+    # only solve builds the union of all members; lambda and check do not
+    from netdesign.design import candidate_set_to_json
+
+    cs = materialize("counterexample", {"costing": "mc"}).candidate_set
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(candidate_set_to_json(cs)))
+    assert run(["solve", "--network", str(path), "--routing", "mc",
+                "--out", str(tmp_path / "solve.json")]) == 0
+    assert run(["lambda", "--network", str(path), "--routing", "mc", "--subset", "0,1",
+                "--out", str(tmp_path / "lambda.json")]) == 0
+    solved = json.loads((tmp_path / "solve.json").read_text())["results"]["total_cost"]
+    full = json.loads((tmp_path / "lambda.json").read_text())["results"]["value"]
+    assert solved == full == pytest.approx(5.0)
+
+
 def test_instance_only_command_needs_candidates(tmp_path, pigou):
     doc = instance_to_json(pigou.instance.network, pigou.instance.trips)
     path = tmp_path / "pigou.json"

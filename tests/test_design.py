@@ -24,6 +24,7 @@ from netdesign.design import (
     parallel_uniform_value,
 )
 from netdesign.errors import BadParams, DomainError
+from netdesign.network import graph_union
 from netdesign.routing import solve_so
 from netdesign.scenarios import materialize, random_parallel_family
 
@@ -56,26 +57,28 @@ def parallel_mc_set(spanning_cost, candidate_costs, demand, capacity=10.0):
                         candidates=candidates, declared_class=DOUBLE_PRIME)
 
 
-def crossing_set(routing):
+def crossing_set(routing, ids=tuple(range(8))):
     """Trip 0 -> 3 with demand 3 over a tree 0-1-3 and three candidates:
     0-4-5-3, 0-6-4-7-3 and 0-4-7-3. Candidate 2's edges lie in candidates
     0 and 1, so subsets {0, 1} and {0, 1, 2} have one union graph; the
     other six subsets have six more. Costs are constant for mc, with
-    capacity 2 off the tree, and affine for so and ue."""
+    capacity 2 off the tree, and affine for so and ue. Node k is given
+    the id ``ids[k]``."""
     from netdesign.network import Edge, Network, TemplateGraph, Trip
     from netdesign.network import validate_trip_path_graph, validate_trip_spanning_tree
 
-    trip = Trip(0, 3, 3.0)
+    trip = Trip(ids[0], ids[3], 3.0)
     times = {(0, 1): 5.0, (1, 3): 5.0, (0, 4): 1.0, (4, 5): 2.0, (5, 3): 2.0,
              (0, 6): 1.0, (6, 4): 1.0, (4, 7): 1.5, (7, 3): 1.0}
     if routing == "mc":
-        edges = [Edge(i, j, Constant(t), 3.0 if (i, j) in ((0, 1), (1, 3)) else 2.0)
+        edges = [Edge(ids[i], ids[j], Constant(t), 3.0 if (i, j) in ((0, 1), (1, 3)) else 2.0)
                  for (i, j), t in times.items()]
     else:
-        edges = [Edge(i, j, Affine(t, 0.5 * t)) for (i, j), t in times.items()]
-    tem = Network(range(8), edges)
+        edges = [Edge(ids[i], ids[j], Affine(t, 0.5 * t)) for (i, j), t in times.items()]
+    tem = Network(ids, edges)
 
     def member(nodes):
+        nodes = [ids[k] for k in nodes]
         return Network(nodes, [tem.edge(i, j) for i, j in zip(nodes, nodes[1:])])
 
     tree = validate_trip_spanning_tree(member((0, 1, 3)), (trip,))
@@ -150,6 +153,30 @@ def test_equal_union_graphs_share_one_solve(routing, monkeypatch):
     solved.clear()
     assert greedy_designer(routing, cs, budget=3).evaluations == cold
     assert len(solved) == len(graphs)
+
+
+@pytest.mark.parametrize("routing", ["mc", "so", "ue"])
+def test_union_graphs_keyed_on_sparse_node_ids(routing, monkeypatch):
+    # ids far apart and out of node order: the union-graph key is built
+    # from template positions and edge ids, and a network only per solve
+    cs = crossing_set(routing, ids=(1000, 7, 0, 42, 3, 999, 12, 500))
+    masks = range(1 << len(cs.candidates))
+    graphs = {cs.subset_network(bitmask_subset(m)) for m in masks}
+    assert len(graphs) == 7
+    cold = tuple(lambda_eval(routing, DesignState.create(cs, bitmask_subset(m)))
+                 for m in masks)
+    unions = []
+
+    def counting(base, additions):
+        unions.append(len(additions))
+        return graph_union(base, additions)
+
+    monkeypatch.setattr(design, "graph_union", counting)
+    evaluator = LambdaEvaluator(cs)
+    evaluator.ensure(routing, masks)
+    assert len(unions) == evaluator.misses == len(graphs)
+    assert evaluator.evaluations(routing) == cold
+    assert evaluator.values(routing) == {ev.bitmask: ev.value for ev in cold}
 
 
 def test_so_never_above_ue(counterexample_gs):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdesign.costs import (
@@ -48,7 +48,12 @@ from netdesign.routing import (
     _line_search,
     _PathSpace,
 )
-from brute_force import assert_assignment_feasible, mc_grid_oracle, mc_highs_value
+from brute_force import (
+    assert_assignment_feasible,
+    dict_shortest_path,
+    mc_grid_oracle,
+    mc_highs_value,
+)
 
 C1 = Constant(1.0)
 
@@ -314,6 +319,51 @@ def test_shortest_path_prefers_cheaper():
     nodes = shortest_path_nodes(net, {(0, 1): 5.0, (1, 3): 5.0,
                                       (0, 2): 1.0, (2, 3): 1.0}, 0, 3)
     assert nodes == (0, 2, 3)
+
+
+# node ids far apart and out of step with their positions; costs with
+# exact ties, rounding near-ties (0.1 + 0.2 against 0.3), zero-cost cycles
+# and closed edges
+_SPARSE_IDS = (0, 1, 2, 7, 13, 1000)
+_TIE_COSTS = (0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 2.0, math.inf)
+
+
+@st.composite
+def _priced_network(draw):
+    nodes = draw(st.lists(st.sampled_from(_SPARSE_IDS), min_size=2, max_size=6, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                          .filter(lambda p: p[0] != p[1]), unique=True, max_size=20))
+    costs = {pair: draw(st.sampled_from(_TIE_COSTS)) for pair in pairs}
+    source, sink = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    return Network(nodes, [Edge(i, j, C1) for i, j in pairs]), costs, source, sink
+
+
+def _fixed_case(costs, source, sink):
+    return net_of([(i, j, C1, math.inf) for i, j in costs]), costs, source, sink
+
+
+@settings(max_examples=200, deadline=None)
+@given(_priced_network())
+# 0.1 + 0.2 misses 0.3 in the last bit: the walk takes 0-7-1000 only
+# because it compares within a tolerance
+@example(_fixed_case({(0, 7): 0.1, (7, 1000): 0.2, (0, 1000): 0.3}, 0, 1000))
+# the free cycle 0-7-0 is tight, so the walk enters 7 and backs up
+@example(_fixed_case({(0, 7): 0.0, (7, 0): 0.0, (0, 1000): 1.0}, 0, 1000))
+def test_id_search_matches_dict_search(case):
+    net, costs, source, sink = case
+    expected, expected_dist = dict_shortest_path(net, costs, source, sink)
+    assert shortest_path_nodes(net, costs, source, sink) == expected
+    by_id = [costs[pair] for pair in net.edge_pairs]
+    found = routing._cheapest_path(net, by_id, net.position(source), net.position(sink))
+    if expected is None:
+        assert found is None
+    else:
+        nodes, ids = found
+        assert nodes == expected
+        assert [net.edge_pairs[k] for k in ids] == list(zip(nodes, nodes[1:]))
+    dist = routing._distances_to(net, by_id, net.position(sink))
+    reached = {net.node_order[p]: d.hex() for p, d in enumerate(dist) if d != math.inf}
+    assert reached == {v: d.hex() for v, d in expected_dist.items()}
 
 
 def test_shortest_path_steps_around_zero_cost_cycles():
