@@ -405,6 +405,15 @@ def default_tolerance(routing: str, evaluator: LambdaEvaluator, n_values: int) -
                            for ev in evaluator.evaluations(routing)), default=0.0)
 
 
+def _validate_check_options(mode: str, trials: int, tol: Optional[float]) -> None:
+    """BadParams unless sampled mode draws at least one trial and an
+    explicit tolerance is finite and nonnegative."""
+    if mode == "sampled" and trials < 1:
+        raise BadParams(f"sampled mode needs at least 1 trial, got {trials}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise BadParams(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = None,
                        mode: str = "exhaustive", seed: int = 0, trials: int = 200,
                        cfg: SolverConfig = SolverConfig()) -> PropertyReport:
@@ -414,6 +423,7 @@ def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = No
     ``trials`` seeded pairs. Violating pairs are returned as witnesses with
     both values and the (positive) excess margin.
     """
+    _validate_check_options(mode, trials, tol)
     n = len(cs.candidates)
     evaluator = LambdaEvaluator(cs, cfg)
     if mode == "exhaustive":
@@ -464,6 +474,7 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
     Witnesses carry both margin sides; a negative margin quantifies the
     violation.
     """
+    _validate_check_options(mode, trials, tol)
     n = len(cs.candidates)
     evaluator = LambdaEvaluator(cs, cfg)
     triples = []

@@ -131,6 +131,10 @@ class SolverConfig:
         if not (self.relative_gap_tol > 0 and self.max_iterations > 0
                 and self.capacity_margin > 0 and self.path_limit > 0):
             raise ValueError("solver configuration values must be positive")
+        if not math.isfinite(self.relative_gap_tol):
+            raise ValueError("relative_gap_tol must be finite")
+        if not self.capacity_margin < 1:
+            raise ValueError("capacity_margin must be below 1")
 
 
 @dataclass(frozen=True)
@@ -199,16 +203,18 @@ class _PathSpace:
         self.edge_pairs = net.edge_pairs
         edges = net.edges
         self.demands = np.array([t.demand for t in instance.trips])
+        self.demand_list = self.demands.tolist()
         self.models = [e.cost for e in edges]
         self.capacities = np.array([e.capacity for e in edges])
         # node positions of each trip's source and sink
         self.ends = [(net.position(t.source), net.position(t.sink)) for t in instance.trips]
         self.paths = []
+        self.trip_of = []  # trip index of each row
         self._row = {}  # (trip index, node sequence) -> row
-        self._groups = [[] for _ in instance.trips]
+        self.groups = [[] for _ in instance.trips]  # rows of each trip
         self._trip_rows = None
         self._row_trip = None
-        self._priced = None  # (edge costs, rows) of the last pricing
+        self._priced = None  # (edge cost list, rows) of the last pricing
         self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
 
     @property
@@ -218,15 +224,20 @@ class _PathSpace:
     @property
     def trip_rows(self) -> Tuple[np.ndarray, ...]:
         if self._trip_rows is None:
-            self._trip_rows = tuple(np.array(g, dtype=np.intp) for g in self._groups)
+            self._trip_rows = tuple(np.array(g, dtype=np.intp) for g in self.groups)
         return self._trip_rows
 
     @property
     def row_trip(self) -> np.ndarray:
         """Trip index of each row."""
         if self._row_trip is None:
-            self._row_trip = np.array([p.trip_index for p in self.paths], dtype=np.intp)
+            self._row_trip = np.array(self.trip_of, dtype=np.intp)
         return self._row_trip
+
+    @cached_property
+    def trip_eye(self) -> np.ndarray:
+        """Identity over the trips; its row ``m`` is trip ``m``'s one-hot row."""
+        return np.eye(len(self.ends))
 
     @cached_property
     def edge_index(self) -> Dict[Tuple[int, int], int]:
@@ -239,7 +250,7 @@ class _PathSpace:
         row = self._row.get((m, nodes))
         if row is not None:
             return row
-        if len(self._groups[m]) >= self.limit:
+        if len(self.groups[m]) >= self.limit:
             raise PathLimitExceeded(self.limit, self.instance.trips[m])
         row = len(self.paths)
         if row == len(self._inc):
@@ -248,8 +259,9 @@ class _PathSpace:
             ids = [self.edge_index[pair] for pair in zip(nodes, nodes[1:])]
         self._inc[row, ids] = 1.0
         self.paths.append(Path(m, nodes))
+        self.trip_of.append(m)
         self._row[(m, nodes)] = row
-        self._groups[m].append(row)
+        self.groups[m].append(row)
         self._trip_rows = None
         self._row_trip = None
         return row
@@ -268,10 +280,10 @@ class _PathSpace:
         Pricing the same costs as the previous call returns its rows without
         a search: a solve's last gap test and its certificate price one point.
         """
-        if self._priced is not None and np.array_equal(self._priced[0], edge_costs):
+        costs = edge_costs.tolist()
+        if self._priced is not None and self._priced[0] == costs:
             return self._priced[1]
         net = self.instance.network
-        costs = edge_costs.tolist()
         rows = []
         for m, (source, sink) in enumerate(self.ends):
             found = _cheapest_path(net, costs, source, sink)
@@ -279,7 +291,7 @@ class _PathSpace:
                 raise Unreachable(self.instance.trips[m])
             rows.append(self.add(m, *found))
         rows = np.array(rows, dtype=np.intp)
-        self._priced = (edge_costs.copy(), rows)
+        self._priced = (costs, rows)
         return rows
 
     def pad(self, x: np.ndarray) -> np.ndarray:
@@ -290,18 +302,20 @@ class _PathSpace:
     def edge_flows(self, x: np.ndarray) -> np.ndarray:
         return self._inc[:len(x)].T @ x
 
+    def trip_totals(self, x: np.ndarray) -> list:
+        """Each trip's total flow under the padded flows ``x``."""
+        return [float(x[rows].sum()) for rows in self.trip_rows]
+
     def assignment(self, x: np.ndarray) -> FlowAssignment:
         x = self.pad(x)
-        xe = self.edge_flows(x)
-        order = [r for group in self._groups
+        flows = x.tolist()
+        order = [r for group in self.groups
                  for r in sorted(group, key=lambda r: self.paths[r].nodes)]
-        trip_totals = tuple(_num(float(np.sum(x[rows]))) for rows in self.trip_rows)
         return FlowAssignment(
             paths=tuple(self.paths[r] for r in order),
-            flows=tuple(_num(v) for v in x[order]),
-            edge_flows=tuple((pair, _num(float(xe[k])))
-                             for k, pair in enumerate(self.edge_pairs)),
-            trip_totals=trip_totals,
+            flows=tuple(_num(flows[r]) for r in order),
+            edge_flows=tuple(zip(self.edge_pairs, map(_num, self.edge_flows(x).tolist()))),
+            trip_totals=tuple(map(_num, self.trip_totals(x))),
         )
 
 
@@ -396,40 +410,50 @@ class _EdgeCalculator:
         g_coef = self.b_c0 * self.b_alpha * (beta + 1.0) ** lb / self.b_u ** beta
         return slope, green, (g_coef, beta * g_coef)
 
-    def derivatives(self, x, kind):
-        """Edge gradient and curvature of the ``kind`` objective at edge flows ``x``."""
+    def _forms_of(self, kind):
         forms = self._forms.get(kind)
         if forms is None:
             forms = self._forms[kind] = self._level_forms(self.ue_level + (kind == SO))
-        return self._evaluate(x, forms)
+        return forms
 
-    def _evaluate(self, x, forms):
+    def derivatives(self, x, kind):
+        """Edge gradient and curvature of the ``kind`` objective at edge flows ``x``."""
+        return self._evaluate(x, self._forms_of(kind), True)
+
+    def gradient(self, x, kind):
+        """Edge gradient of the ``kind`` objective at edge flows ``x``."""
+        return self._evaluate(x, self._forms_of(kind), False)[0]
+
+    def _evaluate(self, x, forms, with_curvature):
         slope, (power, g_a, g_b, k_c, k_d), (b_g, b_k) = forms
         grad = np.empty(self.n)
-        curv = np.zeros(self.n)
+        curv = np.zeros(self.n) if with_curvature else None
         grad[self.ic] = self.c_c
         a = self.ia
         if a.size:
             grad[a] = self.a_a + slope * x[a]
-            curv[a] = slope
+            if with_curvature:
+                curv[a] = slope
         g = self.ig
         if g.size:
             q = 1.0 - x[g] / self.g_u
             r = 1.0 / q
             p = r ** power
             grad[g] = p * (g_a - g_b * q)
-            curv[g] = p * r * (k_c - k_d * q)
+            if with_curvature:
+                curv[g] = p * r * (k_c - k_d * q)
         b = self.ib
         if b.size:
             xb = x[b]
             w = xb ** self.b_pow  # x^(beta-1); 0**0 is 1, so beta = 1 needs no guard
             grad[b] = self.b_c0 + b_g * (xb * w)
-            curv[b] = b_k * w
+            if with_curvature:
+                curv[b] = b_k * w
         return grad, curv
 
     def value(self, x):
         """Effective edge travel time (marginal of the base where wrapped)."""
-        return self.derivatives(x, UE)[0]
+        return self.gradient(x, UE)
 
     def integral(self, x):
         out = np.zeros(self.n)
@@ -445,14 +469,14 @@ class _EdgeCalculator:
         if m.size:
             # the integral of c + t*c' is exactly x*c(x)
             base = self._level_forms(np.zeros(self.n))
-            out[m] = x[m] * self._evaluate(x, base)[0][m]
+            out[m] = x[m] * self._evaluate(x, base, False)[0][m]
         return out
 
 
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
     if kind == UE:
-        return float(np.sum(calc.integral(xe)))
-    return float(np.sum(xe * calc.value(xe)))
+        return float(calc.integral(xe).sum())
+    return float((xe * calc.value(xe)).sum())
 
 
 def total_cost_under(network: Network, edge_flows: Mapping[Tuple[int, int], float]) -> float:
@@ -592,7 +616,7 @@ LINE_SEARCH_TOL = 1e-12
 def _initial_point(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np.ndarray:
     """All-or-nothing flows under zero-flow costs, or incremental loading
     when those reach a flow bound."""
-    best = space.price(calc.derivatives(np.zeros(len(space.edge_pairs)), kind)[0])
+    best = space.price(calc.gradient(np.zeros(len(space.edge_pairs)), kind))
     x = np.zeros(len(space.paths))
     x[best] = space.demands
     if np.any(space.edge_flows(x) >= calc.bound):
@@ -610,7 +634,7 @@ def _incremental_load(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np
     for _ in range(LOAD_PARTS):
         for m, (source, sink) in enumerate(space.ends):
             part = space.demands[m] / LOAD_PARTS
-            open_costs = np.where(xe + part < calc.bound, calc.derivatives(xe, kind)[0],
+            open_costs = np.where(xe + part < calc.bound, calc.gradient(xe, kind),
                                   math.inf)
             found = _cheapest_path(net, open_costs.tolist(), source, sink)
             if found is None:
@@ -668,43 +692,98 @@ def _line_search(calc: _EdgeCalculator, xe: np.ndarray, de: np.ndarray, kind: st
     return 0.5 * (lo + hi)
 
 
+def _newton_step(space: _PathSpace, x: np.ndarray, xe: np.ndarray, g: np.ndarray,
+                 curv_e: np.ndarray, best: np.ndarray, g_best: np.ndarray,
+                 margin: np.ndarray, bounded: np.ndarray):
+    """One Newton step from path flows ``x``: its support rows, their
+    flows, their flow changes, the edge flow changes and the step length.
+
+    The support is the used paths plus each trip's priced path ``best``
+    (path gradient ``g_best``) when it is strictly cheaper than all of the
+    trip's used paths. The length is the longest, up to 1, that keeps path
+    flows nonnegative and the ``bounded`` edges within ``margin``. Returns
+    None when the Newton system cannot be solved or an edge already at its
+    margin blocks the step.
+
+    Bookkeeping runs on Python floats in loops over the trips and the
+    support; comparisons, min and a single rounded operation give the same
+    bits there as in numpy, while sums and products stay in numpy.
+    """
+    trip_of = space.trip_of
+    support = x > 0.0
+    flat = support.nonzero()[0]
+    low = [math.inf] * len(space.ends)
+    for r, v in zip(flat.tolist(), g[flat].tolist()):
+        if v < low[trip_of[r]]:
+            low[trip_of[r]] = v
+    joining = [r for r, v, lo in zip(best.tolist(), g_best.tolist(), low)
+               if v < lo - 1e-10 * abs(lo)]
+    if joining:
+        support[joining] = True
+        flat = support.nonzero()[0]
+    direction = _newton_direction(space, x, g, curv_e, flat)
+    if direction is None:
+        return None
+    flat, x_sub, dx, de, t = direction
+    up = (de > 0.0) & bounded
+    room = np.divide(margin - xe, de, out=np.full(len(de), math.inf), where=up)
+    t = min(t, float(room.min()))
+    if t <= 0.0:  # an edge already at its capacity margin blocks the step
+        return None
+    return flat, x_sub, dx, de, t
+
+
 def _newton_direction(space: _PathSpace, x: np.ndarray, g: np.ndarray,
-                      curv_e: np.ndarray, support: np.ndarray):
-    """Newton step on the KKT system of the paths in ``support``.
+                      curv_e: np.ndarray, flat: np.ndarray):
+    """Newton step on the KKT system of the support rows ``flat`` (ascending).
 
     The step equalises the path gradients ``g`` within each trip and keeps
     each trip's demand. A path at zero flow that the step would make
     negative leaves the support, and the step is taken again without it.
-    Returns the support rows, their flow changes and the edge flow changes,
-    or None when the system cannot be solved.
+    Returns the support rows, their flows and flow changes (lists), the
+    edge flow changes, and the longest step length up to 1 that keeps the
+    path flows nonnegative; None when the system cannot be solved.
     """
-    n_trips = len(space.demands)
+    n_trips = len(space.ends)
+    x_sub = x[flat].tolist()
     while True:
-        flat = np.flatnonzero(support)
-        trip_of = space.row_trip[flat]
         k = len(flat)
+        trips = space.row_trip[flat]
         a_sub = space.incidence[flat]
         g_sub = g[flat]
-        lam = (np.bincount(trip_of, weights=g_sub, minlength=n_trips)
-               / np.bincount(trip_of, minlength=n_trips))
+        lam = (np.bincount(trips, weights=g_sub, minlength=n_trips)
+               / np.bincount(trips, minlength=n_trips))
         # the step keeps each trip's total; the multiplier estimate lam only
         # keeps the right-hand side small near the solution
-        rhs = np.concatenate([lam[trip_of] - g_sub, np.zeros(n_trips)])
+        rhs = np.concatenate([lam[trips] - g_sub, np.zeros(n_trips)])
+        one_hot = space.trip_eye[trips]
         kkt = np.zeros((k + n_trips, k + n_trips))
         kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
-        kkt[np.arange(k), k + trip_of] = -1.0
-        kkt[k + trip_of, np.arange(k)] = 1.0
+        kkt[:k, k:] -= one_hot
+        kkt[k:, :k] = one_hot.T
         step = _solve_kkt(kkt, rhs, a_sub)
         if step is None:
             return None
-        blocked = (x[flat] == 0.0) & (step[0] < 0.0)
-        if not blocked.any():
-            return (flat, *step)
-        support[flat[blocked]] = False
+        dx, de = step
+        # one pass: blocked paths, and the nonnegativity limit on the others
+        t = 1.0
+        keep = []
+        for i, (v, d) in enumerate(zip(x_sub, dx)):
+            if d < 0.0:
+                if v == 0.0:
+                    continue
+                if v / -d < t:
+                    t = v / -d
+            keep.append(i)
+        if len(keep) == k:
+            return flat, x_sub, dx, de, t
+        flat = flat[keep]
+        x_sub = [x_sub[i] for i in keep]
 
 
 def _solve_kkt(kkt, rhs, a_sub):
-    """Path and edge flow changes of the Newton system, by LU solve.
+    """Path flow changes (a list) and edge flow changes of the Newton
+    system, by LU solve.
 
     Least squares, the minimum-norm step, replaces LU when LU fails and
     when the paths in ``a_sub`` are linearly dependent: their Hessian block
@@ -715,15 +794,17 @@ def _solve_kkt(kkt, rhs, a_sub):
     try:
         dx = np.linalg.solve(kkt, rhs)[:k]
         de = a_sub.T @ dx
-        if np.isfinite(dx).all() and np.abs(dx).max() <= 1e6 * np.abs(de).max():
-            return dx, de
+        dxl = dx.tolist()
+        if (all(map(math.isfinite, dxl))
+                and max(map(abs, dxl)) <= 1e6 * float(np.abs(de).max())):
+            return dxl, de
     except np.linalg.LinAlgError:
         pass
     try:
         dx = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
     except np.linalg.LinAlgError:
         return None
-    return dx, a_sub.T @ dx
+    return dx.tolist(), a_sub.T @ dx
 
 
 def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
@@ -742,7 +823,6 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     space = _PathSpace(instance, cfg.path_limit)
     calc = _EdgeCalculator(space.models)
     demands = space.demands
-    n_trips = len(demands)
     margin = calc.bound * (1.0 - cfg.capacity_margin)
     bounded = np.isfinite(calc.bound)
     x = _initial_point(space, calc, kind)
@@ -755,48 +835,40 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
         best = space.price(grad_e)
         x = space.pad(x)
         g = space.incidence @ grad_e
-        best_lb = max(best_lb, f - float(x @ g - demands @ g[best]))
+        g_best = g[best]
+        best_lb = max(best_lb, f - float(x @ g - demands @ g_best))
         rel_gap = max(0.0, (f - best_lb) / abs(f)) if f != 0.0 else 0.0
         if rel_gap <= cfg.relative_gap_tol:
             return space, calc, x, kind, iterations, rel_gap
         if iterations == cfg.max_iterations:
             raise NotConverged(iterations, rel_gap)
         iterations += 1
-        # bring in each trip's priced path when it beats the used ones strictly
-        support = x > 0.0
-        row_trip = space.row_trip
-        used_low = np.full(n_trips, math.inf)
-        np.minimum.at(used_low, row_trip[support], g[support])
-        support[best[g[best] < used_low - 1e-10 * np.abs(used_low)]] = True
-        newton = _newton_direction(space, x, g, curv_e, support)
-        if newton is None:
+        step = _newton_step(space, x, xe, g, curv_e, best, g_best, margin, bounded)
+        if step is None:
             raise NotConverged(iterations, rel_gap)
-        flat, dx, de = newton
-        t = 1.0
-        neg = dx < 0.0
-        if neg.any():
-            t = min(t, float(np.min(x[flat][neg] / -dx[neg])))
-        up = (de > 0.0) & bounded
-        if up.any():
-            t = min(t, float(np.min((margin[up] - xe[up]) / de[up])))
-        if t <= 0.0:  # an edge already at its capacity margin blocks the step
-            raise NotConverged(iterations, rel_gap)
-        step = _take_step(space, calc, x, flat, dx, t, kind)
-        if not step[2] < f:
+        flat, x_sub, dx, de, t = step
+        trial = _take_step(space, calc, x, flat, x_sub, dx, t, kind)
+        if not trial[2] < f:
             t = _line_search(calc, xe, de, kind, t, grad_e, curv_e)
             if t is None:
                 raise NotConverged(iterations, rel_gap)
-            step = _take_step(space, calc, x, flat, dx, t, kind)
-        x, xe, f = step
+            trial = _take_step(space, calc, x, flat, x_sub, dx, t, kind)
+        x, xe, f = trial
 
 
-def _take_step(space, calc, x, flat, dx, t, kind):
-    """Flows after a step of length t, with paths that reach zero dropped,
-    plus their edge flows and objective."""
+def _take_step(space, calc, x, flat, x_sub, dx, t, kind):
+    """Flows after a step of length t that moves the support rows ``flat``
+    (flows ``x_sub``) by ``dx``, with paths that reach zero dropped, plus
+    their edge flows and objective."""
+    demands = space.demand_list
+    trip_of = space.trip_of
+    moved = []
+    for r, v, d in zip(flat.tolist(), x_sub, dx):
+        v += t * d
+        # the path that limits the step keeps only a rounding residue
+        moved.append(0.0 if v <= 1e-14 * demands[trip_of[r]] else v)
     x = x.copy()
-    x[flat] += t * dx
-    # the path that limits the step keeps only a rounding residue
-    x[x <= 1e-14 * space.demands[space.row_trip]] = 0.0
+    x[flat] = moved
     xe = space.edge_flows(x)
     return x, xe, _objective(calc, xe, kind)
 
@@ -804,12 +876,13 @@ def _take_step(space, calc, x, flat, dx, t, kind):
 def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
                         kind: str, iterations: int, rel_gap: float) -> SolveResult:
     xe = space.edge_flows(x)
-    certificate = _certificate(space, x, calc.derivatives(xe, kind)[0], kind)
+    edge_values = calc.gradient(xe, kind)
+    certificate = _certificate(space, x, edge_values, kind)
     # The certificate priced every trip (on travel times for ue), so the set
     # holds each trip's shortest path and the ue minimum below is over all
     # simple paths.
-    times = calc.value(xe)
-    return _result(kind, space, x, space.incidence @ times, float(np.sum(xe * times)),
+    times = edge_values if kind == UE else calc.value(xe)
+    return _result(kind, space, x, space.incidence @ times, float((xe * times).sum()),
                    iterations, rel_gap, certificate)
 
 
@@ -818,13 +891,16 @@ def _result(kind: str, space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
             certificate: OptimalityCertificate, duals: Optional[MCDuals] = None) -> SolveResult:
     """The solve result of path flows ``x``, whose paths cost ``path_costs``."""
     x = space.pad(x)
+    flows = x.tolist()
+    costs = path_costs.tolist()
     per_trip_cost = []
     per_trip_range = []
-    for m, rows in enumerate(space.trip_rows):
-        used = path_costs[rows[x[rows] > USED_FLOW_FRACTION * space.demands[m]]]
-        low = _num(float(np.min(used)))
-        per_trip_range.append((low, _num(float(np.max(used)))))
-        per_trip_cost.append(_num(float(np.min(path_costs[rows]))) if kind == UE else low)
+    for rows, demand in zip(space.groups, space.demand_list):
+        threshold = USED_FLOW_FRACTION * demand
+        used = [costs[r] for r in rows if flows[r] > threshold]
+        low = _num(min(used))
+        per_trip_range.append((low, _num(max(used))))
+        per_trip_cost.append(_num(min(costs[r] for r in rows)) if kind == UE else low)
     return SolveResult(
         routing=kind,
         assignment=space.assignment(x),
@@ -854,21 +930,20 @@ def _certificate(space: _PathSpace, x: np.ndarray, edge_values: np.ndarray, kind
     """
     space.price(edge_values)
     x = space.pad(x)
-    values = space.incidence @ edge_values
+    flows = x.tolist()
+    values = (space.incidence @ edge_values).tolist()
     spreads = []
     tol = 0.0
     checks = []  # (violation, tolerance)
-    for m, rows in enumerate(space.trip_rows):
-        demand = space.demands[m]
-        used = rows[x[rows] > USED_FLOW_FRACTION * demand]
-        v_min = float(np.min(values[rows]))
-        spread = float(np.max(values[used], initial=v_min)) - v_min
+    for rows, demand, total in zip(space.groups, space.demand_list, space.trip_totals(x)):
+        threshold = USED_FLOW_FRACTION * demand
+        v_min = min(values[r] for r in rows)
+        spread = max([values[r] for r in rows if flows[r] > threshold], default=v_min) - v_min
         spreads.append(_num(spread))
         trip_tol = CERTIFICATE_RTOL * (1.0 + abs(v_min))
         tol = max(tol, trip_tol)
         checks.append((spread, trip_tol))
-        checks.append((abs(float(np.sum(x[rows])) - demand),
-                       CERTIFICATE_RTOL * (1.0 + demand)))
+        checks.append((abs(total - demand), CERTIFICATE_RTOL * (1.0 + demand)))
     if prices is not None:
         xe = space.edge_flows(x)
         caps = space.capacities
@@ -1029,7 +1104,7 @@ def verify_certificate(instance: Instance, result: SolveResult,
         edge_values = _constant_edge_costs(instance.network) + prices
         return _certificate(space, x, edge_values, MC, prices)
     calc = _EdgeCalculator(space.models)
-    return _certificate(space, x, calc.derivatives(space.edge_flows(x), kind)[0], kind)
+    return _certificate(space, x, calc.gradient(space.edge_flows(x), kind), kind)
 
 
 def _is_trip_path(instance: Instance, path: Path) -> bool:

@@ -167,3 +167,82 @@ def dict_shortest_path(net, edge_costs, source, sink):
         on_path.add(nxt)
         branches.append(iter(sorted(succ.get(nxt, ()))))
     return None, dist_to
+
+
+def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
+    """Reference for the solver's Newton step: the support selection, the
+    Newton direction with its blocked-path loop, the least-squares
+    fallback and both step-length limits, written with whole-array numpy
+    operations.
+
+    Returns the support rows, the path and edge flow changes and the step
+    length, or None when the system cannot be solved or the step length is
+    not positive.
+    """
+    import math
+
+    import numpy as np
+
+    n_trips = len(space.demands)
+    support = x > 0.0
+    row_trip = space.row_trip
+    used_low = np.full(n_trips, math.inf)
+    np.minimum.at(used_low, row_trip[support], g[support])
+    support[best[g[best] < used_low - 1e-10 * np.abs(used_low)]] = True
+
+    def solve_kkt(kkt, rhs, a_sub):
+        k = len(a_sub)
+        try:
+            dx = np.linalg.solve(kkt, rhs)[:k]
+            de = a_sub.T @ dx
+            if np.isfinite(dx).all() and np.abs(dx).max() <= 1e6 * np.abs(de).max():
+                return dx, de
+        except np.linalg.LinAlgError:
+            pass
+        try:
+            dx = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        except np.linalg.LinAlgError:
+            return None
+        return dx, a_sub.T @ dx
+
+    while True:
+        flat = np.flatnonzero(support)
+        trip_of = space.row_trip[flat]
+        k = len(flat)
+        a_sub = space.incidence[flat]
+        g_sub = g[flat]
+        lam = (np.bincount(trip_of, weights=g_sub, minlength=n_trips)
+               / np.bincount(trip_of, minlength=n_trips))
+        rhs = np.concatenate([lam[trip_of] - g_sub, np.zeros(n_trips)])
+        kkt = np.zeros((k + n_trips, k + n_trips))
+        kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
+        kkt[np.arange(k), k + trip_of] = -1.0
+        kkt[k + trip_of, np.arange(k)] = 1.0
+        step = solve_kkt(kkt, rhs, a_sub)
+        if step is None:
+            return None
+        blocked = (x[flat] == 0.0) & (step[0] < 0.0)
+        if not blocked.any():
+            break
+        support[flat[blocked]] = False
+    dx, de = step
+    t = 1.0
+    neg = dx < 0.0
+    if neg.any():
+        t = min(t, float(np.min(x[flat][neg] / -dx[neg])))
+    up = (de > 0.0) & bounded
+    if up.any():
+        t = min(t, float(np.min((margin[up] - xe[up]) / de[up])))
+    if t <= 0.0:
+        return None
+    return flat, dx, de, t
+
+
+def dense_step_flows(space, x, flat, dx, t):
+    """Reference for the flows after a step: ``x`` moved by ``t * dx`` on
+    the rows ``flat``, with every flow at or below a rounding residue of
+    its trip's demand set to zero."""
+    x = x.copy()
+    x[flat] += t * dx
+    x[x <= 1e-14 * space.demands[space.row_trip]] = 0.0
+    return x

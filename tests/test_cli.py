@@ -12,12 +12,21 @@ def run(argv):
     return main(argv)
 
 
+def _no_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def read_report(path):
+    """A report parsed by a strict JSON reader: NaN and Infinity are errors."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def test_solve_pigou_ue(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["solve", "--scenario", "pigou", "--routing", "ue", "--out", str(out)])
     assert code == 0
     assert "total_cost=1.000000" in capsys.readouterr().out
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert report["format_version"] == 3
     assert report["results"]["total_cost"] == pytest.approx(1.0)
     assert report["results"]["path_flows"]["0-2-3"] == pytest.approx(1.0)
@@ -27,7 +36,7 @@ def test_solve_mc_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = run(["solve", "--scenario", "counterexample", "--routing", "mc", "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert report["results"]["certificate"]["satisfied"] is True
     assert report["results"]["total_cost"] == pytest.approx(5.0)  # every candidate added
 
@@ -44,6 +53,7 @@ def test_solve_report_deterministic(tmp_path):
         assert run(["solve", "--scenario", "counterexample", "--routing", "so",
                     "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    read_report(a)
 
 
 def test_check_supermodular_counterexample(tmp_path, capsys):
@@ -53,7 +63,7 @@ def test_check_supermodular_counterexample(tmp_path, capsys):
                 "--routing", "mc", "--out", str(out), "--csv", str(csv_path)])
     assert code == 0
     assert "VIOLATED" in capsys.readouterr().out
-    report = json.loads(out.read_text())
+    report = read_report(out)
     first = report["results"]["witnesses"][0]
     assert first["subset_a"] == []
     assert first["subset_b"] == [1]
@@ -84,7 +94,7 @@ def test_lambda_subset(tmp_path):
     code = run(["lambda", "--scenario", "counterexample", "--routing", "mc",
                 "--subset", "1", "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert report["results"]["value"] == pytest.approx(7.0)
     assert report["results"]["subset_names"] == "blue"
 
@@ -105,7 +115,7 @@ def test_design_greedy(tmp_path, capsys):
     code = run(["design", "--scenario", "counterexample", "--routing", "mc",
                 "--budget", "2", "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = read_report(out)
     assert report["results"]["picks"] == [1, 0]
     assert report["results"]["values"] == [9.0, 7.0, 5.0]
     assert report["results"]["best_value"] == pytest.approx(5.0)
@@ -146,7 +156,7 @@ def test_network_file_solve(tmp_path, pigou):
     code = run(["solve", "--network", str(path), "--routing", "ue",
                 "--out", str(tmp_path / "r.json")])
     assert code == 0
-    report = json.loads((tmp_path / "r.json").read_text())
+    report = read_report(tmp_path / "r.json")
     assert report["results"]["total_cost"] == pytest.approx(1.0)
 
 
@@ -172,8 +182,8 @@ def test_design_document_solve_routes_the_full_union(tmp_path):
                 "--out", str(tmp_path / "solve.json")]) == 0
     assert run(["lambda", "--network", str(path), "--routing", "mc", "--subset", "0,1",
                 "--out", str(tmp_path / "lambda.json")]) == 0
-    solved = json.loads((tmp_path / "solve.json").read_text())["results"]["total_cost"]
-    full = json.loads((tmp_path / "lambda.json").read_text())["results"]["value"]
+    solved = read_report(tmp_path / "solve.json")["results"]["total_cost"]
+    full = read_report(tmp_path / "lambda.json")["results"]["value"]
     assert solved == full == pytest.approx(5.0)
 
 
@@ -223,7 +233,7 @@ def test_check_parallel_scenario_via_cli(tmp_path):
                 "--routing", "ue", "--param", "n=5", "--expect", "holds",
                 "--out", str(tmp_path / "parallel.json")])
     assert code == 0
-    report = json.loads((tmp_path / "parallel.json").read_text())
+    report = read_report(tmp_path / "parallel.json")
     assert report["results"]["verdict"] == "HOLDS"
     assert report["params"] == {"n": 5, "l": 1.0, "v_max": 1.0, "u": 10.0, "d": 5.0}
 
@@ -272,3 +282,22 @@ def test_check_report_deterministic(tmp_path):
         assert run(["check", "--property", "supermodular", "--scenario",
                     "counterexample", "--routing", "so", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    read_report(a)
+
+
+@pytest.mark.parametrize("prop", ["monotone", "supermodular"])
+@pytest.mark.parametrize("option", ["--trials=0", "--trials=-3", "--tol=nan", "--tol=-1",
+                                    "--tol=inf"])
+def test_check_rejects_out_of_range_options(prop, option, tmp_path):
+    # each used to print HOLDS over no comparisons, or write a NaN tolerance
+    out = tmp_path / "check.json"
+    assert run(["check", "--property", prop, "--scenario", "counterexample", "--routing",
+                "mc", "--mode", "sampled", option, "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+def test_infinite_gap_tolerance_is_usage_error(tmp_path):
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--scenario", "pigou", "--routing", "ue", "--gap-tol", "inf",
+                "--out", str(out)]) == 64
+    assert not out.exists()

@@ -50,6 +50,8 @@ from netdesign.routing import (
 )
 from brute_force import (
     assert_assignment_feasible,
+    dense_newton_step,
+    dense_step_flows,
     dict_shortest_path,
     mc_grid_oracle,
     mc_highs_value,
@@ -735,6 +737,127 @@ def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
         assert dphi(t - half) <= 0.0 <= dphi(t + half)
 
 
+# -- the Newton step against its whole-array reference ---------------------------------
+
+# Two diamonds in series with shortcuts: 0 -> {1, 2} -> 3 -> {4, 5} -> 6. The
+# paths 0-1-3-4-6, 0-2-3-5-6, 0-1-3-5-6 and 0-2-3-4-6 are linearly dependent.
+_SERIES_PAIRS = ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6),
+                 (1, 2), (4, 5), (0, 3))
+_SERIES_TRIPS = ((0, 6), (0, 3), (3, 6), (1, 6), (0, 5))
+
+
+def _newton_case(rng):
+    """A path space on the series diamonds with flows, path and edge
+    gradients, curvatures and capacity margins drawn from ``rng``: trips
+    with unused cheapest paths, ties (zero-cost ones included), zero
+    curvature, dependent paths and edges at their margin."""
+    net = net_of([(i, j, C1, math.inf) for i, j in _SERIES_PAIRS])
+    ends = rng.sample(_SERIES_TRIPS, rng.randint(1, 3))
+    instance = Instance(net, tuple(Trip(s, t, rng.choice([1.0, 2.5, 3.0])) for s, t in ends))
+    space = _PathSpace(instance, 100)
+    per_trip = enumerate_trip_paths(net, instance.trips).per_trip
+    for m, paths in enumerate(per_trip):
+        for p in rng.sample(paths, rng.randint(1, len(paths))):
+            space.add(m, p.nodes)
+    n_edges = len(space.edge_pairs)
+    x = np.zeros(len(space.paths))
+    for m, rows in enumerate(space.groups):
+        for r in rows:
+            x[r] = rng.choice([0.0, 0.0, 1e-15, 0.5, space.demand_list[m] * rng.random()])
+        x[rng.choice(rows)] = rng.choice([0.25, 1.0, space.demand_list[m],
+                                          1e-14 * space.demand_list[m]])
+    grad_e = np.array([rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 1.0 + rng.random()])
+                       for _ in range(n_edges)])
+    g = space.incidence @ grad_e
+    best = np.array([min(rows, key=lambda r: (g[r], r)) if rng.random() < 0.7
+                     else rng.choice(rows) for rows in space.groups], dtype=np.intp)
+    curvatures = rng.choice([(0.0,), (1.0, 5.0, 0.1 + rng.random()),
+                             (0.0, 0.0, 1.0, 5.0, rng.random())])
+    curv_e = np.array([rng.choice(curvatures) for _ in range(n_edges)])
+    xe = space.edge_flows(x)
+    bounded = np.array([rng.random() < 0.5 for _ in range(n_edges)])
+    margin = np.where(bounded, xe + np.array([rng.choice([0.0, 1e-3, 0.5, 10.0])
+                                              for _ in range(n_edges)]), math.inf)
+    return space, x, xe, g, curv_e, best, margin, bounded
+
+
+def _assert_step_matches_reference(case):
+    space, x, xe, g, curv_e, best, margin, bounded = case
+    expected = dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded.copy())
+    found = routing._newton_step(space, x, xe, g, curv_e, best, g[best], margin, bounded)
+    if expected is None:
+        assert found is None
+        return None
+    flat, x_sub, dx, de, t = found
+    e_flat, e_dx, e_de, e_t = expected
+    assert np.asarray(flat, dtype=np.intp).tobytes() == e_flat.tobytes()
+    assert np.array(x_sub).tobytes() == x[e_flat].tobytes()
+    assert np.array(dx).tobytes() == e_dx.tobytes()
+    assert de.tobytes() == e_de.tobytes()
+    assert np.float64(t).tobytes() == np.float64(e_t).tobytes()
+    moved = routing._take_step(space, routing._EdgeCalculator(space.models), x, flat, x_sub,
+                               dx, t, "ue")[0]
+    assert moved.tobytes() == dense_step_flows(space, x, e_flat, e_dx, e_t).tobytes()
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_newton_step_matches_dense_reference(rng):
+    _assert_step_matches_reference(_newton_case(rng))
+
+
+def test_newton_step_reference_cases_cover_every_branch(monkeypatch):
+    # the cases above reach blocked paths, the least-squares fallback on
+    # dependent paths with positive curvature, zero curvature, a binding
+    # capacity margin, several trips, a flow that lands exactly on the
+    # rounding-residue threshold, and steps that cannot be taken
+    solves, fallbacks = [], []
+    solve_kkt, lstsq = routing._solve_kkt, np.linalg.lstsq
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_kkt(*args)
+
+    def counting_lstsq(*args, **kwargs):
+        fallbacks.append(1)
+        return lstsq(*args, **kwargs)
+
+    seen = set()
+    for seed in range(300):
+        case = _newton_case(random.Random(seed))
+        space, x, xe, g, curv_e, best, margin, bounded = case
+        solves.clear()
+        fallbacks.clear()
+        monkeypatch.setattr(routing, "_solve_kkt", counting_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        try:
+            found = _assert_step_matches_reference(case)
+        finally:
+            monkeypatch.undo()
+        if found is None:
+            seen.add("no step")
+            continue
+        flat, x_sub, dx, de, t = found
+        if len(solves) > 1:
+            seen.add("blocked path")
+        if (fallbacks and (curv_e > 0.0).all()
+                and np.linalg.matrix_rank(space.incidence[flat]) < len(flat)):
+            seen.add("dependent paths")
+        if not curv_e.any():
+            seen.add("zero curvature")
+        if len(space.groups) > 1:
+            seen.add("several trips")
+        up = (de > 0.0) & bounded
+        if up.any() and t == float(np.min((margin[up] - xe[up]) / de[up])) < 1.0:
+            seen.add("capacity margin")
+        demands = space.demands[space.row_trip[flat]]
+        if (x[flat] + t * np.array(dx) == 1e-14 * demands).any():
+            seen.add("residue at the threshold")
+    assert seen == {"no step", "blocked path", "dependent paths", "zero curvature",
+                    "several trips", "capacity margin", "residue at the threshold"}
+
+
 # -- failure modes --------------------------------------------------------------------
 
 
@@ -824,6 +947,15 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(path_limit=-5)
+    # an infinite gap target stops every solve at its start point, and a
+    # margin of 1 or more puts the step limit below the current flows
+    for gap in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(relative_gap_tol=gap)
+    for margin in (1.0, 5.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(capacity_margin=margin)
+    SolverConfig(capacity_margin=0.5)
 
 
 def test_instance_validates_endpoints():
