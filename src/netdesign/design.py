@@ -392,26 +392,20 @@ class PropertyReport:
         return self.verdict == HOLDS
 
 
+def _certified_error(ev: LambdaEvaluation) -> float:
+    """Certified error of one subset value: its relative gap plus the
+    certificates' relative tolerance, times the value."""
+    return (ev.relative_gap + CERTIFICATE_RTOL) * abs(ev.value)
+
+
 def default_tolerance(routing: str, evaluator: LambdaEvaluator, n_values: int) -> float:
     """Certified error of a comparison of ``n_values`` subset values.
 
-    Each evaluation's error is its relative gap plus the certificates'
-    relative tolerance, times its value; the tolerance is ``n_values``
-    times the largest of them among the check's evaluations. It scales
-    with the values, so a verdict does not depend on the units of time or
-    flow.
+    The tolerance is ``n_values`` times the largest certified error (see
+    ``_certified_error``) among the check's evaluations. It scales with the
+    values, so a verdict does not depend on the units of time or flow.
     """
-    return n_values * max(((ev.relative_gap + CERTIFICATE_RTOL) * abs(ev.value)
-                           for ev in evaluator.evaluations(routing)), default=0.0)
-
-
-def _validate_check_options(mode: str, trials: int, tol: Optional[float]) -> None:
-    """BadParams unless sampled mode draws at least one trial and an
-    explicit tolerance is finite and nonnegative."""
-    if mode == "sampled" and trials < 1:
-        raise BadParams(f"sampled mode needs at least 1 trial, got {trials}")
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise BadParams(f"tolerance must be finite and nonnegative, got {tol}")
+    return n_values * max(map(_certified_error, evaluator.evaluations(routing)), default=0.0)
 
 
 def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = None,
@@ -419,50 +413,14 @@ def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = No
                        cfg: SolverConfig = SolverConfig()) -> PropertyReport:
     """Check that adding candidates never increases the objective.
 
-    Exhaustive mode compares every nested subset pair; sampled mode draws
-    ``trials`` seeded pairs. Violating pairs are returned as witnesses with
-    both values and the (positive) excess margin.
+    Exhaustive mode compares every nested pair A ⊆ B: B in ascending
+    bitmask order and, for each B, A over B's submasks in descending
+    bitmask order (A = B first, the empty set last). Sampled mode draws
+    ``trials`` seeded pairs. Witnesses come in comparison order; each
+    violating pair carries lhs = λ(B), rhs = λ(A) and the positive excess
+    margin λ(B) − λ(A).
     """
-    _validate_check_options(mode, trials, tol)
-    n = len(cs.candidates)
-    evaluator = LambdaEvaluator(cs, cfg)
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MONOTONE_CAP:
-            raise BadParams(
-                f"exhaustive monotonicity is capped at {EXHAUSTIVE_MONOTONE_CAP} candidates")
-        evaluator.ensure(routing, range(1 << n))
-        pairs = _nested_pairs(n)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        pairs = []
-        for _ in range(trials):
-            b = rng.getrandbits(n) if n else 0
-            a = _random_submask(rng, b)
-            pairs.append((a, b))
-        evaluator.ensure(routing, {m for ab in pairs for m in ab})
-    else:
-        raise BadParams(f"unknown mode {mode!r}")
-    tol = default_tolerance(routing, evaluator, 2) if tol is None else tol
-
-    v = evaluator.values(routing)
-    witnesses = []
-    checked = 0
-    for a, b in pairs:
-        checked += 1
-        va = v[a]
-        vb = v[b]
-        if vb > va + tol:
-            witnesses.append(Witness(
-                subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=None,
-                lhs=vb, rhs=va, margin=vb - va))
-    return PropertyReport(
-        property=MONOTONE, routing=routing,
-        verdict=HOLDS if not witnesses else VIOLATED,
-        tolerance=tol, witnesses=tuple(witnesses),
-        evaluations=evaluator.evaluations(routing),
-        mode=mode, seed=seed if mode == "sampled" else None,
-        trials=trials if mode == "sampled" else None,
-        pairs_checked=checked)
+    return _check(MONOTONE, routing, cs, tol, mode, seed, trials, cfg)
 
 
 def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] = None,
@@ -471,85 +429,100 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
     """Check diminishing returns: the benefit of adding x to a set is at
     least its benefit when added to any superset.
 
-    Witnesses carry both margin sides; a negative margin quantifies the
+    Exhaustive mode compares every triple A ⊆ B ⊆ N∖{x}: x ascending, then
+    B in ascending bitmask order, then A in ascending bitmask order.
+    Sampled mode draws ``trials`` seeded triples. Witnesses come in
+    comparison order and carry both sides, lhs = λ(A) − λ(A+x) and
+    rhs = λ(B) − λ(B+x); a negative margin lhs − rhs quantifies the
     violation.
     """
-    _validate_check_options(mode, trials, tol)
+    return _check(SUPERMODULAR, routing, cs, tol, mode, seed, trials, cfg)
+
+
+def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode: str,
+           seed: int, trials: int, cfg: SolverConfig) -> PropertyReport:
+    """Both checkers' driver, over ``(a, b, x)`` bitmask comparisons with
+    ``x`` None for monotonicity."""
+    monotone = prop == MONOTONE
+    if mode == "sampled" and trials < 1:
+        raise BadParams(f"sampled mode needs at least 1 trial, got {trials}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise BadParams(f"tolerance must be finite and nonnegative, got {tol}")
     n = len(cs.candidates)
+    full = (1 << n) - 1
     evaluator = LambdaEvaluator(cs, cfg)
-    triples = []
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_SUPERMODULAR_CAP:
-            raise BadParams(
-                f"exhaustive supermodularity is capped at {EXHAUSTIVE_SUPERMODULAR_CAP} candidates")
+        cap = EXHAUSTIVE_MONOTONE_CAP if monotone else EXHAUSTIVE_SUPERMODULAR_CAP
+        if n > cap:
+            what = "monotonicity" if monotone else "supermodularity"
+            raise BadParams(f"exhaustive {what} is capped at {cap} candidates")
         evaluator.ensure(routing, range(1 << n))
-        for x in range(n):
-            rest = ((1 << n) - 1) & ~(1 << x)
-            for b in _submasks(rest):
-                for a in _submasks(b):
-                    triples.append((a, b, x))
+        if monotone:
+            comparisons = ((a, b, None) for a, b in _submask_pairs(full, descending=True))
+        else:
+            comparisons = ((a, b, x) for x in range(n)
+                           for a, b in _submask_pairs(full & ~(1 << x)))
     elif mode == "sampled":
         rng = random.Random(seed)
-        for _ in range(trials):
-            if n == 0:
-                break
-            x = rng.randrange(n)
-            rest = ((1 << n) - 1) & ~(1 << x)
-            b = _random_submask(rng, rest)
-            a = _random_submask(rng, b)
-            triples.append((a, b, x))
-        needed = set()
-        for a, b, x in triples:
-            needed.update((a, b, a | (1 << x), b | (1 << x)))
-        evaluator.ensure(routing, needed)
+        comparisons = []
+        for _ in range(trials if monotone or n else 0):
+            if monotone:
+                x, b = None, rng.getrandbits(n)
+            else:
+                x = rng.randrange(n)
+                b = _random_submask(rng, full & ~(1 << x))
+            comparisons.append((_random_submask(rng, b), b, x))
+        evaluator.ensure(routing, {m for a, b, x in comparisons
+                                   for m in ((a, b) if x is None
+                                             else (a, b, a | 1 << x, b | 1 << x))})
     else:
         raise BadParams(f"unknown mode {mode!r}")
-    tol = default_tolerance(routing, evaluator, 4) if tol is None else tol
+    tol = default_tolerance(routing, evaluator, 2 if monotone else 4) if tol is None else tol
 
     v = evaluator.values(routing)
     witnesses = []
-    for a, b, x in triples:
-        va = v[a]
-        vax = v[a | (1 << x)]
-        vb = v[b]
-        vbx = v[b | (1 << x)]
-        lhs = va - vax
-        rhs = vb - vbx
-        if lhs < rhs - tol:
-            witnesses.append(Witness(
-                subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=x,
-                lhs=lhs, rhs=rhs, margin=lhs - rhs))
+    checked = 0
+    for a, b, x in comparisons:
+        checked += 1
+        if x is None:
+            va = v[a]
+            vb = v[b]
+            if vb > va + tol:
+                witnesses.append(Witness(
+                    subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=None,
+                    lhs=vb, rhs=va, margin=vb - va))
+        else:
+            lhs = v[a] - v[a | 1 << x]
+            rhs = v[b] - v[b | 1 << x]
+            if lhs < rhs - tol:
+                witnesses.append(Witness(
+                    subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=x,
+                    lhs=lhs, rhs=rhs, margin=lhs - rhs))
+    sampled = mode == "sampled"
     return PropertyReport(
-        property=SUPERMODULAR, routing=routing,
+        property=prop, routing=routing,
         verdict=HOLDS if not witnesses else VIOLATED,
         tolerance=tol, witnesses=tuple(witnesses),
         evaluations=evaluator.evaluations(routing),
-        mode=mode, seed=seed if mode == "sampled" else None,
-        trials=trials if mode == "sampled" else None,
-        pairs_checked=len(triples))
+        mode=mode, seed=seed if sampled else None,
+        trials=trials if sampled else None,
+        pairs_checked=checked)
 
 
-def _nested_pairs(n: int):
-    pairs = []
-    for b in range(1 << n):
-        a = b
-        while True:
-            pairs.append((a, b))
-            if a == 0:
-                break
-            a = (a - 1) & b
-    return pairs
-
-
-def _submasks(mask: int):
-    out = []
-    a = mask
+def _submask_pairs(mask: int, descending: bool = False):
+    """Every pair a ⊆ b ⊆ ``mask``: b in ascending order and, for each b,
+    its submasks a in ascending (or descending) order."""
+    b = 0
     while True:
-        out.append(a)
-        if a == 0:
+        a = b if descending else 0
+        while True:
+            yield a, b
+            if a == (0 if descending else b):
+                break
+            a = (a - 1) & b if descending else (a - b) & b
+        if b == mask:
             break
-        a = (a - 1) & mask
-    return sorted(out)
+        b = (b - mask) & mask
 
 
 def _random_submask(rng: random.Random, mask: int) -> int:
@@ -666,11 +639,13 @@ class GreedyDesign:
 
 def greedy_designer(routing: str, cs: CandidateSet, budget: int,
                     cfg: SolverConfig = SolverConfig()) -> GreedyDesign:
-    """Pick ``budget`` candidates, each round the one with the largest
-    objective decrease (ties to the lowest index).
+    """Pick ``budget`` candidates, each round the one with the lowest
+    objective after adding it.
 
     When the ground set has at most ten members the exhaustive optimum over
-    all subsets within budget is computed as well, for gap reporting.
+    all subsets within budget is computed as well, for gap reporting. Both
+    choices follow ``_first_lowest``: values within their summed certified
+    errors tie, and a tie goes to the lowest candidate index or bitmask.
     """
     n = len(cs.candidates)
     if budget > n or budget < 0:
@@ -682,26 +657,33 @@ def greedy_designer(routing: str, cs: CandidateSet, budget: int,
     for _ in range(budget):
         candidates = [i for i in range(n) if i not in chosen]
         evaluator.ensure(routing, [subset_bitmask(chosen + (i,)) for i in candidates])
-        best_i = None
-        best_v = None
-        for i in candidates:  # index order makes the tie-break explicit
-            v = evaluator.value(routing, chosen + (i,)).value
-            if best_v is None or v < best_v - 1e-15 * (1.0 + abs(best_v)):
-                best_i, best_v = i, v
-        picks.append(best_i)
-        chosen = tuple(sorted(chosen + (best_i,)))
-        values.append(best_v)
+        options = [evaluator.value(routing, chosen + (i,)) for i in candidates]
+        k = _first_lowest(options)
+        picks.append(candidates[k])
+        chosen = tuple(sorted(chosen + (candidates[k],)))
+        values.append(options[k].value)
     best_subset = None
     best_value = None
     if n <= EXHAUSTIVE_SUPERMODULAR_CAP:
-        masks = [m for m in range(1 << n) if bin(m).count("1") <= budget]
-        evaluator.ensure(routing, masks)
-        value_of = evaluator.values(routing)
-        for m in masks:
-            v = value_of[m]
-            if best_value is None or v < best_value - 1e-15 * (1.0 + abs(v)):
-                best_value = v
-                best_subset = bitmask_subset(m)
+        evaluator.ensure(routing, [m for m in range(1 << n) if bin(m).count("1") <= budget])
+    evaluations = evaluator.evaluations(routing)
+    if n <= EXHAUSTIVE_SUPERMODULAR_CAP:
+        # every evaluated subset is within budget, and they come in mask order
+        best = evaluations[_first_lowest(evaluations)]
+        best_subset, best_value = best.subset, best.value
     return GreedyDesign(routing=routing, picks=tuple(picks), values=tuple(values),
                         best_subset=best_subset, best_value=best_value,
-                        evaluations=evaluator.evaluations(routing))
+                        evaluations=evaluations)
+
+
+def _first_lowest(evaluations: Sequence[LambdaEvaluation]) -> int:
+    """Position of the first lowest value. Two values tie when they differ
+    by no more than the sum of their certified errors; a later value
+    displaces the current pick only when lower beyond that, so a tie goes
+    to the earliest position."""
+    best = 0
+    for k in range(1, len(evaluations)):
+        ev, top = evaluations[k], evaluations[best]
+        if ev.value < top.value - (_certified_error(top) + _certified_error(ev)):
+            best = k
+    return best

@@ -357,8 +357,19 @@ def added_paths(base: Network, addition: Network, trip: Trip,
     return PathSet(per_trip)
 
 
-def validate_trip_spanning_tree(candidate: Network, trips: Sequence[Trip],
-                                limit: int = DEFAULT_PATH_LIMIT):
+def _sole_path(candidate: Network, trip: Trip, trip_index: int):
+    """(the trip's only simple path, None), or (None, what is wrong): the
+    search stops at the second path."""
+    try:
+        found = _enumerate(candidate, trip, 1)
+    except PathLimitExceeded:
+        return None, "expected exactly one path, found more than one"
+    if not found:
+        return None, "expected exactly one path, found 0"
+    return Path(trip_index, found[0]), None
+
+
+def validate_trip_spanning_tree(candidate: Network, trips: Sequence[Trip]):
     """Check the four defining properties of an initial feasible graph.
 
     1. Every trip's source and sink are nodes of the graph.
@@ -368,8 +379,8 @@ def validate_trip_spanning_tree(candidate: Network, trips: Sequence[Trip],
        (each trip's full demand rides its unique path).
 
     Returns a TripSpanningTree when all hold, otherwise a ViolationList
-    naming each failure. Path enumeration overflow propagates as
-    PathLimitExceeded.
+    naming each failure. The path search stops at a trip's second path, so
+    a graph with any number of paths gets its verdict.
     """
     trips = tuple(trips)
     violations = []
@@ -381,13 +392,10 @@ def validate_trip_spanning_tree(candidate: Network, trips: Sequence[Trip],
                 1, f"trip {m}: endpoint(s) {missing} not in the graph"))
             trip_paths.append(None)
             continue
-        found = enumerate_paths(candidate, trip, limit, m).for_trip(m)
-        if len(found) != 1:
-            violations.append(Violation(
-                2, f"trip {m}: expected exactly one path, found {len(found)}"))
-            trip_paths.append(None)
-        else:
-            trip_paths.append(found[0])
+        path, issue = _sole_path(candidate, trip, m)
+        if issue:
+            violations.append(Violation(2, f"trip {m}: {issue}"))
+        trip_paths.append(path)
 
     covered = set()
     for p in trip_paths:
@@ -414,12 +422,12 @@ def validate_trip_spanning_tree(candidate: Network, trips: Sequence[Trip],
 
 
 def validate_trip_path_graph(candidate: Network, trip: Trip, trip_index: int = 0,
-                             candidate_index: int = 0,
-                             limit: int = DEFAULT_PATH_LIMIT):
+                             candidate_index: int = 0):
     """Check that ``candidate`` is a single simple path joining the trip's ends.
 
     1. Source and sink are nodes of the graph.
-    2. Exactly one source-to-sink path exists.
+    2. Exactly one source-to-sink path exists (the search stops at the
+       second).
     3. Every node of the graph belongs to that path.
     """
     violations = []
@@ -427,12 +435,10 @@ def validate_trip_path_graph(candidate: Network, trip: Trip, trip_index: int = 0
     if missing:
         violations.append(Violation(1, f"endpoint(s) {missing} not in the graph"))
         return ViolationList(tuple(violations))
-    found = enumerate_paths(candidate, trip, limit, trip_index).for_trip(trip_index)
-    if len(found) != 1:
-        violations.append(Violation(
-            2, f"expected exactly one path, found {len(found)}"))
-    path = found[0] if len(found) == 1 else None
-    if path is not None:
+    path, issue = _sole_path(candidate, trip, trip_index)
+    if issue:
+        violations.append(Violation(2, issue))
+    else:
         stray = sorted(candidate.nodes - set(path.nodes))
         if stray:
             violations.append(Violation(3, f"nodes {stray} are off the path"))

@@ -388,7 +388,7 @@ class _EdgeCalculator:
         self.b_c0, self.b_u, self.b_alpha, self.b_beta = p1[ib], p2[ib], p3[ib], p4[ib]
         self.b_pow = self.b_beta - 1.0
         self.b_int = (self.b_beta + 1.0) * self.b_u ** self.b_beta
-        self._forms = {}  # level forms by objective kind, built on first use
+        self._forms = {}  # level forms by objective kind (None: level 0), built on first use
 
     def _level_forms(self, level):
         """Per-family coefficients of the level-n gradient g and curvature k.
@@ -413,7 +413,8 @@ class _EdgeCalculator:
     def _forms_of(self, kind):
         forms = self._forms.get(kind)
         if forms is None:
-            forms = self._forms[kind] = self._level_forms(self.ue_level + (kind == SO))
+            level = np.zeros(self.n) if kind is None else self.ue_level + (kind == SO)
+            forms = self._forms[kind] = self._level_forms(level)
         return forms
 
     def derivatives(self, x, kind):
@@ -468,8 +469,7 @@ class _EdgeCalculator:
         m = self.im
         if m.size:
             # the integral of c + t*c' is exactly x*c(x)
-            base = self._level_forms(np.zeros(self.n))
-            out[m] = x[m] * self._evaluate(x, base, False)[0][m]
+            out[m] = x[m] * self._evaluate(x, self._forms_of(None), False)[0][m]
         return out
 
 

@@ -246,3 +246,39 @@ def dense_step_flows(space, x, flat, dx, t):
     x[flat] += t * dx
     x[x <= 1e-14 * space.demands[space.row_trip]] = 0.0
     return x
+
+
+def lattice_witnesses(n, value, tol):
+    """Both properties' comparisons and witnesses, listed from their
+    definitions over the subsets of candidates 0..n-1.
+
+    Monotonicity compares every A ⊆ B, ordered by B's bitmask and then by
+    A's bitmask descending; supermodularity every A ⊆ B ⊆ N∖{x}, ordered by
+    x, B's bitmask and A's bitmask. ``value`` maps a sorted subset tuple to
+    its objective. Returns (pairs checked, monotonicity witnesses, triples
+    checked, supermodularity witnesses), each witness a tuple (A, B, x,
+    lhs, rhs, margin).
+    """
+    ground = range(n)
+    subsets = [c for k in range(n + 1) for c in itertools.combinations(ground, k)]
+
+    def mask(s):
+        return sum(1 << i for i in s)
+
+    pairs = sorted(((a, b) for a, b in itertools.product(subsets, repeat=2)
+                    if set(a) <= set(b)),
+                   key=lambda ab: (mask(ab[1]), -mask(ab[0])))
+    triples = sorted(((a, b, x) for x in ground for a, b in itertools.product(subsets, repeat=2)
+                      if set(a) <= set(b) and x not in b),
+                     key=lambda t: (t[2], mask(t[1]), mask(t[0])))
+    mono = []
+    for a, b in pairs:
+        if value(b) > value(a) + tol:
+            mono.append((a, b, None, value(b), value(a), value(b) - value(a)))
+    supermod = []
+    for a, b, x in triples:
+        lhs = value(a) - value(tuple(sorted(a + (x,))))
+        rhs = value(b) - value(tuple(sorted(b + (x,))))
+        if lhs < rhs - tol:
+            supermod.append((a, b, x, lhs, rhs, lhs - rhs))
+    return len(pairs), mono, len(triples), supermod

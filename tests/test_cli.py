@@ -187,6 +187,25 @@ def test_design_document_solve_routes_the_full_union(tmp_path):
     assert solved == full == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("member", ["spanning_tree", "candidate"])
+def test_design_document_with_many_path_member_exits_as_usage(tmp_path, capsys, member):
+    # a 6x6 bidirectional grid holds more paths than DEFAULT_PATH_LIMIT;
+    # as a member it is invalid, which is an input error, not a solver one
+    from netdesign.costs import Constant
+    from netdesign.jsonio import design_to_json
+    from netdesign.network import Trip, build_grid_template
+
+    grid = build_grid_template(6, 6, Constant(1.0), 10.0).network
+    line = [(c, c + 1) for c in range(5)] + [(r * 6 + 5, r * 6 + 11) for r in range(5)]
+    tree, candidate = (grid.edge_pairs, line) if member == "spanning_tree" else (
+        line, grid.edge_pairs)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design_to_json(grid, [Trip(0, 35, 1.0)], tree, [(0, candidate)])))
+    assert run(["check", "--property", "monotone", "--network", str(path),
+                "--routing", "mc"]) == 64
+    assert "expected exactly one path, found more than one" in capsys.readouterr().err
+
+
 def test_instance_only_command_needs_candidates(tmp_path, pigou):
     doc = instance_to_json(pigou.instance.network, pigou.instance.trips)
     path = tmp_path / "pigou.json"

@@ -1,6 +1,9 @@
 import json
+import os
+import random
 
 import pytest
+from brute_force import lattice_witnesses
 
 from netdesign import design
 from netdesign.costs import Affine, Constant
@@ -11,6 +14,7 @@ from netdesign.design import (
     VIOLATED,
     CandidateSet,
     DesignState,
+    LambdaEvaluation,
     LambdaEvaluator,
     bitmask_subset,
     candidate_set_from_json,
@@ -22,10 +26,11 @@ from netdesign.design import (
     lambda_eval,
     parallel_mc_value,
     parallel_uniform_value,
+    subset_bitmask,
 )
 from netdesign.errors import BadParams, DomainError
 from netdesign.network import graph_union
-from netdesign.routing import solve_so
+from netdesign.routing import CERTIFICATE_RTOL, solve_so
 from netdesign.scenarios import materialize, random_parallel_family
 
 
@@ -276,6 +281,62 @@ def test_sampled_mode_beyond_exhaustive_cap():
     assert supermod == again
 
 
+def table_lambda(table):
+    """A ``lambda_eval`` stand-in that reads each subset's value from
+    ``table`` by bitmask, at relative gap 0."""
+    def lookup(routing, state, cfg=None):
+        mask = subset_bitmask(state.chosen)
+        return LambdaEvaluation(routing, state.chosen, mask, table[mask], 0, 0.0)
+    return lookup
+
+
+def witness_tuples(report):
+    return [(w.subset_a, w.subset_b, w.x, w.lhs, w.rhs, w.margin) for w in report.witnesses]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_exhaustive_checkers_match_the_definitions(n, monkeypatch):
+    # random values make violations of both properties plentiful; each
+    # parallel candidate has its own union graph, so every subset keeps
+    # its table value
+    rng = random.Random(f"lattice-oracle-{n}")
+    table = [rng.uniform(0.0, 10.0) for _ in range(1 << n)]
+    monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
+    cs = materialize("parallel", {"n": n + 1}).candidate_set
+
+    def value(subset):
+        return table[subset_bitmask(subset)]
+
+    largest = max((0.0 + CERTIFICATE_RTOL) * abs(v) for v in table)
+    for tol in (None, 0.0, 1.0):
+        mono = check_monotonicity("so", cs, tol=tol)
+        supermod = check_supermodularity("so", cs, tol=tol)
+        if tol is None:
+            assert (mono.tolerance, supermod.tolerance) == (2 * largest, 4 * largest)
+        pairs, mono_w, triples, super_w = lattice_witnesses(n, value, mono.tolerance)
+        assert (mono.pairs_checked, witness_tuples(mono)) == (pairs, mono_w)
+        assert lattice_witnesses(n, value, supermod.tolerance)[2:] == (
+            supermod.pairs_checked, witness_tuples(supermod))
+        if n >= 3 and tol is not None:
+            assert mono.witnesses and supermod.witnesses
+        if n and tol == 0.0:
+            for seed in (0, 1):
+                sampled = check_supermodularity("so", cs, tol=tol, mode="sampled", seed=seed)
+                assert set(witness_tuples(sampled)) <= set(super_w)
+                sampled = check_monotonicity("so", cs, tol=tol, mode="sampled", seed=seed)
+                assert set(witness_tuples(sampled)) <= set(mono_w)
+
+
+def test_sampled_checks_on_an_empty_ground_set():
+    cs = materialize("parallel", {"n": 1}).candidate_set
+    supermod = check_supermodularity("so", cs, mode="sampled", trials=7)
+    assert (supermod.pairs_checked, supermod.witnesses, supermod.evaluations) == (0, (), ())
+    assert supermod.verdict == HOLDS
+    mono = check_monotonicity("so", cs, mode="sampled", trials=7)
+    assert (mono.pairs_checked, mono.witnesses) == (7, ())
+    assert [ev.bitmask for ev in mono.evaluations] == [0]
+
+
 # -- supermodularity -----------------------------------------------------------------
 
 
@@ -384,6 +445,20 @@ def test_greedy_parallel_tie_break():
     assert res.best_value == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("shortfall, pick", [(1e-9, 0), (1e-5, 1)])
+def test_greedy_ties_within_certified_error(monkeypatch, shortfall, pick):
+    # candidate 1 undercuts candidate 0 by ``shortfall``: within the two
+    # values' certified errors (2e-6 here) they tie and the lower index
+    # wins, in the greedy round and in the exhaustive optimum alike
+    table = [2.0, 1.0, 1.0 * (1.0 - shortfall), 0.5]
+    monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
+    cs = materialize("parallel", {"n": 3}).candidate_set
+    res = greedy_designer("so", cs, budget=1)
+    assert res.picks == (pick,)
+    assert res.values == (2.0, table[1 << pick])
+    assert (res.best_subset, res.best_value) == ((pick,), table[1 << pick])
+
+
 def test_greedy_budget_out_of_range(counterexample_mc):
     with pytest.raises(BadParams):
         greedy_designer("mc", counterexample_mc.candidate_set, budget=3)
@@ -464,3 +539,37 @@ def test_verdicts_invariant_under_units(name, params, routings):
             for factor in (1e-3, 1e3):
                 assert _verdicts(routing, _rescaled(cs, unit, factor)) == expected, (
                     routing, unit, factor)
+
+
+# -- perfbench tracer bindings -------------------------------------------------------
+
+
+def test_perfbench_tracer_binds_the_design_layer(counterexample_mc, monkeypatch):
+    # the traced benchmark run rebinds module attributes; the checkers and
+    # the greedy designer must look them up at call time for spans to nest
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import tracing
+
+    originals = [(module, attr, getattr(module, attr))
+                 for module, attr, _, _ in tracing.BINDINGS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cs = counterexample_mc.candidate_set
+        design.check_supermodularity("mc", cs)
+        design.greedy_designer("mc", cs, budget=1)
+    finally:
+        tracer.uninstall()
+    for module, attr, original in originals:
+        assert getattr(module, attr) is original
+    spans = tracer.spans
+    names = [rec[tracing.NAME] for rec in spans]
+    assert names.count("design.check") == 1
+    assert names.count("design.greedy") == 1
+    for rec in spans:
+        parent = spans[rec[tracing.PARENT]][tracing.NAME] if rec[tracing.PARENT] >= 0 else None
+        if rec[tracing.NAME] == "design.lambda_eval":
+            assert parent in ("design.check", "design.greedy")
+        elif rec[tracing.NAME] in ("routing.mc", "routing.so", "routing.ue"):
+            assert parent == "design.lambda_eval"
+    assert {"design.lambda_eval", "routing.mc"} <= set(names)

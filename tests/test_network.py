@@ -317,6 +317,21 @@ def test_path_graph_two_parallel_paths():
     assert {v.property_id for v in result.violations} == {2}
 
 
+def test_validators_stop_at_the_second_path():
+    # a 6x6 bidirectional grid has far more than DEFAULT_PATH_LIMIT paths
+    # from corner to corner; both validators reject it without listing them
+    grid = build_grid_template(6, 6, C1, 10.0).network
+    trip = Trip(0, 35, 1.0)
+    for result in (validate_trip_spanning_tree(grid, [trip]),
+                   validate_trip_path_graph(grid, trip)):
+        assert isinstance(result, ViolationList)
+        assert [(v.property_id, v.message.split(": ")[-1]) for v in result.violations] == [
+            (2, "expected exactly one path, found more than one")]
+    gap = net_of([(0, 1), (2, 3)])
+    result = validate_trip_path_graph(gap, Trip(0, 3, 1.0))
+    assert [v.message for v in result.violations] == ["expected exactly one path, found 0"]
+
+
 def test_subgraph_issues():
     template = build_grid_template(2, 2, C1, 5.0).network
     ok = Network({0, 1}, [template.edge(0, 1)])

@@ -484,6 +484,34 @@ def test_bridge_counterexample(counterexample_gs):
     assert bridge.difference <= 1e-4 * (1.0 + bridge.so_total)
 
 
+def test_bridge_builds_each_level_form_once(counterexample_gs, monkeypatch):
+    built = []
+    level_forms = _EdgeCalculator._level_forms
+
+    def counting(calc, level):
+        built.append(level.sum())
+        return level_forms(calc, level)
+
+    monkeypatch.setattr(_EdgeCalculator, "_level_forms", counting)
+    so_ue_bridge(counterexample_gs.instance)
+    # one calculator per solve: so needs the so gradient and the travel
+    # time; ue on the marginal costs needs its gradient and, for the
+    # integral's x*c(x), the level-0 form, built once however many calls
+    n = len(counterexample_gs.instance.network.edge_pairs)
+    assert built == [n, 0, n, 0]
+
+
+def test_cached_level_zero_forms_keep_the_integral_bits():
+    models = [Marginalized(Greenshields(1.5, 1.0, 10.0)), Affine(2.0, 0.5),
+              Marginalized(BPR(1.0, 5.0, 0.15, 4.0)), Constant(3.0)]
+    calc = _EdgeCalculator(models)
+    x = np.array([4.0, 1.5, 2.5, 7.0])
+    fresh = calc._evaluate(x, calc._level_forms(np.zeros(4)), False)[0]
+    for _ in range(2):
+        out = calc.integral(x)
+        assert out[[0, 2]].tolist() == (x * fresh)[[0, 2]].tolist()
+
+
 def shared_corridor():
     """Two trips crossing through one congested middle corridor."""
     g = Greenshields(1.0, 1.0, 20.0)
