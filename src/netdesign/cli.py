@@ -103,23 +103,22 @@ def _config_from(args) -> SolverConfig:
 
 
 def _load_source(args, routing: Optional[str]):
-    """Returns (scenario, instance, candidate_set, labels, source descriptor).
+    """Returns (instance, candidate_set, labels, source descriptor).
 
     A design document has no instance here: only ``solve`` needs one, the
     union of all its members, and builds it."""
     if args.scenario:
         scenario = materialize(args.scenario, _gather_params(args, routing))
-        return (scenario, scenario.instance, scenario.candidate_set,
-                scenario.candidate_labels, {"scenario": scenario.name,
-                                            "params": scenario.params_dict()})
+        return (scenario.instance, scenario.candidate_set, scenario.candidate_labels,
+                {"scenario": scenario.name, "params": scenario.params_dict()})
     doc = load_file(args.network)
     descriptor = {"network_file": args.network}
     if isinstance(doc, dict) and ("candidates" in doc or "spanning_tree" in doc):
         cs = candidate_set_from_json(doc)
         labels = tuple(f"g{i}" for i in range(len(cs.candidates)))
-        return None, None, cs, labels, descriptor
+        return None, cs, labels, descriptor
     net, trips = instance_from_json(doc)
-    return None, Instance(net, trips), None, (), descriptor
+    return Instance(net, trips), None, (), descriptor
 
 
 def _base_report(command: str, routing: Optional[str], source: dict, cfg=None) -> dict:
@@ -205,7 +204,7 @@ def _solver_for(routing: str):
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args)
-    _, instance, candidate_set, _, source = _load_source(args, args.routing)
+    instance, candidate_set, _, source = _load_source(args, args.routing)
     if instance is None:
         instance = Instance(candidate_set.subset_network(range(len(candidate_set.candidates))),
                             candidate_set.trips)
@@ -233,7 +232,7 @@ def _require_candidates(candidate_set):
 
 def cmd_lambda(args) -> int:
     cfg = _config_from(args)
-    _, _, candidate_set, labels, source = _load_source(args, args.routing)
+    _, candidate_set, labels, source = _load_source(args, args.routing)
     candidate_set = _require_candidates(candidate_set)
     subset = _parse_subset(args.subset, len(candidate_set.candidates))
     state = DesignState.create(candidate_set, subset)
@@ -268,7 +267,7 @@ def _parse_subset(text: Optional[str], n: int):
 
 def cmd_check(args) -> int:
     cfg = _config_from(args)
-    _, _, candidate_set, labels, source = _load_source(args, args.routing)
+    _, candidate_set, labels, source = _load_source(args, args.routing)
     candidate_set = _require_candidates(candidate_set)
     checker = check_monotonicity if args.property == "monotone" else check_supermodularity
     report_obj: PropertyReport = checker(
@@ -317,7 +316,7 @@ def cmd_check(args) -> int:
 
 def cmd_design(args) -> int:
     cfg = _config_from(args)
-    _, _, candidate_set, labels, source = _load_source(args, args.routing)
+    _, candidate_set, labels, source = _load_source(args, args.routing)
     candidate_set = _require_candidates(candidate_set)
     result: GreedyDesign = greedy_designer(args.routing, candidate_set, args.budget, cfg)
     report = _base_report("design", args.routing, source, cfg)

@@ -21,15 +21,19 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .costs import evaluate, is_constant
-from .errors import BadParams, DomainError
+from .costs import evaluate, is_constant, max_flow_bound
+from .errors import BadParams, DomainError, FormatError
+from .jsonio import design_from_json, design_to_json
 from .network import (
     Network,
     TemplateGraph,
+    Trip,
     TripPathGraph,
     TripSpanningTree,
     graph_union,
     subgraph_issues,
+    validate_trip_path_graph,
+    validate_trip_spanning_tree,
 )
 from .routing import (
     CERTIFICATE_RTOL,
@@ -347,8 +351,6 @@ def check_restriction(cs: CandidateSet, declared: Optional[str] = None) -> Restr
 
 def _probe_flows(cs: CandidateSet) -> Tuple[float, ...]:
     """Flows at which candidate path cost functions are compared for identity."""
-    from .costs import max_flow_bound
-
     bound = math.inf
     nets = [cs.spanning_tree.network] + [c.network for c in cs.candidates]
     for net in nets:
@@ -571,37 +573,30 @@ def parallel_uniform_value(routing: str, n_paths: int, l: float, v_max: float,
 
 
 # ---------------------------------------------------------------------------
-# JSON form: template document plus spanning_tree and candidates sections
+# construction from edge pairs, and the JSON form: a template document plus
+# spanning_tree and candidates sections
 
 
-def candidate_set_to_json(cs: CandidateSet) -> dict:
-    from .jsonio import design_to_json
+def candidate_set_from_pairs(template: Network, trips: Sequence[Trip],
+                             tree_pairs: Sequence[Tuple[int, int]],
+                             specs: Sequence[Tuple[int, Sequence[Tuple[int, int]]]],
+                             declared_class: str = GENERAL) -> CandidateSet:
+    """The candidate set whose members are edge-pair lists over ``template``.
 
-    return design_to_json(
-        cs.template.network,
-        cs.trips,
-        cs.spanning_tree.network.edge_pairs,
-        [(cand.trip_index, cand.network.edge_pairs) for cand in cs.candidates],
-    )
-
-
-def candidate_set_from_json(doc, declared_class: str = GENERAL) -> CandidateSet:
-    from .errors import FormatError
-    from .jsonio import design_from_json
-    from .network import validate_trip_path_graph, validate_trip_spanning_tree
-
-    template_net, trips, tree_pairs, specs = design_from_json(doc)
-    if tree_pairs is None:
-        raise FormatError("design document lacks a spanning_tree section")
+    ``specs`` holds one ``(trip index, edge pairs)`` per candidate. Each
+    member is built from the template's own edges and validated as a trip
+    spanning tree or a trip path graph; any failure raises FormatError.
+    """
 
     def member(pairs, what):
-        nodes = {n for pair in pairs for n in pair}
-        edges = []
+        edges = {}
         for i, j in pairs:
-            if not template_net.has_edge(i, j):
+            if not template.has_edge(i, j):
                 raise FormatError(f"{what} edge ({i}, {j}) is not in the template")
-            edges.append(template_net.edge(i, j))
-        return Network(nodes, edges)
+            if (i, j) in edges:
+                raise FormatError(f"{what} edge ({i}, {j}) is listed twice")
+            edges[(i, j)] = template.edge(i, j)
+        return Network({n for pair in edges for n in pair}, edges.values())
 
     tree = validate_trip_spanning_tree(member(tree_pairs, "spanning_tree"), trips)
     if not isinstance(tree, TripSpanningTree):
@@ -616,11 +611,27 @@ def candidate_set_from_json(doc, declared_class: str = GENERAL) -> CandidateSet:
                 f"candidate {pos} is invalid: " + "; ".join(graph.messages()))
         candidates.append(graph)
     return CandidateSet(
-        template=TemplateGraph(template_net),
+        template=TemplateGraph(template),
         spanning_tree=tree,
         candidates=tuple(candidates),
         declared_class=declared_class,
     )
+
+
+def candidate_set_to_json(cs: CandidateSet) -> dict:
+    return design_to_json(
+        cs.template.network,
+        cs.trips,
+        cs.spanning_tree.network.edge_pairs,
+        [(cand.trip_index, cand.network.edge_pairs) for cand in cs.candidates],
+    )
+
+
+def candidate_set_from_json(doc, declared_class: str = GENERAL) -> CandidateSet:
+    template, trips, tree_pairs, specs = design_from_json(doc)
+    if tree_pairs is None:
+        raise FormatError("design document lacks a spanning_tree section")
+    return candidate_set_from_pairs(template, trips, tree_pairs, specs, declared_class)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class Network:
     """
 
     __slots__ = ("nodes", "node_order", "out_adjacency", "in_adjacency",
-                 "_edges", "_pairs", "_position", "_succ", "_pred")
+                 "_edges", "_pairs", "_position")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         node_set = frozenset(int(n) for n in nodes)
@@ -76,16 +76,12 @@ class Network:
         position = {n: p for p, n in enumerate(order)}
         out_adj = [[] for _ in order]
         in_adj = [[] for _ in order]
-        succ = [[] for _ in order]
-        pred = [[] for _ in order]
         # sorted pairs give every list ascending neighbours
         for k, (i, j) in enumerate(pairs):
             pi = position[i]
             pj = position[j]
             out_adj[pi].append((pj, k))
             in_adj[pj].append((pi, k))
-            succ[pi].append(j)
-            pred[pj].append(i)
         object.__setattr__(self, "nodes", node_set)
         object.__setattr__(self, "node_order", order)
         object.__setattr__(self, "out_adjacency", tuple(map(tuple, out_adj)))
@@ -93,8 +89,6 @@ class Network:
         object.__setattr__(self, "_edges", edge_map)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -123,12 +117,19 @@ class Network:
         return self._position[node]
 
     def successors(self, node: int) -> Tuple[int, ...]:
-        p = self._position.get(node)
-        return () if p is None else self._succ[p]
+        """Heads of ``node``'s out-edges, ascending; () for other nodes."""
+        return self._neighbours(self.out_adjacency, node)
 
     def predecessors(self, node: int) -> Tuple[int, ...]:
+        """Tails of ``node``'s in-edges, ascending; () for other nodes."""
+        return self._neighbours(self.in_adjacency, node)
+
+    def _neighbours(self, adjacency, node: int) -> Tuple[int, ...]:
         p = self._position.get(node)
-        return () if p is None else self._pred[p]
+        if p is None:
+            return ()
+        order = self.node_order
+        return tuple([order[q] for q, _ in adjacency[p]])
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes

@@ -4,30 +4,23 @@ Each scenario materialises a fixed catalogue network edge-for-edge; node
 numbering notes sit next to each edge list so the fixtures stay
 auditable. Scenarios expose a plain instance (for ``solve``) and, where
 the fixture is posed as a design problem, a candidate set (for
-``lambda``/``check``/``design``).
+``lambda``/``check``/``design``). A fixture's spanning tree and candidates
+are edge-pair lists over its template, built and validated by
+``design.candidate_set_from_pairs``, the constructor that design documents
+go through too; the seeded generators build theirs the same way.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .costs import Affine, Constant, Greenshields
-from .design import DOUBLE_PRIME, GENERAL, PRIME, CandidateSet
-from .errors import BadParams, PathLimitExceeded, UnknownScenario
-from .network import (
-    Edge,
-    Network,
-    TemplateGraph,
-    Trip,
-    TripPathGraph,
-    TripSpanningTree,
-    ViolationList,
-    graph_union,
-    validate_trip_path_graph,
-    validate_trip_spanning_tree,
-)
+from .design import DOUBLE_PRIME, PRIME, CandidateSet, candidate_set_from_pairs
+from .errors import BadParams, UnknownScenario
+from .network import Edge, Network, Trip, build_grid_template
 from .routing import Instance
 
 SCENARIO_NAMES = ("braess", "pigou", "fig3", "fig4", "counterexample", "parallel")
@@ -50,18 +43,23 @@ def _network(nodes, edge_defs) -> Network:
     return Network(nodes, [Edge(i, j, cost, cap) for i, j, cost, cap in edge_defs])
 
 
-def _tree(network: Network, trips) -> TripSpanningTree:
-    validated = validate_trip_spanning_tree(network, trips)
-    if isinstance(validated, ViolationList):
-        raise AssertionError(f"fixture spanning tree invalid: {validated.messages()}")
-    return validated
+def _pair_template(pair_lists, cost_of) -> Network:
+    """The network over every pair of ``pair_lists``, edge (i, j) costing
+    ``cost_of((i, j))`` with capacity 10."""
+    pairs = set().union(*pair_lists)
+    return _network({n for pair in pairs for n in pair},
+                    [(i, j, cost_of((i, j)), 10.0) for i, j in pairs])
 
 
-def _path_graph(network: Network, trip, trip_index, candidate_index) -> TripPathGraph:
-    validated = validate_trip_path_graph(network, trip, trip_index, candidate_index)
-    if isinstance(validated, ViolationList):
-        raise AssertionError(f"fixture path graph invalid: {validated.messages()}")
-    return validated
+def _parallel_set(trip: Trip, routes) -> CandidateSet:
+    """Routes 0 -> 2+k -> 1, both edges of route k with the (cost model,
+    capacity) ``routes[k]``: route 0 is the spanning tree and the others
+    are the candidates."""
+    pairs = [((0, 2 + k), (2 + k, 1)) for k in range(len(routes))]
+    template = _network(range(2 + len(routes)), [
+        (i, j, model, cap) for route, (model, cap) in zip(pairs, routes) for i, j in route])
+    return candidate_set_from_pairs(template, (trip,), pairs[0],
+                                    [(0, route) for route in pairs[1:]], DOUBLE_PRIME)
 
 
 def _restrict(params: Optional[dict], allowed: dict, scenario: str) -> dict:
@@ -86,6 +84,8 @@ _BRAESS_EDGES = (
     (2, 3, Affine(0.0, 10.0), math.inf),
 )
 _BRAESS_SHORTCUT = (1, 2, Affine(10.0, 1.0), math.inf)
+_BRAESS_TREE = ((0, 1), (1, 3))
+_BRAESS_CANDIDATES = (((0, 2), (2, 3)), ((0, 1), (1, 2), (2, 3)))
 
 
 def _braess(params) -> Scenario:
@@ -98,20 +98,9 @@ def _braess(params) -> Scenario:
 
     # Posed as a design problem: the spanning tree is the path s-v-t, the
     # additions are the path s-w-t and then s-v-w-t over the shortcut.
-    template = TemplateGraph(_network(range(4), _BRAESS_EDGES + (_BRAESS_SHORTCUT,)))
-    tem = template.network
-    tree_net = Network({0, 1, 3}, [tem.edge(0, 1), tem.edge(1, 3)])
-    swt = Network({0, 2, 3}, [tem.edge(0, 2), tem.edge(2, 3)])
-    svwt = Network({0, 1, 2, 3}, [tem.edge(0, 1), tem.edge(1, 2), tem.edge(2, 3)])
-    cs = CandidateSet(
-        template=template,
-        spanning_tree=_tree(tree_net, (trip,)),
-        candidates=(
-            _path_graph(swt, trip, 0, 0),
-            _path_graph(svwt, trip, 0, 1),
-        ),
-        declared_class=GENERAL,
-    )
+    template = _network(range(4), _BRAESS_EDGES + (_BRAESS_SHORTCUT,))
+    cs = candidate_set_from_pairs(template, (trip,), _BRAESS_TREE,
+                                  [(0, pairs) for pairs in _BRAESS_CANDIDATES])
     return Scenario(
         name="braess",
         params=tuple(sorted(p.items())),
@@ -160,21 +149,8 @@ _FIG3_CANDIDATE = ((9, 10), (10, 11), (11, 3), (3, 4))
 def _fig3(params) -> Scenario:
     _restrict(params, {}, "fig3")
     trips = (Trip(9, 4, 1.0), Trip(6, 14, 1.0))
-    all_pairs = sorted(set(_FIG3_TREE) | set(_FIG3_CANDIDATE))
-    nodes = {n for p in all_pairs for n in p}
-    template = TemplateGraph(_network(
-        nodes, [(i, j, Constant(1.0), 10.0) for i, j in all_pairs]))
-    tem = template.network
-    tree_net = Network({n for p in _FIG3_TREE for n in p},
-                       [tem.edge(i, j) for i, j in _FIG3_TREE])
-    cand_net = Network({n for p in _FIG3_CANDIDATE for n in p},
-                       [tem.edge(i, j) for i, j in _FIG3_CANDIDATE])
-    cs = CandidateSet(
-        template=template,
-        spanning_tree=_tree(tree_net, trips),
-        candidates=(_path_graph(cand_net, trips[0], 0, 0),),
-        declared_class=GENERAL,
-    )
+    template = _pair_template((_FIG3_TREE, _FIG3_CANDIDATE), lambda pair: Constant(1.0))
+    cs = candidate_set_from_pairs(template, trips, _FIG3_TREE, [(0, _FIG3_CANDIDATE)])
     union = cs.subset_network([0])
     return Scenario(
         name="fig3",
@@ -198,19 +174,8 @@ _FIG4_CANDIDATE = ((1, 4), (4, 5), (5, 2), (2, 6), (6, 7), (7, 3))
 def _fig4(params) -> Scenario:
     _restrict(params, {}, "fig4")
     trip = Trip(1, 3, 1.0)
-    all_pairs = sorted(set(_FIG4_TREE) | set(_FIG4_CANDIDATE))
-    nodes = {n for p in all_pairs for n in p}
-    template = TemplateGraph(_network(
-        nodes, [(i, j, Constant(1.0), 10.0) for i, j in all_pairs]))
-    tem = template.network
-    tree_net = Network({1, 2, 3}, [tem.edge(i, j) for i, j in _FIG4_TREE])
-    cand_net = Network(nodes, [tem.edge(i, j) for i, j in _FIG4_CANDIDATE])
-    cs = CandidateSet(
-        template=template,
-        spanning_tree=_tree(tree_net, (trip,)),
-        candidates=(_path_graph(cand_net, trip, 0, 0),),
-        declared_class=GENERAL,
-    )
+    template = _pair_template((_FIG4_TREE, _FIG4_CANDIDATE), lambda pair: Constant(1.0))
+    cs = candidate_set_from_pairs(template, (trip,), _FIG4_TREE, [(0, _FIG4_CANDIDATE)])
     union = cs.subset_network([0])
     return Scenario(
         name="fig4",
@@ -250,25 +215,9 @@ def _counterexample(params) -> Scenario:
         trip = Trip(1, 4, 5.0)
         def cost_of(pair):
             return Greenshields(1.0, 1.0, 10.0)
-    all_pairs = sorted(set(_CX_TREE) | set(_CX_ORANGE) | set(_CX_BLUE))
-    nodes = {n for pr in all_pairs for n in pr}
-    template = TemplateGraph(_network(
-        nodes, [(i, j, cost_of((i, j)), 10.0) for i, j in all_pairs]))
-    tem = template.network
-
-    def member(pairs):
-        return Network({n for pr in pairs for n in pr},
-                       [tem.edge(i, j) for i, j in pairs])
-
-    cs = CandidateSet(
-        template=template,
-        spanning_tree=_tree(member(_CX_TREE), (trip,)),
-        candidates=(
-            _path_graph(member(_CX_ORANGE), trip, 0, 0),
-            _path_graph(member(_CX_BLUE), trip, 0, 1),
-        ),
-        declared_class=PRIME,
-    )
+    template = _pair_template((_CX_TREE, _CX_ORANGE, _CX_BLUE), cost_of)
+    cs = candidate_set_from_pairs(template, (trip,), _CX_TREE,
+                                  [(0, _CX_ORANGE), (0, _CX_BLUE)], PRIME)
     return Scenario(
         name="counterexample",
         params=tuple(sorted(p.items())),
@@ -298,28 +247,7 @@ def _parallel(params) -> Scenario:
     if d >= u:
         raise BadParams(f"demand {d} must stay below the per-path capacity {u}")
     trip = Trip(0, 1, d)
-    half = Greenshields(l / 2.0, v_max, u)
-    edge_defs = []
-    route_pairs = []
-    for i in range(n):
-        mid = 2 + i
-        route_pairs.append(((0, mid), (mid, 1)))
-        edge_defs += [(0, mid, half, u), (mid, 1, half, u)]
-    template = TemplateGraph(_network(range(2 + n), edge_defs))
-    tem = template.network
-
-    def member(pairs):
-        return Network({n for pr in pairs for n in pr},
-                       [tem.edge(i, j) for i, j in pairs])
-
-    candidates = tuple(
-        _path_graph(member(route_pairs[i]), trip, 0, i - 1) for i in range(1, n))
-    cs = CandidateSet(
-        template=template,
-        spanning_tree=_tree(member(route_pairs[0]), (trip,)),
-        candidates=candidates,
-        declared_class=DOUBLE_PRIME,
-    )
+    cs = _parallel_set(trip, [(Greenshields(l / 2.0, v_max, u), u)] * n)
     return Scenario(
         name="parallel",
         params=tuple(sorted(p.items())),
@@ -368,31 +296,23 @@ def _random_simple_path(rng, net: Network, source: int, sink: int):
     return tuple(path)
 
 
-def _path_member(template: Network, nodes) -> Network:
-    pairs = list(zip(nodes, nodes[1:]))
-    return Network(set(nodes), [template.edge(i, j) for i, j in pairs])
+def _route_pairs(nodes) -> Tuple[Tuple[int, int], ...]:
+    return tuple(zip(nodes, nodes[1:]))
 
 
 def random_candidate_set(seed: int, costing: str = "constant", rows: int = 4,
-                         cols: int = 4, max_candidates: int = 5,
-                         max_union_paths: int = 2000) -> CandidateSet:
+                         cols: int = 4, max_candidates: int = 5) -> CandidateSet:
     """A seeded random design problem on a grid template.
 
     One trip between two random distinct grid nodes; the spanning tree is a
     random simple path and the candidates are further random paths for the
-    same trip. The same seed yields the same topology for either costing.
-    Candidate draws whose union would enumerate more than
-    ``max_union_paths`` simple paths are rejected and redrawn, keeping the
-    exhaustive checkers tractable.
+    same trip, distinct from the tree and from each other (at most 200
+    draws). The same seed yields the same topology for either costing.
     """
-    import random as _random
-
-    from .network import build_grid_template, enumerate_paths
-
     if costing not in ("constant", "greenshields"):
         raise BadParams(f"costing must be 'constant' or 'greenshields', got {costing!r}")
-    rng_topo = _random.Random(f"{seed}-topology")
-    rng_cost = _random.Random(f"{seed}-cost")
+    rng_topo = random.Random(f"{seed}-topology")
+    rng_cost = random.Random(f"{seed}-cost")
 
     demand = float(rng_topo.randint(1, 3))
     shape = build_grid_template(rows, cols, Constant(1.0), 100.0)
@@ -405,41 +325,25 @@ def random_candidate_set(seed: int, costing: str = "constant", rows: int = 4,
         models = {p: Greenshields(round(rng_cost.uniform(0.5, 2.0), 3), 1.0, u)
                   for p in pairs}
         capacity = 4.0 * demand
-    template = TemplateGraph(Network(
-        shape.network.nodes,
-        [Edge(i, j, models[(i, j)], capacity) for i, j in pairs]))
+    template = Network(shape.network.nodes,
+                       [Edge(i, j, models[(i, j)], capacity) for i, j in pairs])
 
-    nodes = sorted(template.network.nodes)
+    nodes = sorted(template.nodes)
     source = rng_topo.choice(nodes)
     sink = rng_topo.choice([n for n in nodes if n != source])
     trip = Trip(source, sink, demand)
 
-    tree_nodes = _random_simple_path(rng_topo, template.network, source, sink)
-    tree = _tree(_path_member(template.network, tree_nodes), (trip,))
-
+    tree_nodes = _random_simple_path(rng_topo, template, source, sink)
     n_candidates = rng_topo.randint(1, max_candidates)
     chosen = []
-    seen = {tree_nodes}
-    attempts = 0
-    while len(chosen) < n_candidates and attempts < 200:
-        attempts += 1
-        cand_nodes = _random_simple_path(rng_topo, template.network, source, sink)
-        if cand_nodes in seen:
-            continue
-        trial = chosen + [cand_nodes]
-        union = graph_union(tree.network,
-                            [_path_member(template.network, c) for c in trial])
-        try:
-            enumerate_paths(union, trip, max_union_paths)
-        except PathLimitExceeded:
-            continue
-        seen.add(cand_nodes)
-        chosen.append(cand_nodes)
-    candidates = tuple(
-        _path_graph(_path_member(template.network, c), trip, 0, i)
-        for i, c in enumerate(chosen))
-    return CandidateSet(template=template, spanning_tree=tree,
-                        candidates=candidates, declared_class=GENERAL)
+    for _ in range(200):
+        if len(chosen) == n_candidates:
+            break
+        cand_nodes = _random_simple_path(rng_topo, template, source, sink)
+        if cand_nodes != tree_nodes and cand_nodes not in chosen:
+            chosen.append(cand_nodes)
+    return candidate_set_from_pairs(template, (trip,), _route_pairs(tree_nodes),
+                                    [(0, _route_pairs(c)) for c in chosen])
 
 
 @dataclass(frozen=True)
@@ -464,48 +368,25 @@ def random_parallel_family(seed: int, flavour: str = "constant",
     at least the demand; the hyperbolic flavour draws one shared (l, v_max,
     u, d) with d < u, so every route (tree included) is identical.
     """
-    import random as _random
-
     if flavour not in ("constant", "greenshields"):
         raise BadParams(f"flavour must be 'constant' or 'greenshields', got {flavour!r}")
-    rng = _random.Random(f"{seed}-parallel-{flavour}")
+    rng = random.Random(f"{seed}-parallel-{flavour}")
     n = rng.randint(1, max_candidates)
     if flavour == "constant":
         d = float(rng.randint(1, 3))
         spanning_cost = round(rng.uniform(5.0, 15.0), 3)
         candidate_costs = tuple(round(rng.uniform(1.0, 12.0), 3) for _ in range(n))
         capacities = [round(rng.uniform(d, d + 10.0), 3) for _ in range(n + 1)]
-
-        def route(i):
-            cost = spanning_cost if i == 0 else candidate_costs[i - 1]
-            return Constant(cost / 2.0), max(capacities[i], d)
-
+        routes = [(Constant(cost / 2.0), max(cap, d))
+                  for cost, cap in zip((spanning_cost,) + candidate_costs, capacities)]
     else:
         d = round(rng.uniform(1.0, 5.0), 3)
         l = round(rng.uniform(0.5, 3.0), 3)
         v_max = round(rng.uniform(0.5, 2.0), 3)
         u = round(rng.uniform(1.2 * d, 3.0 * d), 3)
-        half = Greenshields(l / 2.0, v_max, u)
+        routes = [(Greenshields(l / 2.0, v_max, u), u)] * (n + 1)
 
-        def route(i):
-            return half, u
-
-    trip = Trip(0, 1, d)
-    edge_defs = []
-    route_pairs = []
-    for i in range(n + 1):
-        mid = 2 + i
-        model, cap = route(i)
-        route_pairs.append(((0, mid), (mid, 1)))
-        edge_defs += [(0, mid, model, cap), (mid, 1, model, cap)]
-    template = TemplateGraph(_network(range(n + 3), edge_defs))
-    tem = template.network
-    tree = _tree(_path_member(tem, (0, 2, 1)), (trip,))
-    candidates = tuple(
-        _path_graph(_path_member(tem, (0, 2 + i, 1)), trip, 0, i - 1)
-        for i in range(1, n + 1))
-    cs = CandidateSet(template=template, spanning_tree=tree,
-                      candidates=candidates, declared_class=DOUBLE_PRIME)
+    cs = _parallel_set(Trip(0, 1, d), routes)
     if flavour == "constant":
         return ParallelFamily(candidate_set=cs, flavour=flavour, d=d,
                               spanning_cost=spanning_cost,

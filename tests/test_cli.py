@@ -206,6 +206,22 @@ def test_design_document_with_many_path_member_exits_as_usage(tmp_path, capsys, 
     assert "expected exactly one path, found more than one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([3, 0], "candidate 0 edge (3, 0) is not in the template"),
+    ([0, 2], "candidate 0 edge (0, 2) is listed twice"),
+])
+def test_design_document_with_bad_member_edge_exits_as_usage(tmp_path, capsys, extra, message):
+    from netdesign.design import candidate_set_to_json
+
+    doc = candidate_set_to_json(materialize("braess").candidate_set)
+    doc["candidates"][0]["edges"].append(extra)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--property", "monotone", "--network", str(path),
+                "--routing", "ue"]) == 64
+    assert capsys.readouterr().err == f"netdesign: error: {message}\n"
+
+
 def test_instance_only_command_needs_candidates(tmp_path, pigou):
     doc = instance_to_json(pigou.instance.network, pigou.instance.trips)
     path = tmp_path / "pigou.json"

@@ -18,6 +18,7 @@ from netdesign.design import (
     LambdaEvaluator,
     bitmask_subset,
     candidate_set_from_json,
+    candidate_set_from_pairs,
     candidate_set_to_json,
     check_monotonicity,
     check_restriction,
@@ -28,38 +29,21 @@ from netdesign.design import (
     parallel_uniform_value,
     subset_bitmask,
 )
-from netdesign.errors import BadParams, DomainError
-from netdesign.network import graph_union
+from netdesign.errors import BadParams, DomainError, FormatError
+from netdesign.network import Edge, Network, Trip, graph_union
 from netdesign.routing import CERTIFICATE_RTOL, solve_so
 from netdesign.scenarios import materialize, random_parallel_family
 
 
 def parallel_mc_set(spanning_cost, candidate_costs, demand, capacity=10.0):
     """Single-trip parallel candidate set with constant path costs."""
-    from netdesign.network import Edge, Network, TemplateGraph
-    from netdesign.network import validate_trip_path_graph, validate_trip_spanning_tree
-    from netdesign.network import Trip
-
-    trip = Trip(0, 1, demand)
-    defs = []
     route_costs = [spanning_cost] + list(candidate_costs)
-    for i, cost in enumerate(route_costs):
-        mid = 2 + i
-        defs += [Edge(0, mid, Constant(cost / 2.0), capacity),
-                 Edge(mid, 1, Constant(cost / 2.0), capacity)]
-    template = TemplateGraph(Network(range(2 + len(route_costs)), defs))
-    tem = template.network
-
-    def member(i):
-        mid = 2 + i
-        return Network({0, mid, 1}, [tem.edge(0, mid), tem.edge(mid, 1)])
-
-    tree = validate_trip_spanning_tree(member(0), (trip,))
-    candidates = tuple(
-        validate_trip_path_graph(member(i), trip, 0, i - 1)
-        for i in range(1, len(route_costs)))
-    return CandidateSet(template=template, spanning_tree=tree,
-                        candidates=candidates, declared_class=DOUBLE_PRIME)
+    routes = [((0, 2 + i), (2 + i, 1)) for i in range(len(route_costs))]
+    template = Network(range(2 + len(routes)), [
+        Edge(i, j, Constant(cost / 2.0), capacity)
+        for route, cost in zip(routes, route_costs) for i, j in route])
+    return candidate_set_from_pairs(template, (Trip(0, 1, demand),), routes[0],
+                                    [(0, route) for route in routes[1:]], DOUBLE_PRIME)
 
 
 def crossing_set(routing, ids=tuple(range(8))):
@@ -69,9 +53,6 @@ def crossing_set(routing, ids=tuple(range(8))):
     other six subsets have six more. Costs are constant for mc, with
     capacity 2 off the tree, and affine for so and ue. Node k is given
     the id ``ids[k]``."""
-    from netdesign.network import Edge, Network, TemplateGraph, Trip
-    from netdesign.network import validate_trip_path_graph, validate_trip_spanning_tree
-
     trip = Trip(ids[0], ids[3], 3.0)
     times = {(0, 1): 5.0, (1, 3): 5.0, (0, 4): 1.0, (4, 5): 2.0, (5, 3): 2.0,
              (0, 6): 1.0, (6, 4): 1.0, (4, 7): 1.5, (7, 3): 1.0}
@@ -80,18 +61,13 @@ def crossing_set(routing, ids=tuple(range(8))):
                  for (i, j), t in times.items()]
     else:
         edges = [Edge(ids[i], ids[j], Affine(t, 0.5 * t)) for (i, j), t in times.items()]
-    tem = Network(ids, edges)
 
-    def member(nodes):
-        nodes = [ids[k] for k in nodes]
-        return Network(nodes, [tem.edge(i, j) for i, j in zip(nodes, nodes[1:])])
+    def pairs(nodes):
+        return [(ids[i], ids[j]) for i, j in zip(nodes, nodes[1:])]
 
-    tree = validate_trip_spanning_tree(member((0, 1, 3)), (trip,))
-    candidates = tuple(
-        validate_trip_path_graph(member(nodes), trip, 0, pos)
-        for pos, nodes in enumerate([(0, 4, 5, 3), (0, 6, 4, 7, 3), (0, 4, 7, 3)]))
-    return CandidateSet(template=TemplateGraph(tem), spanning_tree=tree,
-                        candidates=candidates)
+    return candidate_set_from_pairs(
+        Network(ids, edges), (trip,), pairs((0, 1, 3)),
+        [(0, pairs(nodes)) for nodes in [(0, 4, 5, 3), (0, 6, 4, 7, 3), (0, 4, 7, 3)]])
 
 
 # -- objective values --------------------------------------------------------------
@@ -483,6 +459,36 @@ def test_candidate_set_round_trip(counterexample_mc, braess_with, fig3, fig4):
         text = json.dumps(doc, sort_keys=True)
         back = candidate_set_from_json(json.loads(text), cs.declared_class)
         assert back == cs
+
+
+def _braess_document(section, edges):
+    """The braess design document with ``section`` ("spanning_tree" or a
+    candidate index) replaced by ``edges``, or removed when it is None."""
+    doc = candidate_set_to_json(materialize("braess").candidate_set)
+    if section != "spanning_tree":
+        doc["candidates"][section]["edges"] = edges
+    elif edges is None:
+        del doc["spanning_tree"]
+    else:
+        doc["spanning_tree"] = edges
+    return doc
+
+
+# braess's template has s->v, s->w, v->t, w->t and the shortcut v->w
+# (nodes 0 = s, 1 = v, 2 = w, 3 = t)
+@pytest.mark.parametrize("section, edges, message", [
+    ("spanning_tree", None, "design document lacks a spanning_tree section"),
+    (1, [[0, 1], [1, 2], [2, 3], [3, 0]], "candidate 1 edge (3, 0) is not in the template"),
+    ("spanning_tree", [[0, 1], [1, 3], [0, 2], [2, 3]],
+     "spanning_tree is invalid: trip 0: expected exactly one path, found more than one"),
+    (0, [[0, 1], [1, 3], [0, 2], [2, 3]],
+     "candidate 0 is invalid: expected exactly one path, found more than one"),
+    (0, [[0, 2], [2, 3], [0, 2]], "candidate 0 edge (0, 2) is listed twice"),
+])
+def test_design_document_format_errors(section, edges, message):
+    with pytest.raises(FormatError) as info:
+        candidate_set_from_json(_braess_document(section, edges))
+    assert str(info.value) == message
 
 
 # -- unit invariance ---------------------------------------------------------------

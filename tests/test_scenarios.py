@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from netdesign.design import candidate_set_to_json
 from netdesign.errors import BadParams, UnknownScenario
 from netdesign.jsonio import instance_from_json, instance_to_json
 from netdesign.routing import solve_so, solve_ue
@@ -86,6 +88,44 @@ def test_instance_round_trip():
         net, trips = instance_from_json(json.loads(text))
         assert net == scenario.instance.network
         assert trips == scenario.instance.trips
+
+
+# sha256 of the sorted-key JSON of each fixture's candidate set (or, for
+# "instance", of its instance), pinned so that a change to how fixtures are
+# built cannot move a single byte of what they build
+_PINNED_DIGESTS = (
+    ("braess", None, "e8fe058e3805db0528f058dc69de9e962a1380fe0d10206538c472f3c047e3b1"),
+    ("braess", {"with_edge": False},
+     "e8fe058e3805db0528f058dc69de9e962a1380fe0d10206538c472f3c047e3b1"),
+    ("fig3", None, "7cdebf0c9b890504a1c35b391a3adad180ed3c3cbb74256eeed50962b04aff89"),
+    ("fig4", None, "9de5e870ee557ecd03d46ba9c5c78defde60655bba79794af7af874cd5ed1599"),
+    ("counterexample", None,
+     "75d3f51a06c8ea72f2ba4b2039e181dae6e1ea97cafc1ffa8857b33b5d634aae"),
+    ("counterexample", {"costing": "greenshields"},
+     "4599fdd13dfd7975fe3961660e845e1763aa6a91d964758f0e306ac27cb1575e"),
+    ("parallel", None, "bee66f69ef4e524c1b80f926da19b60f9a16ac8ec4bd9f047ed62af3347a99b7"),
+    ("parallel", {"n": 1}, "5fea8854f26ed931df665c33c256f3502010919dbab795e01b3c8e1dd9e2efb4"),
+    ("parallel", {"n": 2}, "92d643d9b62291f844f3bd784704f16186749eea97a7355879813c8cefaff470"),
+    ("parallel", {"n": 5}, "49e18d58204ccbb7250688d6d6c65789e110e074fd784eaf86199ef9c53e671a"),
+    ("parallel", {"n": 8}, "43a72ce0388f972dd0162a053eae9c6082600b05c5c3d0929ccfa90dceafbc2c"),
+    ("parallel", {"n": 4, "l": 2.0, "v_max": 3.0, "u": 7.0, "d": 2.5},
+     "747f315c0f736741c973af62dff49fffc2528c4abc63a53f5a40793a9208eba1"),
+    ("instance", ("pigou", None),
+     "e8b63adeff89289288635a4b1999cfb952789df650428c11e0d6def91bb6c880"),
+    ("instance", ("braess", {"with_edge": False}),
+     "48f74aa348e25e8ef1e9936a1e434d2b46ccfae6bbf2c2f9c81528dd807cb2a3"),
+)
+
+
+@pytest.mark.parametrize("name, params, digest", _PINNED_DIGESTS)
+def test_fixture_bytes_are_pinned(name, params, digest):
+    if name == "instance":
+        instance = materialize(*params).instance
+        doc = instance_to_json(instance.network, instance.trips)
+    else:
+        doc = candidate_set_to_json(materialize(name, params).candidate_set)
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_scenario_descriptions_cover_all():
