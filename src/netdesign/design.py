@@ -178,7 +178,10 @@ class LambdaEvaluator:
     solver is deterministic, so a shared evaluation is bit-identical to a
     cold solve of each subset. A union graph is keyed by the bitsets of its
     template node positions and template edge ids, OR-ed from per-member
-    bitsets, so its ``Network`` is built only for a graph not yet solved.
+    bitsets. Only a graph not yet solved gets a ``Network``, cut from the
+    template by those bitsets (``Network.restrict``): the members were
+    checked as template subgraphs when the candidate set was built, and the
+    solve gathers its edge tables from the template's, built once.
     ``misses`` counts solver calls; ``hits`` counts ``value`` lookups
     answered from the bitmask cache and bitmasks whose union graph was
     already solved. Reads through ``values`` count as neither.
@@ -190,7 +193,7 @@ class LambdaEvaluator:
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
         # edge ids suffice beside the nodes: members never redefine a
         # template edge, so equal ids mean equal edges
-        template = candidate_set.template.network
+        template = self._template = candidate_set.template.network
         edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
 
         def bits(net):
@@ -233,7 +236,8 @@ class LambdaEvaluator:
         first = self._graphs.get(graph)
         if first is None:
             self.misses += 1
-            state = DesignState.create(self.candidate_set, subset)
+            state = DesignState(self.candidate_set, subset,
+                                self._template.restrict(nodes, edges))
             ev = self._graphs[graph] = lambda_eval(routing, state, self.cfg)
         else:
             self.hits += 1

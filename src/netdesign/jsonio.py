@@ -1,9 +1,10 @@
 """JSON instance and design-problem formats.
 
 Instance documents carry exactly the keys ``nodes``, ``edges`` and
-``trips``; design documents additionally allow ``spanning_tree`` (edge
-pair list) and ``candidates``. Unknown keys are rejected everywhere so a
-typo cannot silently change an experiment.
+``trips``, with at least one trip and every trip's ends among the nodes;
+design documents additionally allow ``spanning_tree`` (edge pair list)
+and ``candidates``. Unknown keys are rejected everywhere so a typo cannot
+silently change an experiment.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ def network_from_json(obj, what: str = "instance",
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     trips = tuple(trip_from_json(t) for t in obj["trips"])
+    if not trips:
+        raise FormatError("trips must list at least one trip")
+    for m, trip in enumerate(trips):
+        missing = [n for n in (trip.source, trip.sink) if n not in net.nodes]
+        if missing:
+            raise FormatError(f"trip {m} endpoint(s) {missing} not in the nodes")
     return net, trips
 
 

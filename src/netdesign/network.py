@@ -54,10 +54,15 @@ class Network:
     ids. ``out_adjacency[p]`` and ``in_adjacency[p]`` hold the (neighbour
     position, edge id) pairs of the node at position ``p``, by ascending
     neighbour.
+
+    A network made by ``restrict`` records the network it was cut from as
+    its ``template`` and its edges' ids there as ``template_ids``; both are
+    None on a network built by the constructor. Neither takes part in
+    equality or hashing.
     """
 
     __slots__ = ("nodes", "node_order", "out_adjacency", "in_adjacency",
-                 "_edges", "_pairs", "_position")
+                 "template", "template_ids", "_edges", "_pairs", "_position", "_derived")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge]):
         node_set = frozenset(int(n) for n in nodes)
@@ -71,9 +76,12 @@ class Network:
             if pair in edge_map:
                 raise ValueError(f"duplicate edge {pair}")
             edge_map[pair] = e
-        pairs = tuple(sorted(edge_map))
-        order = tuple(sorted(node_set))
-        position = {n: p for p, n in enumerate(order)}
+        self._fill(tuple(sorted(node_set)), edge_map, tuple(sorted(edge_map)), None, None)
+
+    def _fill(self, order, edge_map, pairs, template, template_ids):
+        """Set every slot from the ascending node ids ``order`` and the
+        edges ``edge_map`` with ascending keys ``pairs``."""
+        position = dict(zip(order, range(len(order))))
         out_adj = [[] for _ in order]
         in_adj = [[] for _ in order]
         # sorted pairs give every list ascending neighbours
@@ -82,20 +90,53 @@ class Network:
             pj = position[j]
             out_adj[pi].append((pj, k))
             in_adj[pj].append((pi, k))
-        object.__setattr__(self, "nodes", node_set)
+        object.__setattr__(self, "nodes", frozenset(order))
         object.__setattr__(self, "node_order", order)
         object.__setattr__(self, "out_adjacency", tuple(map(tuple, out_adj)))
         object.__setattr__(self, "in_adjacency", tuple(map(tuple, in_adj)))
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "template_ids", template_ids)
         object.__setattr__(self, "_edges", edge_map)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_derived", {})
+
+    def restrict(self, node_positions: int, edge_ids: int) -> "Network":
+        """The subgraph on the nodes and edges whose positions and ids are
+        set in two bitsets: bit p of ``node_positions`` is the node at
+        position p, bit k of ``edge_ids`` the edge with id k.
+
+        Nothing is validated again: every chosen edge's ends must be chosen
+        nodes, as they are when the bitsets are unions of subgraphs' own.
+        The result equals the network the constructor builds from the same
+        nodes and edges.
+        """
+        order = self.node_order
+        pairs = self._pairs
+        ids = tuple(_set_bits(edge_ids))
+        sub_pairs = tuple(pairs[k] for k in ids)
+        edges = self._edges
+        sub = Network.__new__(Network)
+        sub._fill(tuple(order[p] for p in _set_bits(node_positions)),
+                  {pair: edges[pair] for pair in sub_pairs}, sub_pairs, self, ids)
+        return sub
+
+    def derived(self, key, build):
+        """``build(self)``, made on the first call with ``key`` and kept
+        with the network: other layers keep here what they derive from the
+        immutable graph, such as routing's edge cost tables."""
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
     def __reduce__(self):
         # pickle and deepcopy would restore the slots through __setattr__;
-        # rebuild through the constructor instead
+        # rebuild through the constructor instead (a restricted network
+        # comes back equal, without its template)
         return (Network, (self.nodes, self.edges))
 
     @property
@@ -146,6 +187,11 @@ class Network:
 
     def __repr__(self):
         return f"Network({len(self.nodes)} nodes, {len(self._edges)} edges)"
+
+
+def _set_bits(bits: int):
+    """Positions of the set bits of ``bits``, ascending."""
+    return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ Newton step on the used paths' KKT system equalises their gradients. The
 step is taken whole when it lowers the objective and is cut back to the
 line minimum otherwise, found by a safeguarded Newton iteration on the
 directional derivative. Both Newton iterations take the objective's edge
-gradient and curvature from one closed-form pass per cost family.
+gradient and curvature from one closed-form pass per cost family. On a
+network cut from a template (``Network.restrict``), the per-edge tables of
+those closed forms are gathered by edge id from the template's, which are
+built once.
 
 Every accepted solution carries an optimality certificate recomputed from
 first principles: each trip meets its demand, and its used paths cost no
@@ -115,6 +118,8 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "trips", tuple(self.trips))
+        if not self.trips:
+            raise ValueError("an instance needs at least one trip")
         for m, trip in enumerate(self.trips):
             if trip.source not in self.network.nodes or trip.sink not in self.network.nodes:
                 raise ValueError(f"trip {m} endpoints missing from the network")
@@ -235,11 +240,6 @@ class _PathSpace:
         return self._row_trip
 
     @cached_property
-    def trip_eye(self) -> np.ndarray:
-        """Identity over the trips; its row ``m`` is trip ``m``'s one-hot row."""
-        return np.eye(len(self.ends))
-
-    @cached_property
     def edge_index(self) -> Dict[Tuple[int, int], int]:
         """Edge id of each edge pair."""
         return {pair: k for k, pair in enumerate(self.edge_pairs)}
@@ -325,6 +325,17 @@ _GREENSHIELDS_LEVELS = np.array([[1.0, 0.0, 1.0, 0.0],
                                  [2.0, 1.0, 6.0, 2.0]])
 
 
+# Per family, in the order of _EdgeCalculator.family's codes: the
+# _EdgeCalculator attribute holding the family's edge ids, and those
+# holding its per-edge tables.
+_FAMILY_TABLES = (
+    ("ic", ("c_c",)),
+    ("ia", ("a_a", "a_b")),
+    ("ig", ("g_u", "g_s", "g_int")),
+    ("ib", ("b_c0", "b_u", "b_alpha", "b_beta", "b_pow", "b_int")),
+)
+
+
 class _EdgeCalculator:
     """Vectorised closed forms over all edges.
 
@@ -339,6 +350,11 @@ class _EdgeCalculator:
     level-n gradient has one closed form in n, and its derivative, the
     curvature, shares that form's powers, so ``derivatives`` returns both
     in one pass per family.
+
+    ``gather`` makes the calculator of some of the edges from this one's
+    tables. Every table and level form is elementwise in the edges, so a
+    gathered calculator matches one built from those edges' models bit for
+    bit.
     """
 
     def __init__(self, models: Sequence):
@@ -388,7 +404,45 @@ class _EdgeCalculator:
         self.b_c0, self.b_u, self.b_alpha, self.b_beta = p1[ib], p2[ib], p3[ib], p4[ib]
         self.b_pow = self.b_beta - 1.0
         self.b_int = (self.b_beta + 1.0) * self.b_u ** self.b_beta
+        self.family = kind
         self._forms = {}  # level forms by objective kind (None: level 0), built on first use
+        self._origin = None  # (calculator, family rows) this one was gathered from
+
+    @cached_property
+    def _family_rows(self) -> np.ndarray:
+        """Each edge's row in its family's tables."""
+        rows = np.empty(self.n, dtype=np.intp)
+        for at in (self.ic, self.ia, self.ig, self.ib):
+            rows[at] = np.arange(at.size)
+        return rows
+
+    def gather(self, ids: Sequence[int]) -> "_EdgeCalculator":
+        """The calculator of the edges ``ids`` (ascending), its tables
+        gathered from this one's rows."""
+        ids = np.array(ids, dtype=np.intp)
+        sub = _EdgeCalculator.__new__(_EdgeCalculator)
+        family = sub.family = self.family[ids]
+        rows = self._family_rows[ids]
+        sub.n = len(ids)
+        sub.bound = self.bound[ids]
+        sub.ue_level = self.ue_level[ids]
+        sub.im = np.flatnonzero(sub.ue_level) if self.im.size else self.im
+        family_rows = []
+        for k, (at, tables) in enumerate(_FAMILY_TABLES):
+            if getattr(self, at).size:
+                where = np.flatnonzero(family == k)
+                picked = rows[where]
+                setattr(sub, at, where)
+                for name in tables:
+                    setattr(sub, name, getattr(self, name)[picked])
+            else:  # no edge of the family here: share the empty tables
+                picked = getattr(self, at)
+                for name in (at,) + tables:
+                    setattr(sub, name, getattr(self, name))
+            family_rows.append(picked)
+        sub._forms = {}
+        sub._origin = (self, family_rows[1:])
+        return sub
 
     def _level_forms(self, level):
         """Per-family coefficients of the level-n gradient g and curvature k.
@@ -413,8 +467,14 @@ class _EdgeCalculator:
     def _forms_of(self, kind):
         forms = self._forms.get(kind)
         if forms is None:
-            level = np.zeros(self.n) if kind is None else self.ue_level + (kind == SO)
-            forms = self._forms[kind] = self._level_forms(level)
+            if self._origin is None:
+                level = np.zeros(self.n) if kind is None else self.ue_level + (kind == SO)
+                forms = self._level_forms(level)
+            else:
+                origin, (ra, rg, rb) = self._origin
+                slope, green, bpr = origin._forms_of(kind)
+                forms = (slope[ra], tuple(c[rg] for c in green), tuple(c[rb] for c in bpr))
+            self._forms[kind] = forms
         return forms
 
     def derivatives(self, x, kind):
@@ -471,6 +531,15 @@ class _EdgeCalculator:
             # the integral of c + t*c' is exactly x*c(x)
             out[m] = x[m] * self._evaluate(x, self._forms_of(None), False)[0][m]
         return out
+
+
+def _calculator(net: Network) -> _EdgeCalculator:
+    """The edge calculator of ``net``. A network restricted from a template
+    gathers it by edge id from the template's, which is built once and kept
+    with the template."""
+    if net.template is None:
+        return _EdgeCalculator([e.cost for e in net.edges])
+    return net.template.derived(_EdgeCalculator, _calculator).gather(net.template_ids)
 
 
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
@@ -557,22 +626,25 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
 
 def _distances_to(net: Network, costs: Sequence[float], root: int):
     """Cost of the cheapest path from each node position to position
-    ``root``, indexed by position; inf where no path reaches it."""
+    ``root``, indexed by position; inf where no path reaches it.
+    ValueError when any edge cost is negative.
+
+    A node is pushed again each time its distance falls, so a popped entry
+    above the node's distance is stale and skipped. With nonnegative costs
+    a node's distance no longer falls once it is popped at that distance.
+    """
+    if costs and min(costs) < 0:
+        raise ValueError(f"negative edge cost {min(costs)}")
     dist = [math.inf] * len(net.node_order)
     dist[root] = 0.0
-    done = [False] * len(dist)
     heap = [(0.0, root)]
     in_adj = net.in_adjacency
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u]:
+        if d > dist[u]:
             continue
-        done[u] = True
         for v, e in in_adj[u]:
-            w = costs[e]
-            if w < 0:
-                raise ValueError(f"negative edge cost {w}")
-            nd = d + w
+            nd = d + costs[e]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -693,74 +765,86 @@ def _line_search(calc: _EdgeCalculator, xe: np.ndarray, de: np.ndarray, kind: st
 
 
 def _newton_step(space: _PathSpace, x: np.ndarray, xe: np.ndarray, g: np.ndarray,
-                 curv_e: np.ndarray, best: np.ndarray, g_best: np.ndarray,
-                 margin: np.ndarray, bounded: np.ndarray):
+                 curv_e: np.ndarray, best: np.ndarray, g_best: np.ndarray, limits: list):
     """One Newton step from path flows ``x``: its support rows, their
     flows, their flow changes, the edge flow changes and the step length.
 
     The support is the used paths plus each trip's priced path ``best``
     (path gradient ``g_best``) when it is strictly cheaper than all of the
     trip's used paths. The length is the longest, up to 1, that keeps path
-    flows nonnegative and the ``bounded`` edges within ``margin``. Returns
-    None when the Newton system cannot be solved or an edge already at its
-    margin blocks the step.
+    flows nonnegative and each edge of ``limits``, (edge id, flow margin)
+    pairs, within its margin. Returns None when the Newton system cannot be
+    solved or an edge already at its margin blocks the step.
 
-    Bookkeeping runs on Python floats in loops over the trips and the
-    support; comparisons, min and a single rounded operation give the same
-    bits there as in numpy, while sums and products stay in numpy.
+    Bookkeeping runs on Python floats in loops over the trips, the support
+    and the edges; comparisons, min, sums added in numpy's order and single
+    rounded operations give the same bits there as in numpy, while matrix
+    products and the solve stay in numpy.
     """
     trip_of = space.trip_of
-    support = x > 0.0
-    flat = support.nonzero()[0]
+    xl = x.tolist()
+    gl = g.tolist()
+    flat = [r for r, v in enumerate(xl) if v > 0.0]
     low = [math.inf] * len(space.ends)
-    for r, v in zip(flat.tolist(), g[flat].tolist()):
+    for r in flat:
+        v = gl[r]
         if v < low[trip_of[r]]:
             low[trip_of[r]] = v
     joining = [r for r, v, lo in zip(best.tolist(), g_best.tolist(), low)
                if v < lo - 1e-10 * abs(lo)]
-    if joining:
-        support[joining] = True
-        flat = support.nonzero()[0]
-    direction = _newton_direction(space, x, g, curv_e, flat)
+    if joining:  # a joining path carries no flow, so it is not in flat yet
+        flat = sorted(flat + joining)
+    direction = _newton_direction(space, xl, gl, curv_e, flat)
     if direction is None:
         return None
     flat, x_sub, dx, de, t = direction
-    up = (de > 0.0) & bounded
-    room = np.divide(margin - xe, de, out=np.full(len(de), math.inf), where=up)
-    t = min(t, float(room.min()))
+    dl = de.tolist()
+    xel = xe.tolist()
+    for e, margin in limits:
+        d = dl[e]
+        if d > 0.0:
+            room = (margin - xel[e]) / d
+            if room < t:
+                t = room
     if t <= 0.0:  # an edge already at its capacity margin blocks the step
         return None
     return flat, x_sub, dx, de, t
 
 
-def _newton_direction(space: _PathSpace, x: np.ndarray, g: np.ndarray,
-                      curv_e: np.ndarray, flat: np.ndarray):
+def _newton_direction(space: _PathSpace, x: list, g: list, curv_e: np.ndarray, flat: list):
     """Newton step on the KKT system of the support rows ``flat`` (ascending).
 
-    The step equalises the path gradients ``g`` within each trip and keeps
-    each trip's demand. A path at zero flow that the step would make
-    negative leaves the support, and the step is taken again without it.
-    Returns the support rows, their flows and flow changes (lists), the
-    edge flow changes, and the longest step length up to 1 that keeps the
-    path flows nonnegative; None when the system cannot be solved.
+    ``x`` and ``g`` are the path flows and path gradients. The step
+    equalises the gradients within each trip and keeps each trip's demand.
+    A path at zero flow that the step would make negative leaves the
+    support, and the step is taken again without it. Returns the support
+    rows, their flows and flow changes (lists), the edge flow changes, and
+    the longest step length up to 1 that keeps the path flows nonnegative;
+    None when the system cannot be solved.
     """
     n_trips = len(space.ends)
-    x_sub = x[flat].tolist()
+    trip_of = space.trip_of
+    x_sub = [x[r] for r in flat]
     while True:
         k = len(flat)
-        trips = space.row_trip[flat]
+        trips = [trip_of[r] for r in flat]
+        g_sub = [g[r] for r in flat]
+        # each trip's mean gradient, summed in row order like np.bincount
+        sums = [0.0] * n_trips
+        counts = [0] * n_trips
+        for m, v in zip(trips, g_sub):
+            sums[m] += v
+            counts[m] += 1
+        # the step keeps each trip's total; the multiplier estimate (the
+        # mean) only keeps the right-hand side small near the solution
+        rhs = np.array([sums[m] / counts[m] - v for m, v in zip(trips, g_sub)]
+                       + [0.0] * n_trips)
         a_sub = space.incidence[flat]
-        g_sub = g[flat]
-        lam = (np.bincount(trips, weights=g_sub, minlength=n_trips)
-               / np.bincount(trips, minlength=n_trips))
-        # the step keeps each trip's total; the multiplier estimate lam only
-        # keeps the right-hand side small near the solution
-        rhs = np.concatenate([lam[trips] - g_sub, np.zeros(n_trips)])
-        one_hot = space.trip_eye[trips]
         kkt = np.zeros((k + n_trips, k + n_trips))
         kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
-        kkt[:k, k:] -= one_hot
-        kkt[k:, :k] = one_hot.T
+        for i, m in enumerate(trips):
+            kkt[i, k + m] = -1.0
+            kkt[k + m, i] = 1.0
         step = _solve_kkt(kkt, rhs, a_sub)
         if step is None:
             return None
@@ -777,7 +861,7 @@ def _newton_direction(space: _PathSpace, x: np.ndarray, g: np.ndarray,
             keep.append(i)
         if len(keep) == k:
             return flat, x_sub, dx, de, t
-        flat = flat[keep]
+        flat = [flat[i] for i in keep]
         x_sub = [x_sub[i] for i in keep]
 
 
@@ -796,7 +880,7 @@ def _solve_kkt(kkt, rhs, a_sub):
         de = a_sub.T @ dx
         dxl = dx.tolist()
         if (all(map(math.isfinite, dxl))
-                and max(map(abs, dxl)) <= 1e6 * float(np.abs(de).max())):
+                and max(map(abs, dxl)) <= 1e6 * max(map(abs, de.tolist()))):
             return dxl, de
     except np.linalg.LinAlgError:
         pass
@@ -821,10 +905,11 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     NotConverged.
     """
     space = _PathSpace(instance, cfg.path_limit)
-    calc = _EdgeCalculator(space.models)
+    calc = _calculator(instance.network)
     demands = space.demands
-    margin = calc.bound * (1.0 - cfg.capacity_margin)
-    bounded = np.isfinite(calc.bound)
+    # (edge id, flow margin) of each edge with a flow bound
+    limits = [(e, bound * (1.0 - cfg.capacity_margin))
+              for e, bound in enumerate(calc.bound.tolist()) if bound < math.inf]
     x = _initial_point(space, calc, kind)
     xe = space.edge_flows(x)
     f = _objective(calc, xe, kind)
@@ -843,7 +928,7 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
         if iterations == cfg.max_iterations:
             raise NotConverged(iterations, rel_gap)
         iterations += 1
-        step = _newton_step(space, x, xe, g, curv_e, best, g_best, margin, bounded)
+        step = _newton_step(space, x, xe, g, curv_e, best, g_best, limits)
         if step is None:
             raise NotConverged(iterations, rel_gap)
         flat, x_sub, dx, de, t = step
@@ -863,7 +948,7 @@ def _take_step(space, calc, x, flat, x_sub, dx, t, kind):
     demands = space.demand_list
     trip_of = space.trip_of
     moved = []
-    for r, v, d in zip(flat.tolist(), x_sub, dx):
+    for r, v, d in zip(flat, x_sub, dx):
         v += t * d
         # the path that limits the step keeps only a rounding residue
         moved.append(0.0 if v <= 1e-14 * demands[trip_of[r]] else v)

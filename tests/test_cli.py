@@ -229,6 +229,41 @@ def test_instance_only_command_needs_candidates(tmp_path, pigou):
     assert run(["lambda", "--network", str(path), "--routing", "ue"]) == 64
 
 
+def _document(kind):
+    from netdesign.design import candidate_set_to_json
+
+    if kind == "instance":
+        pigou = materialize("pigou")
+        return instance_to_json(pigou.instance.network, pigou.instance.trips)
+    return candidate_set_to_json(materialize("braess").candidate_set)
+
+
+@pytest.mark.parametrize("kind", ["instance", "design"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--routing", "so"],
+    ["lambda", "--routing", "ue"],
+    ["check", "--property", "monotone", "--routing", "mc"],
+    ["design", "--routing", "so", "--budget", "1"],
+])
+def test_trip_off_the_network_exits_as_usage(tmp_path, capsys, kind, command):
+    doc = _document(kind)
+    doc["trips"][0]["sink"] = 99
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run([*command, "--network", str(path)]) == 64
+    assert capsys.readouterr().err == "netdesign: error: trip 0 endpoint(s) [99] not in the nodes\n"
+
+
+@pytest.mark.parametrize("kind", ["instance", "design"])
+def test_empty_trip_list_exits_as_usage(tmp_path, capsys, kind):
+    doc = _document(kind)
+    doc["trips"] = []
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", "--routing", "so", "--network", str(path)]) == 64
+    assert capsys.readouterr().err == "netdesign: error: trips must list at least one trip\n"
+
+
 def test_solver_error_exit_code():
     code = run(["solve", "--scenario", "counterexample", "--routing", "so",
                 "--max-iters", "1", "--gap-tol", "1e-12"])

@@ -30,8 +30,8 @@ from netdesign.design import (
     subset_bitmask,
 )
 from netdesign.errors import BadParams, DomainError, FormatError
-from netdesign.network import Edge, Network, Trip, graph_union
-from netdesign.routing import CERTIFICATE_RTOL, solve_so
+from netdesign.network import Edge, Network, Trip
+from netdesign.routing import CERTIFICATE_RTOL, _EdgeCalculator, solve_so
 from netdesign.scenarios import materialize, random_parallel_family
 
 
@@ -139,25 +139,69 @@ def test_equal_union_graphs_share_one_solve(routing, monkeypatch):
 @pytest.mark.parametrize("routing", ["mc", "so", "ue"])
 def test_union_graphs_keyed_on_sparse_node_ids(routing, monkeypatch):
     # ids far apart and out of node order: the union-graph key is built
-    # from template positions and edge ids, and a network only per solve
+    # from template positions and edge ids, and a network only per solve,
+    # cut from the template
     cs = crossing_set(routing, ids=(1000, 7, 0, 42, 3, 999, 12, 500))
     masks = range(1 << len(cs.candidates))
     graphs = {cs.subset_network(bitmask_subset(m)) for m in masks}
     assert len(graphs) == 7
     cold = tuple(lambda_eval(routing, DesignState.create(cs, bitmask_subset(m)))
                  for m in masks)
-    unions = []
+    built = []
+    restrict = Network.restrict
 
-    def counting(base, additions):
-        unions.append(len(additions))
-        return graph_union(base, additions)
+    def counting(template, node_positions, edge_ids):
+        built.append(restrict(template, node_positions, edge_ids))
+        return built[-1]
 
-    monkeypatch.setattr(design, "graph_union", counting)
+    monkeypatch.setattr(Network, "restrict", counting)
     evaluator = LambdaEvaluator(cs)
     evaluator.ensure(routing, masks)
-    assert len(unions) == evaluator.misses == len(graphs)
+    assert len(built) == evaluator.misses == len(graphs)
+    assert set(built) == graphs
     assert evaluator.evaluations(routing) == cold
     assert evaluator.values(routing) == {ev.bitmask: ev.value for ev in cold}
+
+
+def test_restricted_networks_equal_graph_unions(counterexample_gs):
+    # every subset's network cut from the template by bitsets is the one
+    # graph_union builds, down to its ids and adjacency
+    for cs in (crossing_set("so", ids=(1000, 7, 0, 42, 3, 999, 12, 500)),
+               counterexample_gs.candidate_set):
+        template = cs.template.network
+        edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
+        for mask in range(1 << len(cs.candidates)):
+            union = cs.subset_network(bitmask_subset(mask))
+            cut = template.restrict(sum(1 << template.position(v) for v in union.nodes),
+                                    sum(1 << edge_id[pair] for pair in union.edge_pairs))
+            assert cut == union and hash(cut) == hash(union)
+            assert cut.node_order == union.node_order
+            assert cut.edges == union.edges
+            assert cut.out_adjacency == union.out_adjacency
+            assert cut.in_adjacency == union.in_adjacency
+            for v in template.nodes:
+                assert cut.successors(v) == union.successors(v)
+                assert cut.predecessors(v) == union.predecessors(v)
+                assert (v in cut) == (v in union)
+            assert cut.template is template and union.template is None
+            assert tuple(template.edge_pairs[k] for k in cut.template_ids) == cut.edge_pairs
+
+
+@pytest.mark.parametrize("routing", ["so", "ue"])
+def test_edge_tables_built_once_per_template(routing, monkeypatch):
+    # subset solves gather their edge tables from the template's
+    cs = crossing_set(routing)
+    built = []
+    init = _EdgeCalculator.__init__
+
+    def counting(calc, models):
+        built.append(len(models))
+        init(calc, models)
+
+    monkeypatch.setattr(_EdgeCalculator, "__init__", counting)
+    for _ in range(2):
+        LambdaEvaluator(cs).ensure(routing, range(1 << len(cs.candidates)))
+    assert built == [len(cs.template.network.edge_pairs)]
 
 
 def test_so_never_above_ue(counterexample_gs):

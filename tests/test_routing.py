@@ -389,6 +389,15 @@ def test_shortest_path_steps_around_zero_cost_cycles():
         assert verify_certificate(instance, r).satisfied
 
 
+def test_pricing_rejects_negative_edge_costs():
+    # the search checks every cost once, also those of edges it would not reach
+    net = net_of([(0, 1, C1, math.inf), (1, 2, C1, math.inf), (3, 0, C1, math.inf)])
+    for costs in ({(0, 1): 1.0, (1, 2): -0.5, (3, 0): 1.0},
+                  {(0, 1): 1.0, (1, 2): 1.0, (3, 0): -0.5}):
+        with pytest.raises(ValueError, match="negative edge cost -0.5"):
+            shortest_path_nodes(net, costs, 0, 2)
+
+
 # -- certificates -----------------------------------------------------------------
 
 
@@ -733,6 +742,31 @@ def test_edge_derivatives_match_scalar_closed_forms(edges):
         assert curv == pytest.approx([k for _, k in pairs], rel=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_edge_at_flow(), min_size=1, max_size=10),
+       st.lists(st.booleans(), min_size=10, max_size=10))
+@example([(Constant(2.0), 1.0), (Affine(1.0, 0.5), 2.0), (Greenshields(1.0, 2.0, 4.0), 3.0),
+          (BPR(1.0, 2.0, 0.15, 4.0), 1.5), (Marginalized(Greenshields(2.0, 1.0, 5.0)), 1.0),
+          (Marginalized(BPR(1.0, 3.0, 0.5, 2.0)), 2.0), (Marginalized(Affine(0.5, 2.0)), 1.0),
+          (Marginalized(Constant(3.0)), 4.0)],
+         [False, True, True, False, True, True, False, True, False, False])
+def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
+    # a template's tables gathered by edge id give the bits of a calculator
+    # built from the chosen edges' models alone
+    template = _EdgeCalculator([m for m, _ in edges])
+    ids = [k for k, keep in enumerate(chosen[:len(edges)]) if keep] or [len(edges) - 1]
+    gathered = template.gather(ids)
+    fresh = _EdgeCalculator([edges[k][0] for k in ids])
+    x = np.array([edges[k][1] for k in ids])
+    for kind in ("so", "ue"):
+        for mine, theirs in zip(gathered.derivatives(x, kind), fresh.derivatives(x, kind)):
+            assert mine.tobytes() == theirs.tobytes()
+        assert gathered.gradient(x, kind).tobytes() == fresh.gradient(x, kind).tobytes()
+    assert gathered.value(x).tobytes() == fresh.value(x).tobytes()
+    assert gathered.integral(x).tobytes() == fresh.integral(x).tobytes()
+    assert gathered.bound.tobytes() == fresh.bound.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["so", "ue"])
 @pytest.mark.parametrize("l_b, u_b, full_step",
                          [(0.02, 10.0, False), (0.5, 10.0, False), (0.5, 1000.0, True)])
@@ -812,7 +846,8 @@ def _newton_case(rng):
 def _assert_step_matches_reference(case):
     space, x, xe, g, curv_e, best, margin, bounded = case
     expected = dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded.copy())
-    found = routing._newton_step(space, x, xe, g, curv_e, best, g[best], margin, bounded)
+    limits = [(e, m) for e, m in enumerate(margin.tolist()) if bounded[e]]
+    found = routing._newton_step(space, x, xe, g, curv_e, best, g[best], limits)
     if expected is None:
         assert found is None
         return None
@@ -990,3 +1025,5 @@ def test_instance_validates_endpoints():
     net = net_of([(0, 1, C1, 5.0)])
     with pytest.raises(ValueError):
         Instance(net, (Trip(0, 9, 1.0),))
+    with pytest.raises(ValueError, match="at least one trip"):
+        Instance(net, ())
