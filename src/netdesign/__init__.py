@@ -53,6 +53,7 @@ from .errors import (
     NotConverged,
     PathLimitExceeded,
     TemplateConsistencyError,
+    UncertifiedValue,
     UnknownScenario,
     Unreachable,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -39,6 +40,7 @@ from .errors import (
     NotConverged,
     PathLimitExceeded,
     Unbounded,
+    UncertifiedValue,
     UnknownScenario,
     Unreachable,
 )
@@ -48,7 +50,9 @@ from .scenarios import materialize, scenario_descriptions
 
 # 2: so/ue ``path_flows`` list the paths the solve generated, not every
 # simple path; 3: so do mc's, and mc ``iterations`` sum the pivots of all
-# master solves
+# master solves. That definition still holds when the cheapest routing
+# fits the capacities and no master runs: ``iterations`` is then 0, a new
+# value under the same definition, so the version stays 3.
 FORMAT_VERSION = 3
 
 EXIT_OK = 0
@@ -57,7 +61,7 @@ EXIT_SOLVER = 2
 EXIT_USAGE = 64
 
 _SOLVER_ERRORS = (Infeasible, NotConverged, CapacitySaturation, PathLimitExceeded,
-                  DomainError, Unreachable, Unbounded)
+                  DomainError, Unreachable, Unbounded, UncertifiedValue)
 _USAGE_ERRORS = (FormatError, BadParams, UnknownScenario)
 
 
@@ -405,9 +409,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .costs import evaluate, is_constant, max_flow_bound
-from .errors import BadParams, DomainError, FormatError
+from .errors import BadParams, DomainError, FormatError, UncertifiedValue
 from .jsonio import design_from_json, design_to_json
 from .network import (
     Network,
@@ -150,7 +150,11 @@ def bitmask_subset(mask: int) -> Tuple[int, ...]:
 
 def lambda_eval(routing: str, state: DesignState,
                 cfg: SolverConfig = SolverConfig()) -> LambdaEvaluation:
-    """Total travel time of the chosen subset's union graph under ``routing``."""
+    """Total travel time of the chosen subset's union graph under ``routing``.
+
+    UncertifiedValue when the solve's optimality certificate is not
+    satisfied: verdicts and the greedy designer rely on it (see
+    ``_certified_error``)."""
     if routing not in ROUTINGS:
         raise BadParams(f"unknown routing {routing!r}")
     instance = Instance(state.network, state.candidate_set.trips)
@@ -160,6 +164,8 @@ def lambda_eval(routing: str, state: DesignState,
         result = solve_so(instance, cfg)
     else:
         result = solve_ue(instance, cfg)
+    if not result.certificate.satisfied:
+        raise UncertifiedValue(routing, state.chosen, result.certificate)
     return LambdaEvaluation(
         routing=routing,
         subset=state.chosen,

@@ -52,6 +52,24 @@ class NotConverged(NetdesignError):
         )
 
 
+class UncertifiedValue(NetdesignError):
+    """A subset value whose solve did not satisfy its optimality certificate.
+
+    Design verdicts bound each value's error by its certificate's
+    tolerance, so a value without a satisfied certificate cannot enter one.
+    """
+
+    def __init__(self, routing, subset, certificate):
+        self.routing = routing
+        self.subset = tuple(subset)
+        self.certificate = certificate
+        super().__init__(
+            f"{routing} value of subset {list(self.subset)} is not certified "
+            f"(max_violation {certificate.max_violation:.3e}, "
+            f"tolerance {certificate.tolerance:.3e})"
+        )
+
+
 class CapacitySaturation(NetdesignError):
     """No strictly interior starting flow exists for a congestion-priced edge."""
 

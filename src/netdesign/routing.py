@@ -4,13 +4,16 @@ Three problems share one path space, which never lists every simple
 path: it starts from each trip's cheapest path and grows by pricing, a
 Dijkstra shortest path under given edge costs that joins the set when new.
 
-The capacitated constant-cost program (``mc``) is solved exactly by path
+The capacitated constant-cost program (``mc``) starts from each trip's
+cheapest path. When those paths fit the capacities they are optimal, as
+they are without capacities, and the solve returns them with zero
+capacity prices and no master. Otherwise it is solved exactly by path
 column generation (Ford & Fulkerson, 1958): a restricted master linear
 program over the generated paths is solved with the simplex, and each
 trip is priced on the edge costs plus the master's capacity prices. A
 priced path joins the master when it is cheaper than its trip's potential;
-when none is, the master's solution is optimal over all paths. When the
-cheapest paths overload a capacity, the same loop first runs on the
+when none is, the master's solution is optimal over all paths. Since
+the cheapest paths overload a capacity here, the loop first runs on the
 phase-1 master, whose artificial columns carry the demand no path takes
 (Farkas pricing; Lübbecke & Desrosiers, 2005); artificial flow that no
 path can replace means the instance is infeasible.
@@ -1064,11 +1067,13 @@ def solve_ue(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
 def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Exact minimum-cost routing with hard edge capacities.
 
-    Requires constant edge costs. Path column generation: the restricted
-    master linear program over the generated paths is re-solved while
-    pricing on the costs plus its capacity prices finds a path cheaper than
-    its trip's potential. When the cheapest paths overload a capacity, the
-    phase-1 master first finds columns that carry the demand.
+    Requires constant edge costs. When each trip's cheapest path fits the
+    capacities, those paths are optimal: no master runs, the capacity
+    prices are zero and ``iterations`` is 0. Otherwise path column
+    generation: the phase-1 master first finds columns that carry the
+    demand, then the restricted master linear program over the generated
+    paths is re-solved while pricing on the costs plus its capacity prices
+    finds a path cheaper than its trip's potential.
     """
     edge_costs = _constant_edge_costs(instance.network)
     space = _PathSpace(instance, cfg.path_limit)
@@ -1076,10 +1081,16 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
         start = space.price(edge_costs)
     except Unreachable as exc:
         raise Infeasible(str(exc)) from exc
+    if not np.any(space.demands @ space.incidence[start] > space.capacities):
+        # the master over the start holds one path per trip, so x = demands,
+        # its capacity prices are zero and each potential is its path's cost
+        x = np.zeros(len(space.paths))
+        x[start] = space.demands
+        path_costs = space.incidence @ edge_costs
+        return _mc_result(space, edge_costs, x, float(path_costs @ x), path_costs[start],
+                          np.zeros(len(space.edge_pairs)), 0)
     cap_rows = np.flatnonzero(np.isfinite(space.capacities))
-    pivots = 0
-    if np.any(space.demands @ space.incidence[start] > space.capacities):
-        pivots += _phase_one(space, cap_rows)
+    pivots = _phase_one(space, cap_rows)
     while True:
         path_costs = space.incidence @ edge_costs
         lp, prices = _restricted_master(space, cap_rows, path_costs)
@@ -1087,12 +1098,22 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
         if not _generate(space, edge_costs + prices, lp.duals_eq):
             break
     x = np.maximum(lp.x, 0.0)
+    return _mc_result(space, edge_costs, x, float(path_costs @ x), lp.duals_eq, prices, pivots)
+
+
+def _mc_result(space: _PathSpace, edge_costs: np.ndarray, x: np.ndarray, total: float,
+               potentials: np.ndarray, prices: np.ndarray, pivots: int) -> SolveResult:
+    """The mc result of path flows ``x`` (total cost ``total``) with trip
+    ``potentials`` and per-edge capacity ``prices``, certified on the costs
+    plus the prices."""
     duals = MCDuals(
-        trip_potentials=tuple(_num(v) for v in lp.duals_eq),
-        edge_prices=tuple((space.edge_pairs[k], _num(prices[k])) for k in cap_rows),
+        trip_potentials=tuple(_num(v) for v in potentials),
+        edge_prices=tuple((pair, _num(price)) for pair, price, cap
+                          in zip(space.edge_pairs, prices.tolist(), space.capacities.tolist())
+                          if math.isfinite(cap)),
     )
     certificate = _certificate(space, x, edge_costs + prices, MC, prices)
-    return _result(MC, space, x, space.incidence @ edge_costs, float(path_costs @ x),
+    return _result(MC, space, x, space.incidence @ edge_costs, total,
                    pivots, 0.0, certificate, duals)
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from netdesign import simplex
+from netdesign import cli, design, simplex
 from netdesign.cli import emit_plot_data, main
 from netdesign.jsonio import instance_to_json
 from netdesign.scenarios import materialize
@@ -270,11 +271,69 @@ def test_solver_error_exit_code():
     assert code == 2
 
 
-def test_simplex_pivot_budget_exits_as_solver_error(monkeypatch, capsys):
+def test_simplex_pivot_budget_exits_as_solver_error(tmp_path, monkeypatch, capsys):
+    # the cheap route's capacity is below the demand, so the start does not
+    # fit and the solve reaches the simplex; built-in mc scenarios fit
+    from netdesign.costs import Constant
+    from netdesign.network import Edge, Network, Trip
+
+    net = Network({0, 1, 2, 3}, [
+        Edge(0, 1, Constant(1.0), 1.0), Edge(1, 3, Constant(1.0), 1.0),
+        Edge(0, 2, Constant(3.0), 10.0), Edge(2, 3, Constant(3.0), 10.0)])
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(instance_to_json(net, (Trip(0, 3, 2.0),))))
     monkeypatch.setattr(simplex, "PIVOTS_PER_ROW", 0)
-    code = run(["solve", "--scenario", "counterexample", "--routing", "mc"])
+    code = run(["solve", "--network", str(path), "--routing", "mc"])
     assert code == 2
     assert "solver error: no convergence" in capsys.readouterr().err
+
+
+def test_uncertified_value_exits_as_solver_error(monkeypatch, capsys):
+    # a verdict's tolerance assumes every value it compares is certified
+    solve = design.solve_mc
+
+    def uncertified(instance, cfg):
+        result = solve(instance, cfg)
+        return dataclasses.replace(result, certificate=dataclasses.replace(
+            result.certificate, max_violation=0.5, satisfied=False))
+
+    monkeypatch.setattr(design, "solve_mc", uncertified)
+    code = run(["check", "--property", "supermodular", "--scenario", "counterexample",
+                "--routing", "mc"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("netdesign: solver error: mc value of subset [] is not certified "
+                          "(max_violation 5.000e-01, tolerance ")
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    # one parser serves every call in a process; a usage error leaves
+    # nothing behind that changes the next call
+    commands = [["solve", "--scenario", "pigou", "--routing", "xx"],
+                ["solve", "--scenario", "pigou", "--routing", "ue"],
+                ["check", "--property", "monotone", "--scenario", "braess", "--routing", "ue",
+                 "--trials", "x"],
+                ["check", "--property", "monotone", "--scenario", "braess", "--routing", "ue"]]
+
+    def session(fresh):
+        outputs = []
+        for k, argv in enumerate(commands):
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}.json"
+            try:
+                code = run(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+        return outputs
+
+    cached = session(False)
+    assert cli._parser() is cli._parser()
+    assert cached == session(True)
+    assert [code for code, *_ in cached] == [64, 0, 64, 0]
 
 
 def test_emit_plot_data_empty_report():

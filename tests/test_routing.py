@@ -29,6 +29,7 @@ from netdesign.errors import (
 from netdesign import routing
 from netdesign.design import parallel_uniform_value
 from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
+from netdesign.scenarios import random_candidate_set
 from netdesign.routing import (
     FlowAssignment,
     Instance,
@@ -276,6 +277,99 @@ def test_mc_matches_grid_oracle_corpus():
         oracle, step_bound = mc_grid_oracle(instance)
         assert r.total_cost <= oracle + 1e-9
         assert oracle - r.total_cost <= step_bound + 1e-9
+
+
+def _fitting_starts():
+    """Instances whose cheapest routing fits the capacities: random
+    constant-cost design subsets (capacity 100) and grids whose capacities
+    hold all three trips at once."""
+    for seed in range(4):
+        cs = random_candidate_set(seed, "constant")
+        for mask in range(1 << len(cs.candidates)):
+            subset = [i for i in range(len(cs.candidates)) if mask >> i & 1]
+            yield Instance(cs.subset_network(subset), cs.trips)
+    for seed in range(3):
+        yield corner_grid(4, seed, lambda rng: (Constant(round(rng.uniform(1.0, 9.0), 3)),
+                                                round(rng.uniform(7.5, 12.0), 3)))
+
+
+def _start_master(instance):
+    """simplex.solve_lp on the master over each trip's cheapest path alone,
+    as ``_restricted_master`` builds it, plus that master's path costs."""
+    space = _PathSpace(instance, 100)
+    edge_costs = routing._constant_edge_costs(instance.network)
+    space.price(edge_costs)
+    path_costs = space.incidence @ edge_costs
+    cap_rows = np.flatnonzero(np.isfinite(space.capacities))
+    lp, prices = routing._restricted_master(space, cap_rows, path_costs)
+    return lp, prices, path_costs
+
+
+def test_mc_fitting_start_matches_its_master(monkeypatch):
+    masters = []
+    original = routing._restricted_master
+
+    def spy(*args):
+        masters.append(args)
+        return original(*args)
+
+    for instance in _fitting_starts():
+        lp, prices, path_costs = _start_master(instance)
+        assert not np.any(prices)
+        monkeypatch.setattr(routing, "_restricted_master", spy)
+        r = solve_mc(instance)
+        monkeypatch.undo()
+        assert masters == []  # the start fits: no master is built
+        assert r.iterations == 0
+        assert r.total_cost == float(path_costs @ np.maximum(lp.x, 0.0))  # bit for bit
+        assert r.assignment.flows == tuple(lp.x.tolist())  # one path per trip, trip order
+        assert r.duals.trip_potentials == tuple(lp.duals_eq.tolist())
+        assert all(price == 0.0 for _, price in r.duals.edge_prices)
+        assert r.certificate.satisfied
+        assert verify_certificate(instance, r).satisfied
+
+
+def test_mc_fitting_start_matches_highs():
+    pytest.importorskip("scipy")
+    for instance in _fitting_starts():
+        highs = mc_highs_value(instance)
+        assert abs(solve_mc(instance).total_cost - highs) <= 1e-9 * (1.0 + highs)
+
+
+def test_mc_start_meeting_a_capacity_takes_the_shortcut():
+    # the cheap route holds exactly the demand of 2
+    instance = Instance(net_of([
+        (0, 1, Constant(1.0), 2.0), (1, 3, Constant(1.0), 2.0),
+        (0, 2, Constant(3.0), 10.0), (2, 3, Constant(3.0), 10.0),
+    ]), (Trip(0, 3, 2.0),))
+    r = solve_mc(instance)
+    assert r.iterations == 0
+    assert r.total_cost == 4.0
+    assert r.assignment.path_flow_map() == {"0-1-3": 2.0}
+    assert r.certificate.satisfied
+    assert verify_certificate(instance, r).satisfied
+
+
+def test_mc_start_over_a_capacity_runs_phase_one(monkeypatch):
+    # the same instance with the cheap route's capacity lowered by 0.5
+    instance = Instance(net_of([
+        (0, 1, Constant(1.0), 1.5), (1, 3, Constant(1.0), 1.5),
+        (0, 2, Constant(3.0), 10.0), (2, 3, Constant(3.0), 10.0),
+    ]), (Trip(0, 3, 2.0),))
+    phases = []
+    original = routing._phase_one
+
+    def spy(space, cap_rows):
+        pivots = original(space, cap_rows)
+        phases.append(pivots)
+        return pivots
+
+    monkeypatch.setattr(routing, "_phase_one", spy)
+    r = solve_mc(instance)
+    assert len(phases) == 1 and phases[0] > 0
+    assert r.iterations >= phases[0] > 0
+    assert r.total_cost == pytest.approx(1.5 * 2 + 0.5 * 6)
+    assert r.certificate.satisfied
 
 
 # -- all-or-nothing --------------------------------------------------------------
