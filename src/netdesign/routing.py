@@ -21,8 +21,14 @@ path can replace means the instance is infeasible.
 The congestion-priced system-optimal (``so``) and user-equilibrium
 (``ue``) flows are computed by one path-based projected Newton method
 (Bertsekas & Gafni, 1983; Jayakrishnan et al., 1994), pricing on the
-current marginal costs (so) or travel times (ue). Each step prices every
-trip and stops once the relative duality gap is within tolerance.
+current marginal costs (so) or travel times (ue). On a network with a
+flow bound the solve starts from incremental loading (Sheffi, 1985,
+ch. 5): each trip's demand in equal parts, each on the cheapest path
+under the current gradient that the part keeps below every flow bound.
+Without flow bounds, and when loading finds no open path for a part, it
+starts from the all-or-nothing flows under zero-flow costs. Each step
+prices every trip and stops once the relative duality gap is within
+tolerance.
 Otherwise a priced path that beats its trip's used paths joins them, and a
 Newton step on the used paths' KKT system equalises their gradients. The
 step is taken whole when it lowers the objective and is cut back to the
@@ -681,28 +687,51 @@ def all_or_nothing(instance: Instance,
 # path-based projected Newton
 
 
-# Incremental loading places each trip's demand in this many equal parts.
+# Incremental loading places each trip's demand in this many equal parts;
+# fewer parts leave some flow-bounded instances with no open path for a part.
 LOAD_PARTS = 8
 
 # The line search stops once its bracket on the step length is this narrow.
 LINE_SEARCH_TOL = 1e-12
 
 
-def _initial_point(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np.ndarray:
-    """All-or-nothing flows under zero-flow costs, or incremental loading
-    when those reach a flow bound."""
+def _initial_point(instance: Instance, limit: int, calc: _EdgeCalculator,
+                   kind: str) -> Tuple[_PathSpace, np.ndarray]:
+    """The path space and path flows a so/ue solve starts from.
+
+    A network with a finite flow bound starts from incremental loading:
+    all-or-nothing flows there sit on the steep part of the cost curves,
+    and loading finds most of a trip's equilibrium paths at one search per
+    part. A network without flow bounds starts from the all-or-nothing
+    flows under zero-flow costs, and so does a bounded one when loading
+    finds no open path for a part or exceeds the path limit, provided those
+    flows stay inside every flow bound; otherwise CapacitySaturation. Each
+    start depends on the instance alone.
+    """
+    if np.isfinite(calc.bound).any():
+        space = _PathSpace(instance, limit)
+        try:
+            x = _incremental_load(space, calc, kind)
+        except PathLimitExceeded:
+            x = None
+        if x is not None:
+            return space, x
+    space = _PathSpace(instance, limit)
     best = space.price(calc.gradient(np.zeros(len(space.edge_pairs)), kind))
     x = np.zeros(len(space.paths))
     x[best] = space.demands
     if np.any(space.edge_flows(x) >= calc.bound):
-        return _incremental_load(space, calc, kind)
-    return x
+        raise CapacitySaturation(
+            "no interior starting flow: demand saturates a congestion-priced edge")
+    return space, x
 
 
-def _incremental_load(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np.ndarray:
-    """Each trip's demand in equal parts, one at a time, each on the cheapest
-    path under the current gradient; an edge is closed to a part that would
-    bring it to its flow bound."""
+def _incremental_load(space: _PathSpace, calc: _EdgeCalculator,
+                      kind: str) -> Optional[np.ndarray]:
+    """Each trip's demand in LOAD_PARTS equal parts, one at a time, each on
+    the cheapest path under the current gradient; an edge is closed to a
+    part that would bring it to its flow bound. None when a part finds no
+    open path."""
     net = space.instance.network
     x = np.zeros(len(space.paths))
     xe = np.zeros(len(space.edge_pairs))
@@ -713,8 +742,7 @@ def _incremental_load(space: _PathSpace, calc: _EdgeCalculator, kind: str) -> np
                                   math.inf)
             found = _cheapest_path(net, open_costs.tolist(), source, sink)
             if found is None:
-                raise CapacitySaturation(
-                    "no interior starting flow: demand saturates a congestion-priced edge")
+                return None
             row = space.add(m, *found)
             x = space.pad(x)
             x[row] += part
@@ -907,13 +935,12 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     step that cannot descend while the gap is open ends the solve with
     NotConverged.
     """
-    space = _PathSpace(instance, cfg.path_limit)
     calc = _calculator(instance.network)
+    space, x = _initial_point(instance, cfg.path_limit, calc, kind)
     demands = space.demands
     # (edge id, flow margin) of each edge with a flow bound
     limits = [(e, bound * (1.0 - cfg.capacity_margin))
               for e, bound in enumerate(calc.bound.tolist()) if bound < math.inf]
-    x = _initial_point(space, calc, kind)
     xe = space.edge_flows(x)
     f = _objective(calc, xe, kind)
     best_lb = -math.inf

@@ -715,26 +715,97 @@ def test_ue_total_equals_demand_times_common_cost(counterexample_gs, braess_with
 
 @pytest.mark.parametrize("kind", ["so", "ue"])
 def test_incremental_start_matches_parallel_closed_form(kind, monkeypatch):
-    # three identical routes of capacity 10 and a demand of 12: the
-    # all-or-nothing start would put 12 on one route, so the solve starts
-    # from incremental loading and must still split the demand evenly
+    # three identical routes of capacity 10 and a demand of 12: the flow
+    # bounds make the solve start from incremental loading (all-or-nothing
+    # would put 12 on one route), and it must still split the demand evenly
     n, l, v_max, u, d = 3, 1.0, 1.0, 10.0, 12.0
     half = Greenshields(l / 2.0, v_max, u)
     defs = [pair for i in range(n) for pair in ((0, 2 + i, half, u), (2 + i, 1, half, u))]
     instance = Instance(net_of(defs), (Trip(0, 1, d),))
-    loads = []
-    original = routing._incremental_load
-
-    def spy(*args):
-        loads.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(routing, "_incremental_load", spy)
+    loads = spy_on_loading(monkeypatch)
     r = (solve_so if kind == "so" else solve_ue)(instance)
     assert len(loads) == 1
     assert r.total_cost == pytest.approx(parallel_uniform_value(kind, n, l, v_max, u, d),
                                          rel=1e-9)
     assert r.certificate.satisfied
+
+
+def spy_on_loading(monkeypatch):
+    """Records the result of every ``_incremental_load`` call."""
+    loads = []
+    original = routing._incremental_load
+
+    def spy(*args):
+        loads.append(original(*args))
+        return loads[-1]
+
+    monkeypatch.setattr(routing, "_incremental_load", spy)
+    return loads
+
+
+@pytest.mark.parametrize("kind", ["so", "ue"])
+@pytest.mark.parametrize("model, loads", [
+    (BPR(1.0, 10.0, 0.15, 4.0), 0),
+    (Affine(1.0, 0.1), 0),
+    (Constant(1.0), 0),
+    (Greenshields(1.0, 1.0, 10.0), 1),
+    (Marginalized(Greenshields(1.0, 1.0, 10.0)), 1),
+])
+def test_start_loads_only_on_flow_bounded_networks(kind, model, loads, monkeypatch):
+    # two parallel routes under a demand of 2, far inside every flow bound,
+    # so the all-or-nothing start is interior in every case
+    defs = [(0, 1, model, 10.0), (0, 2, model, 10.0), (2, 1, model, 10.0)]
+    instance = Instance(net_of(defs), (Trip(0, 1, 2.0),))
+    calls = spy_on_loading(monkeypatch)
+    r = (solve_so if kind == "so" else solve_ue)(instance)
+    assert len(calls) == loads
+    assert all(x is not None for x in calls)
+    assert r.certificate.satisfied
+
+
+def stuck_loading_instance():
+    """Trip A (0 -> 1) has a direct edge of flow bound 2.1 and the route
+    0 -> 2 -> 3 -> 1; trip B (4 -> 5) has only 4 -> 2 -> 3 -> 5. Both
+    routes share (2, 3), also bounded at 2.1. A's later parts take (2, 3),
+    so loading finds no open path for a part of B, while the all-or-nothing
+    start (A direct, B through (2, 3)) is interior."""
+    def gs(l, u):
+        return Greenshields(l, 1.0, u)
+
+    defs = [(0, 1, gs(1.0, 2.1), 2.1), (2, 3, gs(0.5, 2.1), 2.1),
+            (0, 2, gs(0.5, 50.0), 50.0), (3, 1, gs(0.5, 50.0), 50.0),
+            (4, 2, gs(0.1, 50.0), 50.0), (3, 5, gs(0.1, 50.0), 50.0)]
+    return Instance(net_of(defs), (Trip(0, 1, 2.0), Trip(4, 5, 2.0)))
+
+
+@pytest.mark.parametrize("kind, value", [("so", 61.54220107200153),
+                                         ("ue", 62.80726850559891)])
+def test_stuck_loading_falls_back_to_all_or_nothing(kind, value, monkeypatch):
+    calls = spy_on_loading(monkeypatch)
+    r = (solve_so if kind == "so" else solve_ue)(stuck_loading_instance())
+    assert calls == [None]
+    # the fallback solves from a fresh all-or-nothing start, as without
+    # loading: the same value in the same steps
+    assert r.total_cost == pytest.approx(value, rel=1e-12)
+    assert r.iterations == 3
+    assert r.certificate.satisfied
+
+
+def test_loading_over_the_path_limit_falls_back_to_all_or_nothing(monkeypatch):
+    # on this tight 3x3 grid loading needs a fifth path for a trip, while
+    # the solve from the all-or-nothing start stays within four
+    def draw(rng):
+        u = round(rng.uniform(3.6, 6.0), 3)
+        return Greenshields(round(rng.uniform(0.5, 2.0), 3), 1.0, u), u
+
+    instance = corner_grid(3, 53, draw)
+    calls = spy_on_loading(monkeypatch)
+    r = solve_so(instance, SolverConfig(path_limit=4))
+    assert calls == []  # loading raised PathLimitExceeded
+    assert r.total_cost == pytest.approx(50.33075193094266, rel=1e-12)
+    assert r.certificate.satisfied
+    assert solve_so(instance).total_cost == pytest.approx(r.total_cost, rel=1e-9)
+    assert len(calls) == 1
 
 
 def test_total_cost_matches_recomputation(counterexample_gs):
@@ -755,10 +826,14 @@ def greenshields_pair(l_b, u_b):
 
 @pytest.mark.parametrize("kind", ["so", "ue"])
 @pytest.mark.parametrize("case", ["counterexample", "pair-at-99-percent"])
-def test_objective_never_rises(kind, case, counterexample_gs, monkeypatch):
+def test_objective_never_rises(kind, case, counterexample_gs, braess_with, monkeypatch):
     # every iterate is priced, and the last objective value computed
     # before its pricing is the iterate's: a rejected trial step comes first
-    if case == "counterexample":
+    if case == "counterexample" and kind == "ue":
+        # the Greenshields counterexample's ue equilibrium is its loading
+        # start (0 steps); Braess ue takes 2 from its all-or-nothing start
+        instance = braess_with.instance
+    elif case == "counterexample":
         instance = counterexample_gs.instance
     else:
         instance = greenshields_pair(0.02, 10.0)
