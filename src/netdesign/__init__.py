@@ -71,7 +71,6 @@ from .network import (
     ViolationList,
     added_paths,
     build_grid_template,
-    enumerate_paths,
     enumerate_trip_paths,
     graph_union,
     subgraph_issues,
@@ -89,9 +88,7 @@ from .routing import (
     OptimalityCertificate,
     SolveResult,
     SolverConfig,
-    all_or_nothing,
     price_of_anarchy,
-    shortest_path_nodes,
     so_ue_bridge,
     solve_mc,
     solve_so,

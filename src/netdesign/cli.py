@@ -193,13 +193,18 @@ def emit_plot_data(report: dict) -> str:
 
 
 def _write_report(report: dict, out: Optional[str], csv_path: Optional[str] = None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot_data(report))
+        _write_text(csv_path, emit_plot_data(report))
+
+
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
 def _solver_for(routing: str):

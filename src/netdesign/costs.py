@@ -41,7 +41,7 @@ class Affine:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+        if not (self.a >= 0 and self.b >= 0):  # NaN fails too
             raise ValueError(f"affine coefficients must be >= 0, got {self.a}, {self.b}")
 
 
@@ -73,9 +73,9 @@ class BPR:
     def __post_init__(self):
         if not (self.c0 > 0 and self.u > 0):
             raise ValueError("bpr free-flow time and capacity must be positive")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN fails too
             raise ValueError("bpr alpha must be >= 0")
-        if self.beta < 1:
+        if not self.beta >= 1:
             raise ValueError("bpr beta must be >= 1")
 
 
@@ -246,11 +246,23 @@ def cost_to_json(model: CostModel) -> dict:
     raise FormatError(f"cost model {model!r} has no JSON form")
 
 
+def parse_number(value, what: str) -> float:
+    """``value``, read from a document or a parameter, as a float;
+    FormatError unless it is a number (not a boolean) that a float can
+    hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FormatError(f"{what} {value} is too large") from exc
+
+
 def cost_from_json(obj) -> CostModel:
     if not isinstance(obj, dict):
         raise FormatError(f"cost must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _JSON_FIELDS:
+    if not isinstance(kind, str) or kind not in _JSON_FIELDS:
         raise FormatError(f"unknown cost kind {kind!r}")
     cls, fields = _JSON_FIELDS[kind]
     extra = set(obj) - {"kind", *fields}
@@ -259,12 +271,11 @@ def cost_from_json(obj) -> CostModel:
     missing = [f for f in fields if f not in obj]
     if missing:
         raise FormatError(f"missing keys {missing} in {kind} cost")
-    values = {}
-    for f in fields:
-        v = obj[f]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"cost parameter {f} must be a number, got {v!r}")
-        values[f] = float(v)
+    values = {f: parse_number(obj[f], f"cost parameter {f}") for f in fields}
+    for f, v in values.items():
+        # an infinite coefficient solves to a report of NaN and Infinity
+        if not math.isfinite(v):
+            raise FormatError(f"cost parameter {f} must be finite, got {v}")
     try:
         return cls(**values)
     except ValueError as exc:

@@ -553,7 +553,7 @@ def parallel_mc_value(spanning_cost: float, candidate_costs: Sequence[float],
                       subset: Iterable[int], d: float) -> float:
     """Constant-cost value for parallel paths that each hold the whole demand:
     the demand rides the cheapest available path."""
-    if d <= 0:
+    if not d > 0:  # NaN fails too
         raise BadParams(f"demand must be positive, got {d}")
     best = spanning_cost
     for i in set(subset):
@@ -574,7 +574,7 @@ def parallel_uniform_value(routing: str, n_paths: int, l: float, v_max: float,
         raise BadParams(f"parallel uniform value applies to so/ue, got {routing!r}")
     if n_paths < 1:
         raise BadParams(f"need at least one path, got {n_paths}")
-    if min(l, v_max, u, d) <= 0:
+    if not all(v > 0 for v in (l, v_max, u, d)):  # NaN fails too
         raise BadParams("l, v_max, u and d must be positive")
     if d >= n_paths * u:
         raise DomainError(

@@ -17,8 +17,8 @@ class PathLimitExceeded(NetdesignError):
     """A trip needs more paths than the configured cap.
 
     Raised when a solve's path generation (mc, so or ue) would add a path
-    beyond the cap, and when simple-path enumeration (``enumerate_paths``
-    and scenario generation) lists more paths than it.
+    beyond the cap, and when simple-path enumeration
+    (``enumerate_trip_paths``) lists more paths than it.
     """
 
     def __init__(self, limit, trip=None):

@@ -13,7 +13,7 @@ import json
 import math
 from typing import Sequence, Tuple
 
-from .costs import cost_from_json, cost_to_json
+from .costs import cost_from_json, cost_to_json, parse_number
 from .errors import FormatError
 from .network import Edge, Network, Trip
 
@@ -30,16 +30,10 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str] = 
         raise FormatError(f"missing keys {missing} in {what}")
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _capacity_from_json(value) -> float:
     if value == "inf":
         return math.inf
-    return _number(value, "capacity")
+    return parse_number(value, "capacity")
 
 
 def _capacity_to_json(value: float):
@@ -73,7 +67,7 @@ def trip_from_json(obj) -> Trip:
         if not isinstance(obj[k], int) or isinstance(obj[k], bool):
             raise FormatError(f"trip {k} must be an integer, got {obj[k]!r}")
     try:
-        return Trip(obj["source"], obj["sink"], _number(obj["demand"], "demand"))
+        return Trip(obj["source"], obj["sink"], parse_number(obj["demand"], "demand"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -173,7 +167,7 @@ def design_to_json(net: Network, trips: Sequence[Trip],
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit of int()
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 

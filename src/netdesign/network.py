@@ -343,65 +343,58 @@ def graph_union(base: Network, additions: Sequence[Network]) -> Network:
     return Network(nodes, edge_map.values())
 
 
-def enumerate_paths(net: Network, trip: Trip, limit: int = DEFAULT_PATH_LIMIT,
-                    trip_index: int = 0) -> PathSet:
-    """All simple source-to-sink paths of one trip.
+def enumerate_trip_paths(net: Network, trips: Sequence[Trip],
+                         limit: int = DEFAULT_PATH_LIMIT) -> PathSet:
+    """All simple source-to-sink paths of each trip.
 
     Paths are emitted in lexicographic order of their node sequences, which
     makes every downstream solver and report reproducible. Exceeding
-    ``limit`` raises PathLimitExceeded rather than truncating.
+    ``limit`` paths for a trip raises PathLimitExceeded rather than
+    truncating.
     """
-    paths = _enumerate(net, trip, limit)
-    group = tuple(Path(trip_index, nodes) for nodes in paths)
-    per_trip = tuple(() for _ in range(trip_index)) + (group,)
-    return PathSet(per_trip)
-
-
-def enumerate_trip_paths(net: Network, trips: Sequence[Trip],
-                         limit: int = DEFAULT_PATH_LIMIT) -> PathSet:
-    """Per-trip path enumeration for a whole trip set."""
-    groups = []
-    for m, trip in enumerate(trips):
-        nodes_seqs = _enumerate(net, trip, limit)
-        groups.append(tuple(Path(m, nodes) for nodes in nodes_seqs))
-    return PathSet(tuple(groups))
+    return PathSet(tuple(tuple(Path(m, nodes) for nodes in _enumerate(net, trip, limit))
+                         for m, trip in enumerate(trips)))
 
 
 def _enumerate(net: Network, trip: Trip, limit: int):
-    if trip.source not in net.nodes or trip.sink not in net.nodes:
+    """Node sequences of the trip's simple paths, lexicographically: a
+    depth-first walk that keeps one iterator over each prefix node's
+    successors, ascending, so a path's length is not bounded by the
+    interpreter's recursion limit."""
+    source, sink = trip.source, trip.sink
+    if source not in net.nodes or sink not in net.nodes:
         return ()
     out = []
-    seq = [trip.source]
-    on_path = {trip.source}
-
-    def dfs(node):
-        if node == trip.sink:
-            if len(out) >= limit:
-                raise PathLimitExceeded(limit, trip)
-            out.append(tuple(seq))
-            return
-        for nxt in net.successors(node):  # sorted, hence lexicographic output
+    seq = [source]
+    on_path = {source}
+    branches = [iter(net.successors(source))]
+    while branches:
+        for nxt in branches[-1]:
             if nxt in on_path:
+                continue
+            if nxt == sink:
+                if len(out) >= limit:
+                    raise PathLimitExceeded(limit, trip)
+                out.append((*seq, sink))
                 continue
             seq.append(nxt)
             on_path.add(nxt)
-            dfs(nxt)
-            on_path.discard(nxt)
-            seq.pop()
-
-    dfs(trip.source)
+            branches.append(iter(net.successors(nxt)))
+            break
+        else:
+            branches.pop()
+            on_path.discard(seq.pop())
     return tuple(out)
 
 
 def added_paths(base: Network, addition: Network, trip: Trip,
                 limit: int = DEFAULT_PATH_LIMIT, trip_index: int = 0) -> PathSet:
     """Paths for ``trip`` present in base+addition but not in base alone."""
-    union = graph_union(base, [addition])
-    all_paths = enumerate_paths(union, trip, limit, trip_index).for_trip(trip_index)
-    old = {p.nodes for p in enumerate_paths(base, trip, limit, trip_index).for_trip(trip_index)}
-    group = tuple(p for p in all_paths if p.nodes not in old)
-    per_trip = tuple(() for _ in range(trip_index)) + (group,)
-    return PathSet(per_trip)
+    old = set(_enumerate(base, trip, limit))
+    group = tuple(Path(trip_index, nodes)
+                  for nodes in _enumerate(graph_union(base, [addition]), trip, limit)
+                  if nodes not in old)
+    return PathSet(tuple(() for _ in range(trip_index)) + (group,))
 
 
 def _sole_path(candidate: Network, trip: Trip, trip_index: int):

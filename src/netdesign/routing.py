@@ -226,27 +226,12 @@ class _PathSpace:
         self.trip_of = []  # trip index of each row
         self._row = {}  # (trip index, node sequence) -> row
         self.groups = [[] for _ in instance.trips]  # rows of each trip
-        self._trip_rows = None
-        self._row_trip = None
         self._priced = None  # (edge cost list, rows) of the last pricing
         self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
 
     @property
     def incidence(self) -> np.ndarray:
         return self._inc[:len(self.paths)]
-
-    @property
-    def trip_rows(self) -> Tuple[np.ndarray, ...]:
-        if self._trip_rows is None:
-            self._trip_rows = tuple(np.array(g, dtype=np.intp) for g in self.groups)
-        return self._trip_rows
-
-    @property
-    def row_trip(self) -> np.ndarray:
-        """Trip index of each row."""
-        if self._row_trip is None:
-            self._row_trip = np.array(self.trip_of, dtype=np.intp)
-        return self._row_trip
 
     @cached_property
     def edge_index(self) -> Dict[Tuple[int, int], int]:
@@ -271,8 +256,6 @@ class _PathSpace:
         self.trip_of.append(m)
         self._row[(m, nodes)] = row
         self.groups[m].append(row)
-        self._trip_rows = None
-        self._row_trip = None
         return row
 
     def row(self, path: Path) -> int:
@@ -313,7 +296,7 @@ class _PathSpace:
 
     def trip_totals(self, x: np.ndarray) -> list:
         """Each trip's total flow under the padded flows ``x``."""
-        return [float(x[rows].sum()) for rows in self.trip_rows]
+        return [float(x[rows].sum()) for rows in self.groups]
 
     def assignment(self, x: np.ndarray) -> FlowAssignment:
         x = self.pad(x)
@@ -567,22 +550,7 @@ def total_cost_under(network: Network, edge_flows: Mapping[Tuple[int, int], floa
 
 
 # ---------------------------------------------------------------------------
-# all-or-nothing assignment
-
-
-def shortest_path_nodes(net: Network, edge_costs: Mapping[Tuple[int, int], float],
-                        source: int, sink: int) -> Optional[Tuple[int, ...]]:
-    """Lexicographically smallest minimum-cost simple path, or None.
-
-    ``edge_costs`` must map every edge pair of ``net`` to its cost. An edge
-    of infinite cost is closed. The search runs on edge ids; see
-    ``_cheapest_path``.
-    """
-    if source not in net.nodes or sink not in net.nodes:
-        return None
-    found = _cheapest_path(net, [edge_costs[pair] for pair in net.edge_pairs],
-                           net.position(source), net.position(sink))
-    return None if found is None else found[0]
+# pricing
 
 
 def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int):
@@ -658,29 +626,6 @@ def _distances_to(net: Network, costs: Sequence[float], root: int):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
-
-
-def all_or_nothing(instance: Instance,
-                   edge_costs: Mapping[Tuple[int, int], float]) -> FlowAssignment:
-    """Each trip's whole demand on its cheapest path under frozen costs."""
-    paths = []
-    flows = []
-    edge_flow = {pair: 0.0 for pair in instance.network.edge_pairs}
-    for m, trip in enumerate(instance.trips):
-        nodes = shortest_path_nodes(instance.network, edge_costs, trip.source, trip.sink)
-        if nodes is None:
-            raise Unreachable(trip)
-        path = Path(m, nodes)
-        paths.append(path)
-        flows.append(trip.demand)
-        for pair in path.edge_pairs:
-            edge_flow[pair] += trip.demand
-    return FlowAssignment(
-        paths=tuple(paths),
-        flows=tuple(flows),
-        edge_flows=tuple((pair, _num(edge_flow[pair])) for pair in sorted(edge_flow)),
-        trip_totals=tuple(t.demand for t in instance.trips),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1116,7 @@ def _restricted_master(space: _PathSpace, cap_rows: np.ndarray,
     paths do not."""
     n_trips, n_paths = len(space.demands), len(space.paths)
     a_eq = np.zeros((n_trips, n_paths))
-    a_eq[space.row_trip, np.arange(n_paths)] = 1.0
+    a_eq[space.trip_of, np.arange(n_paths)] = 1.0
     a_ub = space.incidence.T[cap_rows]
     if path_costs is None:
         path_costs = np.concatenate([np.zeros(n_paths), np.ones(n_trips)])

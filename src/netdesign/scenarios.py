@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .costs import Affine, Constant, Greenshields
+from .costs import Affine, Constant, Greenshields, parse_number
 from .design import DOUBLE_PRIME, PRIME, CandidateSet, candidate_set_from_pairs
-from .errors import BadParams, UnknownScenario
+from .errors import BadParams, FormatError, UnknownScenario
 from .network import Edge, Network, Trip, build_grid_template
 from .routing import Instance
 
@@ -241,9 +241,12 @@ def _parallel(params) -> Scenario:
     n = p["n"]
     if not isinstance(n, int) or n < 1:
         raise BadParams(f"n must be a positive integer, got {n!r}")
-    l, v_max, u, d = (float(p[k]) for k in ("l", "v_max", "u", "d"))
-    if min(l, v_max, u, d) <= 0:
-        raise BadParams("l, v_max, u and d must be positive")
+    try:
+        l, v_max, u, d = (parse_number(p[k], k) for k in ("l", "v_max", "u", "d"))
+    except FormatError as exc:
+        raise BadParams(str(exc)) from exc
+    if not all(0 < v < math.inf for v in (l, v_max, u, d)):  # NaN fails too
+        raise BadParams("l, v_max, u and d must be positive and finite")
     if d >= u:
         raise BadParams(f"demand {d} must stay below the per-path capacity {u}")
     trip = Trip(0, 1, d)

@@ -185,7 +185,7 @@ def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
 
     n_trips = len(space.demands)
     support = x > 0.0
-    row_trip = space.row_trip
+    row_trip = np.array(space.trip_of, dtype=np.intp)
     used_low = np.full(n_trips, math.inf)
     np.minimum.at(used_low, row_trip[support], g[support])
     support[best[g[best] < used_low - 1e-10 * np.abs(used_low)]] = True
@@ -207,7 +207,7 @@ def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
 
     while True:
         flat = np.flatnonzero(support)
-        trip_of = space.row_trip[flat]
+        trip_of = row_trip[flat]
         k = len(flat)
         a_sub = space.incidence[flat]
         g_sub = g[flat]
@@ -244,7 +244,7 @@ def dense_step_flows(space, x, flat, dx, t):
     its trip's demand set to zero."""
     x = x.copy()
     x[flat] += t * dx
-    x[x <= 1e-14 * space.demands[space.row_trip]] = 0.0
+    x[x <= 1e-14 * space.demands[space.trip_of]] = 0.0
     return x
 
 

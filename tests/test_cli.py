@@ -367,6 +367,20 @@ def test_check_parallel_scenario_via_cli(tmp_path):
     assert report["params"] == {"n": 5, "l": 1.0, "v_max": 1.0, "u": 10.0, "d": 5.0}
 
 
+@pytest.mark.parametrize("demand", ["1" + "0" * 400, "1" + "0" * 5000],
+                         ids=["past-float-range", "past-int-digit-limit"])
+def test_oversized_number_is_format_error(tmp_path, capsys, demand):
+    # float() overflows on the first and json's int() refuses the second;
+    # both used to escape as exceptions
+    text = ('{"nodes": [0, 1], "edges": [{"from": 0, "to": 1, "cost": {"kind": '
+            '"constant", "c": 1.0}, "capacity": "inf"}], "trips": [{"source": 0, '
+            '"sink": 1, "demand": ' + demand + '}]}')
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run(["solve", "--network", str(path), "--routing", "mc"]) == 64
+    assert capsys.readouterr().err.startswith("netdesign: error: ")
+
+
 def test_invalid_edge_capacity_is_format_error(tmp_path):
     doc = {
         "nodes": [0, 1],
@@ -430,3 +444,15 @@ def test_infinite_gap_tolerance_is_usage_error(tmp_path):
     assert run(["solve", "--scenario", "pigou", "--routing", "ue", "--gap-tol", "inf",
                 "--out", str(out)]) == 64
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--routing", "mc"], "--out"),
+    (["check", "--property", "monotone", "--routing", "mc"], "--out"),
+    (["check", "--property", "monotone", "--routing", "mc"], "--csv"),
+])
+def test_unwritable_report_path_exits_as_usage(tmp_path, capsys, argv, flag):
+    target = tmp_path / "missing" / "report"
+    assert run([*argv, "--scenario", "counterexample", flag, str(target)]) == 64
+    assert capsys.readouterr().err.startswith(f"netdesign: error: cannot write {target}: ")
+

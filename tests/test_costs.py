@@ -185,6 +185,29 @@ def test_json_round_trip():
         "kind": "greenshields", "l": 1.0, "v_max": 1.0, "u": 10.0}
 
 
+@pytest.mark.parametrize("kind", [["constant"], {"name": "constant"}, None, 1])
+def test_json_cost_kind_must_be_a_name(kind):
+    # a list or object kind used to escape as TypeError: unhashable type
+    with pytest.raises(FormatError, match="unknown cost kind"):
+        cost_from_json({"kind": kind, "c": 1.0})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "affine", "a": math.nan, "b": 1.0},
+    {"kind": "bpr", "c0": 1.0, "u": 1.0, "alpha": math.nan, "beta": 4.0},
+    {"kind": "bpr", "c0": 1.0, "u": 1.0, "alpha": 0.15, "beta": math.nan},
+    {"kind": "constant", "c": 10 ** 400},
+    {"kind": "affine", "a": math.inf, "b": 1.0},
+    {"kind": "greenshields", "l": 1.0, "v_max": 1.0, "u": math.inf},
+])
+def test_json_rejects_nan_and_overflowing_parameters(doc):
+    # NaN passed the models' `< 0` checks, an integer beyond float range
+    # escaped float() as OverflowError, and an infinite coefficient solved
+    # to a report holding NaN
+    with pytest.raises(FormatError):
+        cost_from_json(doc)
+
+
 def test_json_rejects_unknown_and_missing():
     with pytest.raises(FormatError):
         cost_from_json({"kind": "constant", "c": 1.0, "oops": 2})

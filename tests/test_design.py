@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import random
 
@@ -240,6 +242,51 @@ def test_prime_uniformity_violation():
     assert not report.ok  # costs 7 and 4 are not one shared value
 
 
+def paths_set(paths, trips=(Trip(0, 3, 5.0),), edge=lambda pair: (Constant(1.0), 10.0)):
+    """The candidate set whose spanning tree is the first of the node
+    sequences ``paths`` and whose candidates, for trip 0, are the others;
+    ``edge(pair)`` gives each edge's cost model and capacity."""
+    routes = [tuple(zip(p, p[1:])) for p in paths]
+    pairs = sorted({pair for route in routes for pair in route})
+    template = Network({n for pair in pairs for n in pair},
+                       [Edge(i, j, *edge((i, j))) for i, j in pairs])
+    return candidate_set_from_pairs(template, trips, routes[0],
+                                    [(0, route) for route in routes[1:]])
+
+
+def _for_another_trip():
+    cs = paths_set([(0, 1, 3), (0, 2, 3)])
+    return dataclasses.replace(cs, candidates=(dataclasses.replace(cs.candidates[0],
+                                                                   trip_index=1),))
+
+
+@pytest.mark.parametrize("declared, build, message", [
+    (PRIME, lambda: paths_set([(0, 1, 3), (0, 1, 2, 3)]),
+     "candidate 0 shares edges [(0, 1)] with the spanning tree"),
+    (PRIME, lambda: paths_set([(0, 1, 3), (0, 2, 3), (0, 2, 4, 3)]),
+     "candidates 0 and 1 share edges [(0, 2)]"),
+    (DOUBLE_PRIME, lambda: paths_set([(0, 1, 2)], trips=(Trip(0, 1, 1.0), Trip(1, 2, 1.0))),
+     "parallel classes are single-trip (got 2 trips)"),
+    (DOUBLE_PRIME, _for_another_trip, "candidate 0 is not for the single trip"),
+    (DOUBLE_PRIME, lambda: paths_set([(0, 1, 3), (0, 4, 1, 5, 3)]),
+     "candidate 0 shares interior nodes [1] with the spanning tree"),
+    (DOUBLE_PRIME, lambda: paths_set([(0, 1, 3), (0, 2, 3), (0, 4, 2, 5, 3)]),
+     "candidates 0 and 1 share interior nodes [2]"),
+    (DOUBLE_PRIME, lambda: paths_set(
+        [(0, 1, 3), (0, 2, 3)],
+        edge=lambda pair: (Constant(1.0), 1.0 if pair in ((0, 2), (2, 3)) else 10.0)),
+     "candidate 0 edges [(0, 2), (2, 3)] cannot hold the whole demand 5.0"),
+    (DOUBLE_PRIME, lambda: paths_set(
+        [(0, 1, 3), (0, 2, 3)],
+        edge=lambda pair: (Affine(2.0 if pair == (0, 2) else 1.0, 1.0), math.inf)),
+     "candidate 0 path cost function differs from spanning tree path's"),
+])
+def test_restriction_violations(declared, build, message):
+    report = check_restriction(build(), declared)
+    assert not report.ok
+    assert report.violations == (message,)
+
+
 def test_declared_class_verified_on_construction(counterexample_mc):
     cs = counterexample_mc.candidate_set
     with pytest.raises(ValueError):
@@ -427,6 +474,21 @@ def test_parallel_uniform_value_matches_solver():
     result = solve_so(scenario.instance)
     closed = parallel_uniform_value("so", 2, 1.0, 1.0, 10.0, 5.0)
     assert result.total_cost == pytest.approx(closed, rel=1e-4)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_parallel_uniform_value_rejects_nan(position):
+    # NaN passed the old `<= 0` tests here and in parallel_mc_value, and
+    # came back as a NaN value
+    args = [1.0, 1.0, 10.0, 5.0]
+    args[position] = math.nan
+    with pytest.raises(BadParams):
+        parallel_uniform_value("so", 2, *args)
+
+
+def test_parallel_mc_value_rejects_nan_demand():
+    with pytest.raises(BadParams):
+        parallel_mc_value(9.0, [7.0], [0], math.nan)
 
 
 def test_parallel_uniform_value_domain():

@@ -15,7 +15,7 @@ from netdesign.network import (
     ViolationList,
     added_paths,
     build_grid_template,
-    enumerate_paths,
+    enumerate_trip_paths,
     graph_union,
     subgraph_issues,
     validate_trip_path_graph,
@@ -129,7 +129,7 @@ def test_union_laws_random_subgraphs():
 
 def test_enumerate_fig4_four_paths(fig4):
     trip = fig4.instance.trips[0]
-    paths = enumerate_paths(fig4.instance.network, trip).for_trip(0)
+    paths = enumerate_trip_paths(fig4.instance.network, [trip]).for_trip(0)
     assert len(paths) == 4
     assert [p.nodes for p in paths] == [
         (1, 2, 3),
@@ -142,7 +142,7 @@ def test_enumerate_fig4_four_paths(fig4):
 def test_enumerate_counterexample_black_only(counterexample_mc):
     cs = counterexample_mc.candidate_set
     trip = cs.trips[0]
-    paths = enumerate_paths(cs.spanning_tree.network, trip).for_trip(0)
+    paths = enumerate_trip_paths(cs.spanning_tree.network, [trip]).for_trip(0)
     assert len(paths) == 1
     assert sum(3.0 for _ in paths[0].edge_pairs) == 9.0
 
@@ -151,7 +151,7 @@ def test_enumerate_black_blue_costs(counterexample_mc):
     cs = counterexample_mc.candidate_set
     trip = cs.trips[0]
     union = cs.subset_network([1])  # blue
-    paths = enumerate_paths(union, trip).for_trip(0)
+    paths = enumerate_trip_paths(union, [trip]).for_trip(0)
     costs = sorted(
         sum(union.edge(*pair).cost.c for pair in p.edge_pairs) for p in paths)
     assert costs == [7.0, 7.0, 9.0, 9.0]
@@ -160,13 +160,13 @@ def test_enumerate_black_blue_costs(counterexample_mc):
 def test_enumerate_limit():
     net = build_grid_template(3, 3, C1, 5.0).network
     with pytest.raises(PathLimitExceeded):
-        enumerate_paths(net, Trip(0, 8, 1.0), limit=3)
+        enumerate_trip_paths(net, [Trip(0, 8, 1.0)], limit=3)
 
 
 def test_paths_simple_and_connecting():
     net = build_grid_template(3, 3, C1, 5.0).network
     trip = Trip(0, 8, 1.0)
-    for p in enumerate_paths(net, trip).for_trip(0):
+    for p in enumerate_trip_paths(net, [trip]).for_trip(0):
         assert p.nodes[0] == 0 and p.nodes[-1] == 8
         assert len(set(p.nodes)) == len(p.nodes)
         for pair in p.edge_pairs:
@@ -226,9 +226,9 @@ def test_path_set_algebra_random():
         if a is None or x is None:
             continue
         done += 1
-        p_a = {p.nodes for p in enumerate_paths(a, trip).for_trip(0)}
+        p_a = {p.nodes for p in enumerate_trip_paths(a, [trip]).for_trip(0)}
         union = graph_union(a, [x])
-        p_union = {p.nodes for p in enumerate_paths(union, trip).for_trip(0)}
+        p_union = {p.nodes for p in enumerate_trip_paths(union, [trip]).for_trip(0)}
         p_added = {p.nodes for p in added_paths(a, x, trip).for_trip(0)}
         assert p_a <= p_union
         assert p_added | p_a == p_union

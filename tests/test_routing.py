@@ -35,9 +35,7 @@ from netdesign.routing import (
     Instance,
     MCDuals,
     SolverConfig,
-    all_or_nothing,
     price_of_anarchy,
-    shortest_path_nodes,
     so_ue_bridge,
     solve_mc,
     solve_so,
@@ -372,25 +370,27 @@ def test_mc_start_over_a_capacity_runs_phase_one(monkeypatch):
     assert r.certificate.satisfied
 
 
-# -- all-or-nothing --------------------------------------------------------------
+# -- all-or-nothing pricing -------------------------------------------------------
+
+
+def priced_paths(instance, costs):
+    """The path pricing picks for each trip under the edge costs ``costs``,
+    keyed by edge pair: the paths of the all-or-nothing flows."""
+    space = _PathSpace(instance, 10)
+    rows = space.price(np.array([costs[pair] for pair in instance.network.edge_pairs]))
+    return [space.paths[r] for r in rows]
 
 
 def test_aon_counterexample_frozen_costs(counterexample_gs):
     instance = counterexample_gs.instance
-    frozen = {}
     tree_pairs = {(1, 2), (2, 3), (3, 4)}
-    for pair in instance.network.edge_pairs:
-        frozen[pair] = 3.0 if pair in tree_pairs else 1.0
-    aon = all_or_nothing(instance, frozen)
-    assert aon.paths[0].key() == "1-9-10-11-12-4"
-    assert aon.flows[0] == 5.0
+    frozen = {pair: 3.0 if pair in tree_pairs else 1.0 for pair in instance.network.edge_pairs}
+    assert [p.key() for p in priced_paths(instance, frozen)] == ["1-9-10-11-12-4"]
 
 
 def test_aon_single_path():
     instance = Instance(net_of([(0, 1, C1, 5.0), (1, 2, C1, 5.0)]), (Trip(0, 2, 3.0),))
-    aon = all_or_nothing(instance, {(0, 1): 1.0, (1, 2): 1.0})
-    assert aon.paths[0].nodes == (0, 1, 2)
-    assert aon.trip_totals == (3.0,)
+    assert priced_paths(instance, {(0, 1): 1.0, (1, 2): 1.0}) == [Path(0, (0, 1, 2))]
 
 
 def test_aon_tie_break_lexicographic():
@@ -400,21 +400,20 @@ def test_aon_tie_break_lexicographic():
         (0, 2, C1, 5.0), (2, 3, C1, 5.0),
     ]), (Trip(0, 3, 1.0),))
     costs = {pair: 1.0 for pair in instance.network.edge_pairs}
-    aon = all_or_nothing(instance, costs)
-    assert aon.paths[0].nodes == (0, 1, 3)
+    assert priced_paths(instance, costs) == [Path(0, (0, 1, 3))]
 
 
 def test_aon_unreachable():
     net = Network({0, 1, 2}, [Edge(0, 1, C1, 5.0)])
     with pytest.raises(Unreachable):
-        all_or_nothing(Instance(net, (Trip(0, 2, 1.0),)), {(0, 1): 1.0})
+        priced_paths(Instance(net, (Trip(0, 2, 1.0),)), {(0, 1): 1.0})
 
 
 def test_shortest_path_prefers_cheaper():
     net = net_of([(0, 1, C1, 5.0), (1, 3, C1, 5.0), (0, 2, C1, 5.0), (2, 3, C1, 5.0)])
-    nodes = shortest_path_nodes(net, {(0, 1): 5.0, (1, 3): 5.0,
-                                      (0, 2): 1.0, (2, 3): 1.0}, 0, 3)
-    assert nodes == (0, 2, 3)
+    # node ids are their positions; edge ids follow the sorted pairs:
+    # (0, 1), (0, 2), (1, 3), (2, 3)
+    assert routing._cheapest_path(net, [5.0, 1.0, 5.0, 1.0], 0, 3) == ((0, 2, 3), [1, 3])
 
 
 # node ids far apart and out of step with their positions; costs with
@@ -448,7 +447,6 @@ def _fixed_case(costs, source, sink):
 def test_id_search_matches_dict_search(case):
     net, costs, source, sink = case
     expected, expected_dist = dict_shortest_path(net, costs, source, sink)
-    assert shortest_path_nodes(net, costs, source, sink) == expected
     by_id = [costs[pair] for pair in net.edge_pairs]
     found = routing._cheapest_path(net, by_id, net.position(source), net.position(sink))
     if expected is None:
@@ -468,15 +466,16 @@ def test_shortest_path_steps_around_zero_cost_cycles():
     paid = Affine(1.0, 1.0)
     net = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
                   (0, 2, paid, math.inf), (1, 2, paid, math.inf)])
-    costs = {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0, (1, 2): 1.0}
-    assert shortest_path_nodes(net, costs, 0, 2) == (0, 1, 2)
+    # edge ids: (0, 1), (0, 2), (1, 0), (1, 2)
+    assert routing._cheapest_path(net, [0.0, 1.0, 0.0, 1.0], 0, 2) == ((0, 1, 2), [0, 3])
     # from 1 the only tight way on leads back to 0: the walk backs up
     dead_end = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
                        (0, 2, paid, math.inf)])
-    assert shortest_path_nodes(dead_end, {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0},
-                               0, 2) == (0, 2)
+    # edge ids: (0, 1), (0, 2), (1, 0)
+    assert routing._cheapest_path(dead_end, [0.0, 1.0, 0.0], 0, 2) == ((0, 2), [1])
     instance = Instance(net, (Trip(0, 2, 1.0),))
-    assert all_or_nothing(instance, costs).paths[0].nodes == (0, 1, 2)
+    costs = {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0, (1, 2): 1.0}
+    assert priced_paths(instance, costs) == [Path(0, (0, 1, 2))]
     for solver in (solve_so, solve_ue):
         r = solver(instance)
         assert r.certificate.satisfied
@@ -486,10 +485,10 @@ def test_shortest_path_steps_around_zero_cost_cycles():
 def test_pricing_rejects_negative_edge_costs():
     # the search checks every cost once, also those of edges it would not reach
     net = net_of([(0, 1, C1, math.inf), (1, 2, C1, math.inf), (3, 0, C1, math.inf)])
-    for costs in ({(0, 1): 1.0, (1, 2): -0.5, (3, 0): 1.0},
-                  {(0, 1): 1.0, (1, 2): 1.0, (3, 0): -0.5}):
+    # edge ids: (0, 1), (1, 2), (3, 0)
+    for costs in ([1.0, -0.5, 1.0], [1.0, 1.0, -0.5]):
         with pytest.raises(ValueError, match="negative edge cost -0.5"):
-            shortest_path_nodes(net, costs, 0, 2)
+            routing._cheapest_path(net, costs, 0, 2)
 
 
 # -- certificates -----------------------------------------------------------------
@@ -1083,7 +1082,7 @@ def test_newton_step_reference_cases_cover_every_branch(monkeypatch):
         up = (de > 0.0) & bounded
         if up.any() and t == float(np.min((margin[up] - xe[up]) / de[up])) < 1.0:
             seen.add("capacity margin")
-        demands = space.demands[space.row_trip[flat]]
+        demands = space.demands[[space.trip_of[r] for r in flat]]
         if (x[flat] + t * np.array(dx) == 1e-14 * demands).any():
             seen.add("residue at the threshold")
     assert seen == {"no step", "blocked path", "dependent paths", "zero curvature",

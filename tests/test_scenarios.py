@@ -41,6 +41,17 @@ def test_bad_params():
         materialize("parallel", {"d": 10.0, "u": 10.0})
 
 
+@pytest.mark.parametrize("param", ["l", "v_max", "u", "d"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "fast", 10 ** 400])
+def test_parallel_params_must_be_positive_numbers(param, value):
+    # NaN passed the old `<= 0` test and failed later as ValueError in Trip or
+    # Greenshields, an infinite l solved to a solver error and an infinite
+    # v_max to a cost of 0, and a word and an integer beyond float range
+    # failed in float()
+    with pytest.raises(BadParams):
+        materialize("parallel", {param: value})
+
+
 def test_braess_edge_toggle():
     with_edge = materialize("braess", {"with_edge": True})
     without = materialize("braess", {"with_edge": False})
