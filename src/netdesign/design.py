@@ -62,6 +62,10 @@ VIOLATED = "VIOLATED"
 EXHAUSTIVE_MONOTONE_CAP = 12
 EXHAUSTIVE_SUPERMODULAR_CAP = 10
 
+# Sampled mode lists every comparison before it evaluates any, so its
+# trials are capped: 500 times the default of 200.
+SAMPLED_TRIALS_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class RestrictionReport:
@@ -458,6 +462,8 @@ def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode
     monotone = prop == MONOTONE
     if mode == "sampled" and trials < 1:
         raise BadParams(f"sampled mode needs at least 1 trial, got {trials}")
+    if mode == "sampled" and trials > SAMPLED_TRIALS_CAP:
+        raise BadParams(f"sampled mode is capped at {SAMPLED_TRIALS_CAP} trials, got {trials}")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise BadParams(f"tolerance must be finite and nonnegative, got {tol}")
     n = len(cs.candidates)

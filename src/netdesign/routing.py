@@ -2,7 +2,15 @@
 
 Three problems share one path space, which never lists every simple
 path: it starts from each trip's cheapest path and grows by pricing, a
-Dijkstra shortest path under given edge costs that joins the set when new.
+shortest path under given edge costs that joins the set when new.
+
+Pricing labels each node with its distance to the trip's sink. On an
+acyclic network the labels come from one sweep in reverse topological
+order, which the network computes once and keeps (Ahuja, Magnanti &
+Orlin, 1993, section 4.4); on a network with a cycle, from Dijkstra. The
+sweep makes the additions and comparisons Dijkstra makes, so both give
+the same labels bit for bit, and one walk over the edges that the labels
+make tight picks the lexicographically smallest shortest path.
 
 The capacitated constant-cost program (``mc``) starts from each trip's
 cheapest path. When those paths fit the capacities they are optimal, as
@@ -41,7 +49,7 @@ built once.
 
 Every accepted solution carries an optimality certificate recomputed from
 first principles: each trip meets its demand, and its used paths cost no
-more than its cheapest path, priced with Dijkstra, under marginal costs
+more than its cheapest path, priced by the same search, under marginal costs
 (so), travel times (ue) or costs plus capacity prices (mc); mc also
 checks that loads stay within capacity and that every priced edge is
 full. Because each pricing finds the cheapest of all simple paths, the
@@ -558,8 +566,8 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
     minimum-cost simple path from node position ``source`` to ``sink``, or
     None; ``costs`` is indexed by edge id.
 
-    One label-setting pass toward the sink gives each node its distance to
-    the sink; an edge is tight when it lies on a shortest path. A
+    ``_distances_to`` gives each node its distance to the sink; an edge is
+    tight when it lies on a shortest path. A
     depth-first walk over tight edges, lowest node id first and never back
     onto its own prefix, returns the first path that reaches the sink: the
     smallest one among ties. With positive costs the tight edges form a
@@ -606,14 +614,34 @@ def _distances_to(net: Network, costs: Sequence[float], root: int):
     ``root``, indexed by position; inf where no path reaches it.
     ValueError when any edge cost is negative.
 
-    A node is pushed again each time its distance falls, so a popped entry
-    above the node's distance is stale and skipped. With nonnegative costs
-    a node's distance no longer falls once it is popped at that distance.
+    On an acyclic network one sweep in reverse topological order sets each
+    label once, to the least ``dist[w] + costs[e]`` over the node's
+    out-edges (Ahuja, Magnanti & Orlin, 1993, section 4.4). Nodes before
+    ``root`` in that order cannot reach it. Dijkstra's final label is the
+    least of the same sums over the same edges, so the labels are equal
+    bit for bit.
+
+    On a network with a cycle, Dijkstra: a node is pushed again each time
+    its distance falls, so a popped entry above the node's distance is
+    stale and skipped. With nonnegative costs a node's distance no longer
+    falls once it is popped at that distance.
     """
     if costs and min(costs) < 0:
         raise ValueError(f"negative edge cost {min(costs)}")
-    dist = [math.inf] * len(net.node_order)
+    inf = math.inf
+    dist = [inf] * len(net.node_order)
     dist[root] = 0.0
+    order = net.derived(_reverse_topological_order, _reverse_topological_order)
+    if order is not None:
+        out_adj = net.out_adjacency
+        for v in order[order.index(root) + 1:]:
+            d = inf
+            for w, e in out_adj[v]:
+                nd = dist[w] + costs[e]
+                if nd < d:
+                    d = nd
+            dist[v] = d
+        return dist
     heap = [(0.0, root)]
     in_adj = net.in_adjacency
     while heap:
@@ -626,6 +654,20 @@ def _distances_to(net: Network, costs: Sequence[float], root: int):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def _reverse_topological_order(net: Network) -> Optional[Tuple[int, ...]]:
+    """Node positions of ``net``, each after every node its out-edges
+    reach; None when ``net`` has a cycle."""
+    in_adj = net.in_adjacency
+    left = [len(adj) for adj in net.out_adjacency]  # out-edges to nodes not yet placed
+    order = [p for p, k in enumerate(left) if k == 0]
+    for v in order:  # the loop also visits the nodes it appends
+        for u, _ in in_adj[v]:
+            left[u] -= 1
+            if not left[u]:
+                order.append(u)
+    return tuple(order) if len(order) == len(left) else None
 
 
 # ---------------------------------------------------------------------------
@@ -676,23 +718,32 @@ def _incremental_load(space: _PathSpace, calc: _EdgeCalculator,
     """Each trip's demand in LOAD_PARTS equal parts, one at a time, each on
     the cheapest path under the current gradient; an edge is closed to a
     part that would bring it to its flow bound. None when a part finds no
-    open path."""
+    open path.
+
+    The bookkeeping runs on Python lists. A part raises the edge flows of
+    its own path's edges alone, so they are raised by edge id rather than
+    summed again from the path flows."""
     net = space.instance.network
-    x = np.zeros(len(space.paths))
-    xe = np.zeros(len(space.edge_pairs))
+    inf = math.inf
+    bound = calc.bound.tolist()
+    x = []
+    xe = [0.0] * len(bound)
     for _ in range(LOAD_PARTS):
         for m, (source, sink) in enumerate(space.ends):
-            part = space.demands[m] / LOAD_PARTS
-            open_costs = np.where(xe + part < calc.bound, calc.gradient(xe, kind),
-                                  math.inf)
-            found = _cheapest_path(net, open_costs.tolist(), source, sink)
+            part = space.demand_list[m] / LOAD_PARTS
+            grad = calc.gradient(np.array(xe), kind).tolist()
+            open_costs = [g if v + part < b else inf for g, v, b in zip(grad, xe, bound)]
+            found = _cheapest_path(net, open_costs, source, sink)
             if found is None:
                 return None
-            row = space.add(m, *found)
-            x = space.pad(x)
+            nodes, ids = found
+            row = space.add(m, nodes, ids)
+            if row == len(x):
+                x.append(0.0)
             x[row] += part
-            xe = space.edge_flows(x)
-    return x
+            for e in ids:
+                xe[e] += part
+    return np.array(x)
 
 
 def _line_search(calc: _EdgeCalculator, xe: np.ndarray, de: np.ndarray, kind: str,
@@ -878,7 +929,9 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     the objective, and cut back to the line minimum otherwise, so the
     objective never rises. Paths whose flow reaches zero are dropped. A
     step that cannot descend while the gap is open ends the solve with
-    NotConverged.
+    NotConverged, and so does an objective or gap that overflows to inf or
+    NaN. Returns the final path and edge flows with the edge gradient
+    priced last.
     """
     calc = _calculator(instance.network)
     space, x = _initial_point(instance, cfg.path_limit, calc, kind)
@@ -892,14 +945,23 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     iterations = 0
     while True:
         grad_e, curv_e = calc.derivatives(xe, kind)
+        sized = len(x)  # the rows xe was summed over
         best = space.price(grad_e)
         x = space.pad(x)
         g = space.incidence @ grad_e
         g_best = g[best]
         best_lb = max(best_lb, f - float(x @ g - demands @ g_best))
-        rel_gap = max(0.0, (f - best_lb) / abs(f)) if f != 0.0 else 0.0
+        rel_gap = (f - best_lb) / abs(f) if f != 0.0 else 0.0
+        if not (math.isfinite(f) and math.isfinite(rel_gap)):  # overflow
+            raise NotConverged(iterations, rel_gap)
+        rel_gap = max(0.0, rel_gap)
         if rel_gap <= cfg.relative_gap_tol:
-            return space, calc, x, kind, iterations, rel_gap
+            if len(x) > sized:
+                # the product over all rows, zero-flow ones included, can
+                # round differently, and the report's edge flows use it
+                xe = space.edge_flows(x)
+                grad_e = calc.gradient(xe, kind)
+            return space, calc, x, xe, grad_e, kind, iterations, rel_gap
         if iterations == cfg.max_iterations:
             raise NotConverged(iterations, rel_gap)
         iterations += 1
@@ -934,9 +996,10 @@ def _take_step(space, calc, x, flat, x_sub, dx, t, kind):
 
 
 def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
-                        kind: str, iterations: int, rel_gap: float) -> SolveResult:
-    xe = space.edge_flows(x)
-    edge_values = calc.gradient(xe, kind)
+                        xe: np.ndarray, edge_values: np.ndarray, kind: str,
+                        iterations: int, rel_gap: float) -> SolveResult:
+    """The result of a solve that stopped at path flows ``x``, edge flows
+    ``xe`` and edge gradient ``edge_values``."""
     certificate = _certificate(space, x, edge_values, kind)
     # The certificate priced every trip (on travel times for ue), so the set
     # holds each trip's shortest path and the ue minimum below is over all
@@ -1154,8 +1217,9 @@ def verify_certificate(instance: Instance, result: SolveResult,
                        limit: int = DEFAULT_PATH_LIMIT) -> OptimalityCertificate:
     """Recompute a result's optimality certificate from its assignment.
 
-    The used paths are compared with each trip's shortest path, priced with
-    Dijkstra, so the check covers every simple path without listing them:
+    The used paths are compared with each trip's shortest path, priced by
+    the solvers' search, so the check covers every simple path without
+    listing them:
     for so and ue on the assignment's own marginal costs or travel times,
     for mc on the costs plus the result's capacity prices (zero without
     duals). Demand residuals, and for mc capacity excess and priced edges

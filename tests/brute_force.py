@@ -169,6 +169,39 @@ def dict_shortest_path(net, edge_costs, source, sink):
     return None, dist_to
 
 
+def dense_incremental_load(space, calc, kind):
+    """Reference for incremental loading: each trip's demand in
+    ``routing.LOAD_PARTS`` equal parts, each on the cheapest open path
+    under the gradient at the current edge flows, with those flows
+    recomputed after every part as the dense product of the path
+    incidence and the path flows.
+
+    Returns the path flows, or None when a part finds no open path.
+    """
+    import math
+
+    import numpy as np
+
+    from netdesign import routing
+
+    net = space.instance.network
+    x = np.zeros(len(space.paths))
+    xe = np.zeros(len(space.edge_pairs))
+    parts = routing.LOAD_PARTS
+    for _ in range(parts):
+        for m, (source, sink) in enumerate(space.ends):
+            part = space.demands[m] / parts
+            open_costs = np.where(xe + part < calc.bound, calc.gradient(xe, kind), math.inf)
+            found = routing._cheapest_path(net, open_costs.tolist(), source, sink)
+            if found is None:
+                return None
+            row = space.add(m, *found)
+            x = space.pad(x)
+            x[row] += part
+            xe = space.edge_flows(x)
+    return x
+
+
 def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
     """Reference for the solver's Newton step: the support selection, the
     Newton direction with its blocked-path loop, the least-squares

@@ -271,6 +271,29 @@ def test_solver_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+@pytest.mark.parametrize("routing, field, value", [
+    ("so", "demand", 1e300),
+    ("ue", "demand", 1e300),
+    ("ue", "b", 1e308),
+])
+def test_overflowing_solve_exits_as_solver_error(tmp_path, capsys, routing, field, value):
+    # finite numbers whose objective overflows: the gap is NaN, which used
+    # to pass for converged and write Infinity into the report
+    braess = materialize("braess")
+    doc = instance_to_json(braess.instance.network, braess.instance.trips)
+    if field == "demand":
+        doc["trips"][0]["demand"] = value
+    else:
+        doc["edges"][0]["cost"]["b"] = value  # the affine edge (0, 1)
+    path = tmp_path / "braess.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "solve.json"
+    assert run(["solve", "--routing", routing, "--network", str(path), "--out", str(out)]) == 2
+    assert "solver error: no convergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simplex_pivot_budget_exits_as_solver_error(tmp_path, monkeypatch, capsys):
     # the cheap route's capacity is below the demand, so the start does not
     # fit and the solve reaches the simplex; built-in mc scenarios fit
@@ -429,10 +452,11 @@ def test_check_report_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("prop", ["monotone", "supermodular"])
-@pytest.mark.parametrize("option", ["--trials=0", "--trials=-3", "--tol=nan", "--tol=-1",
-                                    "--tol=inf"])
+@pytest.mark.parametrize("option", ["--trials=0", "--trials=-3", "--trials=100001", "--tol=nan",
+                                    "--tol=-1", "--tol=inf"])
 def test_check_rejects_out_of_range_options(prop, option, tmp_path):
-    # each used to print HOLDS over no comparisons, or write a NaN tolerance
+    # each used to print HOLDS over no comparisons, write a NaN tolerance,
+    # or (past the trials cap) list every comparison before evaluating any
     out = tmp_path / "check.json"
     assert run(["check", "--property", prop, "--scenario", "counterexample", "--routing",
                 "mc", "--mode", "sampled", option, "--out", str(out)]) == 64

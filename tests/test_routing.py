@@ -49,6 +49,7 @@ from netdesign.routing import (
 )
 from brute_force import (
     assert_assignment_feasible,
+    dense_incremental_load,
     dense_newton_step,
     dense_step_flows,
     dict_shortest_path,
@@ -425,27 +426,52 @@ _TIE_COSTS = (0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 2.0, math.inf)
 
 @st.composite
 def _priced_network(draw):
-    nodes = draw(st.lists(st.sampled_from(_SPARSE_IDS), min_size=2, max_size=6, unique=True))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
-                          .filter(lambda p: p[0] != p[1]), unique=True, max_size=20))
+    """A network, edge costs by pair, a source and a sink, and whether the
+    network was drawn acyclic: then each edge runs forward in a drawn
+    order of the nodes, which can put the sink before other nodes (its
+    out-edges lead to nodes that cannot reach it) and the source after it."""
+    acyclic = draw(st.booleans())
+    nodes = draw(st.lists(st.sampled_from(_SPARSE_IDS), min_size=3 if acyclic else 2,
+                          max_size=6, unique=True))
+    if acyclic:
+        order = draw(st.permutations(nodes))
+        forward = [(i, j) for k, i in enumerate(order) for j in order[k + 1:]]
+        pairs = draw(st.lists(st.sampled_from(forward), unique=True,
+                              min_size=len(nodes) - 1, max_size=len(forward)))
+    else:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                              .filter(lambda p: p[0] != p[1]), unique=True, max_size=20))
     costs = {pair: draw(st.sampled_from(_TIE_COSTS)) for pair in pairs}
     source, sink = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
-    return Network(nodes, [Edge(i, j, C1) for i, j in pairs]), costs, source, sink
+    return Network(nodes, [Edge(i, j, C1) for i, j in pairs]), costs, source, sink, acyclic
 
 
-def _fixed_case(costs, source, sink):
-    return net_of([(i, j, C1, math.inf) for i, j in costs]), costs, source, sink
+def _fixed_case(costs, source, sink, acyclic):
+    return net_of([(i, j, C1, math.inf) for i, j in costs]), costs, source, sink, acyclic
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_priced_network())
 # 0.1 + 0.2 misses 0.3 in the last bit: the walk takes 0-7-1000 only
 # because it compares within a tolerance
-@example(_fixed_case({(0, 7): 0.1, (7, 1000): 0.2, (0, 1000): 0.3}, 0, 1000))
+@example(_fixed_case({(0, 7): 0.1, (7, 1000): 0.2, (0, 1000): 0.3}, 0, 1000, True))
 # the free cycle 0-7-0 is tight, so the walk enters 7 and backs up
-@example(_fixed_case({(0, 7): 0.0, (7, 0): 0.0, (0, 1000): 1.0}, 0, 1000))
+@example(_fixed_case({(0, 7): 0.0, (7, 0): 0.0, (0, 1000): 1.0}, 0, 1000, False))
+# acyclic, with the sink's out-edge to a node that cannot reach it, a
+# node no path reaches the sink from, and a closed edge
+@example(_fixed_case({(0, 7): 0.5, (7, 13): 0.0, (13, 1000): 1.0, (0, 1): math.inf,
+                      (1, 13): 0.0, (2, 7): 1.0}, 0, 13, True))
 def test_id_search_matches_dict_search(case):
-    net, costs, source, sink = case
+    # acyclic networks take the topological sweep, the others Dijkstra;
+    # both against the dict-keyed Dijkstra of brute_force
+    net, costs, source, sink, acyclic = case
+    order = routing._reverse_topological_order(net)
+    if acyclic:
+        assert order is not None
+    if order is not None:
+        rank = {p: k for k, p in enumerate(order)}
+        assert sorted(rank) == list(range(len(net.node_order)))
+        assert all(rank[net.position(j)] < rank[net.position(i)] for i, j in net.edge_pairs)
     expected, expected_dist = dict_shortest_path(net, costs, source, sink)
     by_id = [costs[pair] for pair in net.edge_pairs]
     found = routing._cheapest_path(net, by_id, net.position(source), net.position(sink))
@@ -467,6 +493,7 @@ def test_shortest_path_steps_around_zero_cost_cycles():
     net = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
                   (0, 2, paid, math.inf), (1, 2, paid, math.inf)])
     # edge ids: (0, 1), (0, 2), (1, 0), (1, 2)
+    assert routing._reverse_topological_order(net) is None  # so pricing runs Dijkstra
     assert routing._cheapest_path(net, [0.0, 1.0, 0.0, 1.0], 0, 2) == ((0, 1, 2), [0, 3])
     # from 1 the only tight way on leads back to 0: the walk backs up
     dead_end = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
@@ -805,6 +832,57 @@ def test_loading_over_the_path_limit_falls_back_to_all_or_nothing(monkeypatch):
     assert r.certificate.satisfied
     assert solve_so(instance).total_cost == pytest.approx(r.total_cost, rel=1e-9)
     assert len(calls) == 1
+
+
+# demands whose equal parts do not add up exactly in binary
+_ODD_DEMANDS = (0.1, 0.3, 0.7, 1.0 / 3.0, 2.0 / 7.0, 1.1, 2.2, 3.3)
+
+
+@st.composite
+def _loading_case(draw):
+    """Trips over an n x n Greenshields grid, either both ways between
+    neighbours or only rightwards and downwards (acyclic), with flow
+    bounds from a fraction to a few times the total demand, so that parts
+    of several trips share edges and some edges close."""
+    n = draw(st.integers(2, 3))
+    acyclic = draw(st.booleans())
+    trips = []
+    for _ in range(draw(st.integers(2, 3))):
+        a, b = draw(st.lists(st.integers(0, n * n - 1), min_size=2, max_size=2, unique=True))
+        if acyclic:  # the top left corner of the pair's box to the bottom right one
+            (r1, r2), (c1, c2) = sorted((a // n, b // n)), sorted((a % n, b % n))
+            a, b = r1 * n + c1, r2 * n + c2
+        trips.append(Trip(a, b, draw(st.sampled_from(_ODD_DEMANDS))))
+    total = sum(t.demand for t in trips)
+    marginalized = draw(st.booleans())
+    defs = []
+    for a in range(n * n):
+        for b in (a + 1 if (a + 1) % n else None, a + n if a + n < n * n else None):
+            if b is None:
+                continue
+            for i, j in ((a, b),) if acyclic else ((a, b), (b, a)):
+                u = total * draw(st.sampled_from((0.4, 0.7, 1.0, 2.5)))
+                model = Greenshields(draw(st.sampled_from((0.5, 1.0, 1.7))), 1.0, u)
+                defs.append((i, j, Marginalized(model) if marginalized else model, u))
+    kind = draw(st.sampled_from(("so", "ue")))
+    return Instance(net_of(defs), trips), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loading_case())
+def test_incremental_load_matches_dense_reference(case):
+    # the loading raises the edge flows part by part; the reference sums
+    # them from all path flows after each part, in another order
+    instance, kind = case
+    calc = routing._calculator(instance.network)
+    space, reference = _PathSpace(instance, 10_000), _PathSpace(instance, 10_000)
+    x = routing._incremental_load(space, calc, kind)
+    expected = dense_incremental_load(reference, calc, kind)
+    assert space.paths == reference.paths
+    if expected is None:
+        assert x is None
+    else:
+        assert x.tobytes() == expected.tobytes()
 
 
 def test_total_cost_matches_recomputation(counterexample_gs):
