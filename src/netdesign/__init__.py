@@ -52,6 +52,7 @@ from .errors import (
     NetdesignError,
     NotConverged,
     PathLimitExceeded,
+    SolverError,
     TemplateConsistencyError,
     UncertifiedValue,
     UnknownScenario,

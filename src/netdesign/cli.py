@@ -6,7 +6,7 @@ timestamps) so identical invocations reproduce identical bytes; ``check``
 and ``lambda`` reports also export a per-subset CSV for external plotting.
 
 Exit codes: 0 success; 1 a property verdict contradicted ``--expect``;
-2 solver failure; 64 usage or input-format error.
+2 a ``SolverError``; 64 any other package error (usage or input format).
 """
 
 from __future__ import annotations
@@ -30,20 +30,7 @@ from .design import (
     greedy_designer,
     lambda_eval,
 )
-from .errors import (
-    BadParams,
-    CapacitySaturation,
-    DomainError,
-    FormatError,
-    Infeasible,
-    NetdesignError,
-    NotConverged,
-    PathLimitExceeded,
-    Unbounded,
-    UncertifiedValue,
-    UnknownScenario,
-    Unreachable,
-)
+from .errors import BadParams, NetdesignError, SolverError
 from .jsonio import instance_from_json, load_file
 from .routing import Instance, SolverConfig, solve_mc, solve_so, solve_ue
 from .scenarios import materialize, scenario_descriptions
@@ -59,10 +46,6 @@ EXIT_OK = 0
 EXIT_EXPECT_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_USAGE = 64
-
-_SOLVER_ERRORS = (Infeasible, NotConverged, CapacitySaturation, PathLimitExceeded,
-                  DomainError, Unreachable, Unbounded, UncertifiedValue)
-_USAGE_ERRORS = (FormatError, BadParams, UnknownScenario)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -424,13 +407,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"netdesign: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"netdesign: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except NetdesignError as exc:  # residual package errors count as usage
+    except NetdesignError as exc:
         print(f"netdesign: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

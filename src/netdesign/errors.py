@@ -2,7 +2,12 @@
 
 
 class NetdesignError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the CLI exits 64 on any
+    that is not a SolverError."""
+
+
+class SolverError(NetdesignError):
+    """A solve or evaluation found no certified answer; the CLI exits 2."""
 
 
 class FormatError(NetdesignError):
@@ -13,7 +18,7 @@ class TemplateConsistencyError(NetdesignError):
     """Two graphs disagree on the cost model or capacity of a shared edge."""
 
 
-class PathLimitExceeded(NetdesignError):
+class PathLimitExceeded(SolverError):
     """A trip needs more paths than the configured cap.
 
     Raised when a solve's path generation (mc, so or ue) would add a path
@@ -28,19 +33,19 @@ class PathLimitExceeded(NetdesignError):
         super().__init__(f"more than {limit} paths{where} (path limit)")
 
 
-class DomainError(NetdesignError):
+class DomainError(SolverError):
     """Cost model evaluated outside its domain (e.g. at a vertical asymptote)."""
 
 
-class Infeasible(NetdesignError):
+class Infeasible(SolverError):
     """No flow satisfies the demand and capacity constraints."""
 
 
-class Unbounded(NetdesignError):
+class Unbounded(SolverError):
     """Linear program objective unbounded below (never expected here)."""
 
 
-class NotConverged(NetdesignError):
+class NotConverged(SolverError):
     """Iterative solver exhausted its iteration budget."""
 
     def __init__(self, iterations, relative_gap):
@@ -52,7 +57,7 @@ class NotConverged(NetdesignError):
         )
 
 
-class UncertifiedValue(NetdesignError):
+class UncertifiedValue(SolverError):
     """A subset value whose solve did not satisfy its optimality certificate.
 
     Design verdicts bound each value's error by its certificate's
@@ -70,11 +75,11 @@ class UncertifiedValue(NetdesignError):
         )
 
 
-class CapacitySaturation(NetdesignError):
+class CapacitySaturation(SolverError):
     """No strictly interior starting flow exists for a congestion-priced edge."""
 
 
-class Unreachable(NetdesignError):
+class Unreachable(SolverError):
     """A trip's sink cannot be reached from its source."""
 
     def __init__(self, trip):

@@ -10,7 +10,11 @@ order, which the network computes once and keeps (Ahuja, Magnanti &
 Orlin, 1993, section 4.4); on a network with a cycle, from Dijkstra. The
 sweep makes the additions and comparisons Dijkstra makes, so both give
 the same labels bit for bit, and one walk over the edges that the labels
-make tight picks the lexicographically smallest shortest path.
+make tight picks the lexicographically smallest shortest path. The walk
+backs up out of dead ends at most as many times as the network has
+nodes; past that it restarts as a guarded walk, which checks before each
+step that the sink is still reachable and so never backs up, and returns
+the same path in time polynomial in the network.
 
 The capacitated constant-cost program (``mc``) starts from each trip's
 cheapest path. When those paths fit the capacities they are optimal, as
@@ -572,8 +576,10 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
     onto its own prefix, returns the first path that reaches the sink: the
     smallest one among ties. With positive costs the tight edges form a
     DAG and the walk never backs up; zero-cost edges can close tight
-    cycles, which the walk steps around. An edge of infinite cost is
-    closed.
+    cycles, which the walk steps around. Backing up out of a dead-end
+    region can take time exponential in its size, so once the walk has
+    backed up more times than the network has nodes, ``_guarded_walk``
+    returns the same path instead. An edge of infinite cost is closed.
     """
     inf = math.inf
     dist = _distances_to(net, costs, sink)
@@ -586,6 +592,7 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
     ids = []
     on_path = {source}
     branches = [iter(out_adj[source])]
+    backups = 0
     while branches:
         here = dist[nodes[-1]]
         for nxt, e in branches[-1]:  # ascending positions: first hit is smallest id
@@ -594,6 +601,9 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
             if abs(costs[e] + dist[nxt] - here) <= tol:
                 break
         else:
+            backups += 1
+            if backups > len(dist):
+                return _guarded_walk(net, costs, dist, source, sink)
             branches.pop()
             on_path.discard(nodes.pop())
             if ids:
@@ -607,6 +617,43 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
         on_path.add(nxt)
         branches.append(iter(out_adj[nxt]))
     return None
+
+
+def _guarded_walk(net: Network, costs: Sequence[float], dist: Sequence[float],
+                  source: int, sink: int):
+    """``_cheapest_path``'s path, found under the labels ``dist`` without
+    backing up: from each node the walk takes the lowest-id tight edge to
+    a node off its path from which the sink is reachable by tight edges
+    that avoid the path, found by one reverse search per step. A node that
+    cannot reach the sink has an infinite label and no tight edge out, so
+    it never enters that set."""
+    tol = 1e-12 * (1.0 + abs(dist[source]))
+    out_adj = net.out_adjacency
+    in_adj = net.in_adjacency
+    nodes = [source]
+    ids = []
+    on_path = {source}
+    while nodes[-1] != sink:
+        open_nodes = {sink}  # reach the sink by tight edges off the path
+        stack = [sink]
+        while stack:
+            w = stack.pop()
+            for v, e in in_adj[w]:
+                if (v not in open_nodes and v not in on_path
+                        and abs(costs[e] + dist[w] - dist[v]) <= tol):
+                    open_nodes.add(v)
+                    stack.append(v)
+        here = dist[nodes[-1]]
+        for nxt, e in out_adj[nodes[-1]]:
+            if nxt in open_nodes and abs(costs[e] + dist[nxt] - here) <= tol:
+                break
+        else:
+            return None
+        nodes.append(nxt)
+        ids.append(e)
+        on_path.add(nxt)
+    order = net.node_order
+    return tuple(order[p] for p in nodes), ids
 
 
 def _distances_to(net: Network, costs: Sequence[float], root: int):

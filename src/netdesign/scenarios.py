@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .costs import Affine, Constant, Greenshields, parse_number
-from .design import DOUBLE_PRIME, PRIME, CandidateSet, candidate_set_from_pairs
+from .design import DOUBLE_PRIME, GENERAL, PRIME, CandidateSet, candidate_set_from_pairs
 from .errors import BadParams, FormatError, UnknownScenario
 from .network import Edge, Network, Trip, build_grid_template
 from .routing import Instance
@@ -43,12 +43,24 @@ def _network(nodes, edge_defs) -> Network:
     return Network(nodes, [Edge(i, j, cost, cap) for i, j, cost, cap in edge_defs])
 
 
-def _pair_template(pair_lists, cost_of) -> Network:
-    """The network over every pair of ``pair_lists``, edge (i, j) costing
-    ``cost_of((i, j))`` with capacity 10."""
-    pairs = set().union(*pair_lists)
-    return _network({n for pair in pairs for n in pair},
-                    [(i, j, cost_of((i, j)), 10.0) for i, j in pairs])
+def _design_scenario(name, params: dict, trips, tree, candidates, cost_of, labels,
+                     description, declared=GENERAL) -> Scenario:
+    """A fixture posed as a design problem: the template holds every pair of
+    the spanning tree ``tree`` and of the ``(trip index, pairs)`` specs
+    ``candidates``, edge (i, j) costing ``cost_of((i, j))`` with capacity
+    10, and the instance is the union of every member."""
+    pairs = set(tree).union(*(member for _, member in candidates))
+    template = _network({n for pair in pairs for n in pair},
+                        [(i, j, cost_of((i, j)), 10.0) for i, j in pairs])
+    cs = candidate_set_from_pairs(template, trips, tree, candidates, declared)
+    return Scenario(
+        name=name,
+        params=tuple(sorted(params.items())),
+        instance=Instance(cs.subset_network(range(len(candidates))), trips),
+        candidate_set=cs,
+        candidate_labels=labels,
+        description=description,
+    )
 
 
 def _parallel_set(trip: Trip, routes) -> CandidateSet:
@@ -147,19 +159,11 @@ _FIG3_CANDIDATE = ((9, 10), (10, 11), (11, 3), (3, 4))
 
 
 def _fig3(params) -> Scenario:
-    _restrict(params, {}, "fig3")
-    trips = (Trip(9, 4, 1.0), Trip(6, 14, 1.0))
-    template = _pair_template((_FIG3_TREE, _FIG3_CANDIDATE), lambda pair: Constant(1.0))
-    cs = candidate_set_from_pairs(template, trips, _FIG3_TREE, [(0, _FIG3_CANDIDATE)])
-    union = cs.subset_network([0])
-    return Scenario(
-        name="fig3",
-        params=(),
-        instance=Instance(union, trips),
-        candidate_set=cs,
-        candidate_labels=("detour-9-10-11-3-4",),
-        description="two-trip union example; the addition contributes one new edge",
-    )
+    return _design_scenario(
+        "fig3", _restrict(params, {}, "fig3"), (Trip(9, 4, 1.0), Trip(6, 14, 1.0)),
+        _FIG3_TREE, [(0, _FIG3_CANDIDATE)], lambda pair: Constant(1.0),
+        ("detour-9-10-11-3-4",),
+        "two-trip union example; the addition contributes one new edge")
 
 
 # -- Path-addition illustration ----------------------------------------------
@@ -172,19 +176,10 @@ _FIG4_CANDIDATE = ((1, 4), (4, 5), (5, 2), (2, 6), (6, 7), (7, 3))
 
 
 def _fig4(params) -> Scenario:
-    _restrict(params, {}, "fig4")
-    trip = Trip(1, 3, 1.0)
-    template = _pair_template((_FIG4_TREE, _FIG4_CANDIDATE), lambda pair: Constant(1.0))
-    cs = candidate_set_from_pairs(template, (trip,), _FIG4_TREE, [(0, _FIG4_CANDIDATE)])
-    union = cs.subset_network([0])
-    return Scenario(
-        name="fig4",
-        params=(),
-        instance=Instance(union, (trip,)),
-        candidate_set=cs,
-        candidate_labels=("loop-1-4-5-2-6-7-3",),
-        description="single-trip addition inducing two composite routes",
-    )
+    return _design_scenario(
+        "fig4", _restrict(params, {}, "fig4"), (Trip(1, 3, 1.0),),
+        _FIG4_TREE, [(0, _FIG4_CANDIDATE)], lambda pair: Constant(1.0),
+        ("loop-1-4-5-2-6-7-3",), "single-trip addition inducing two composite routes")
 
 
 # -- Supermodularity counterexample ------------------------------------------
@@ -215,17 +210,10 @@ def _counterexample(params) -> Scenario:
         trip = Trip(1, 4, 5.0)
         def cost_of(pair):
             return Greenshields(1.0, 1.0, 10.0)
-    template = _pair_template((_CX_TREE, _CX_ORANGE, _CX_BLUE), cost_of)
-    cs = candidate_set_from_pairs(template, (trip,), _CX_TREE,
-                                  [(0, _CX_ORANGE), (0, _CX_BLUE)], PRIME)
-    return Scenario(
-        name="counterexample",
-        params=tuple(sorted(p.items())),
-        instance=Instance(cs.subset_network([0, 1]), (trip,)),
-        candidate_set=cs,
-        candidate_labels=("orange", "blue"),
-        description="14-node network where adding one path helps more on a superset",
-    )
+    return _design_scenario(
+        "counterexample", p, (trip,), _CX_TREE, [(0, _CX_ORANGE), (0, _CX_BLUE)], cost_of,
+        ("orange", "blue"), "14-node network where adding one path helps more on a superset",
+        PRIME)
 
 
 # -- Identical parallel paths --------------------------------------------------

@@ -2,7 +2,8 @@
 
 import itertools
 
-from netdesign.network import enumerate_trip_paths
+from netdesign.errors import PathLimitExceeded
+from netdesign.network import Path, _enumerate, enumerate_trip_paths
 
 
 def mc_grid_oracle(instance, resolution=20, limit=10_000):
@@ -113,10 +114,24 @@ def mc_highs_value(instance):
     return float(res.fun)
 
 
+def sole_path(candidate, trip, trip_index):
+    """Reference for ``network._sole_path``: the trip's paths enumerated in
+    lexicographic order, stopping at the second."""
+    try:
+        found = _enumerate(candidate, trip, 1)
+    except PathLimitExceeded:
+        return None, "expected exactly one path, found more than one"
+    if not found:
+        return None, "expected exactly one path, found 0"
+    return Path(trip_index, found[0]), None
+
+
 def dict_shortest_path(net, edge_costs, source, sink):
     """Reference for the id-based shortest-path search: the same Dijkstra
-    and tie walk over node ids, with costs read from a dict keyed by edge
-    pair and adjacency taken from ``net.edge_pairs``.
+    and the backing-up tie walk over node ids, with costs read from a dict
+    keyed by edge pair and adjacency taken from ``net.edge_pairs``. The
+    walk backs up without bound, which takes exponential time on large
+    dead-end regions of tight edges.
 
     Returns the lexicographically smallest minimum-cost simple path (None
     when the sink is unreachable) and the distance to ``sink`` of every

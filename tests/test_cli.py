@@ -480,3 +480,108 @@ def test_unwritable_report_path_exits_as_usage(tmp_path, capsys, argv, flag):
     assert run([*argv, "--scenario", "counterexample", flag, str(target)]) == 64
     assert capsys.readouterr().err.startswith(f"netdesign: error: cannot write {target}: ")
 
+
+
+def _package_errors():
+    import inspect
+
+    from netdesign import errors
+
+    return [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, errors.NetdesignError) and cls is not errors.NetdesignError]
+
+
+@pytest.mark.parametrize("cls", _package_errors(), ids=lambda cls: cls.__name__)
+def test_error_class_decides_exit_code(monkeypatch, capsys, cls):
+    from netdesign.errors import SolverError
+
+    def fail(*args, **kwargs):
+        exc = cls.__new__(cls)
+        exc.args = ("injected",)
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_so", fail)
+    code = run(["solve", "--scenario", "pigou", "--routing", "so"])
+    err = capsys.readouterr().err
+    if issubclass(cls, SolverError):
+        assert (code, err) == (2, "netdesign: solver error: injected\n")
+    else:
+        assert (code, err) == (64, "netdesign: error: injected\n")
+
+
+def test_readme_lists_every_solver_error():
+    import pathlib
+    import re
+
+    from netdesign.errors import SolverError
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = re.search(r"\nExit codes:(.*?)\n\n", readme, re.S).group(1)
+    listed = set(re.findall(r"`([A-Z]\w+)`", paragraph)) - {"SolverError"}
+    solver = {cls.__name__ for cls in _package_errors()
+              if issubclass(cls, SolverError) and cls is not SolverError}
+    assert listed == solver
+    assert len(solver) == 8
+
+
+def _dead_end_grid(k):
+    """A k x k two-way grid on node ids 10 onwards, as edge pairs."""
+    from netdesign.costs import Constant
+    from netdesign.network import build_grid_template
+
+    grid = build_grid_template(k, k, Constant(1.0)).network
+    return [(i + 10, j + 10) for i, j in grid.edge_pairs]
+
+
+def _invoke_with_timeout(argv, seconds=20):
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-m", "netdesign.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds)
+
+
+def test_design_document_validation_skips_dead_end_region(tmp_path):
+    # the grid hangs off the source by 0 -> 10 and reaches nothing else; the
+    # tree's one path is 0 -> 1, and every grid node lies on no trip's path.
+    # Enumerating the grid's simple paths to rule out a second one took 47 s
+    # at k = 6
+    k = 7
+    pairs = [(0, 1), (0, 10)] + _dead_end_grid(k)
+    doc = {
+        "nodes": [0, 1] + list(range(10, 10 + k * k)),
+        "edges": [{"from": i, "to": j, "cost": {"kind": "constant", "c": 1.0},
+                   "capacity": "inf"} for i, j in pairs],
+        "trips": [{"source": 0, "sink": 1, "demand": 1.0}],
+        "spanning_tree": [list(p) for p in pairs],
+        "candidates": [],
+    }
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    done = _invoke_with_timeout(["check", "--property", "monotone", "--routing", "mc",
+                                 "--network", str(path)])
+    assert done.returncode == 64
+    stray = list(range(10, 10 + k * k))
+    assert done.stderr == (f"netdesign: error: spanning_tree is invalid: "
+                           f"nodes {stray} lie on no trip's path\n")
+
+
+def test_pricing_backs_out_of_dead_end_region(tmp_path):
+    # every edge costs 0 at the zero-flow start, so all are tight; from
+    # node 1 the tie walk enters the grid (10 < 999), whose simple paths
+    # all lead back to 1. Backing up through them took 52 s at k = 6
+    k = 7
+    pairs = [(0, 1), (1, 999), (1, 10), (10, 1)] + _dead_end_grid(k)
+    doc = {
+        "nodes": [0, 1, 999] + list(range(10, 10 + k * k)),
+        "edges": [{"from": i, "to": j, "cost": {"kind": "affine", "a": 0.0, "b": 1.0},
+                   "capacity": "inf"} for i, j in pairs],
+        "trips": [{"source": 0, "sink": 999, "demand": 1.0}],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "solve.json"
+    done = _invoke_with_timeout(["solve", "--routing", "ue", "--network", str(path),
+                                 "--out", str(out)])
+    assert done.returncode == 0
+    assert read_report(out)["results"]["path_flows"] == {"0-1-999": 1.0}

@@ -3,7 +3,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute_force import sole_path
+from netdesign import network
 from netdesign.costs import Constant
 from netdesign.errors import PathLimitExceeded, TemplateConsistencyError
 from netdesign.network import (
@@ -330,6 +334,22 @@ def test_validators_stop_at_the_second_path():
     gap = net_of([(0, 1), (2, 3)])
     result = validate_trip_path_graph(gap, Trip(0, 3, 1.0))
     assert [v.message for v in result.violations] == ["expected exactly one path, found 0"]
+
+
+@st.composite
+def _digraph_trip(draw):
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), unique=True, max_size=n * (n - 1)))
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return net_of(pairs, extra_nodes=range(n)), Trip(source, sink, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digraph_trip())
+def test_sole_path_matches_enumeration(case):
+    net, trip = case
+    assert network._sole_path(net, trip, 3) == sole_path(net, trip, 3)
 
 
 def test_subgraph_issues():

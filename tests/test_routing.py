@@ -509,6 +509,53 @@ def test_shortest_path_steps_around_zero_cost_cycles():
         assert verify_certificate(instance, r).satisfied
 
 
+@st.composite
+def _tight_network(draw):
+    """Up to 9 nodes with mostly free edges, so the tight edges hold
+    cycles and dead ends that the backing-up walk has to leave."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), unique=True, max_size=30))
+    costs = {pair: draw(st.sampled_from((0.0, 0.0, 0.0, 0.5, 1.0, math.inf)))
+             for pair in pairs}
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Network(range(n), [Edge(i, j, C1) for i, j in pairs]), costs, source, sink
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tight_network())
+def test_tie_walks_match_backing_up_walk(case):
+    # the walk that falls back after its back-up budget, and the guarded
+    # walk on its own, against brute_force's unbounded backing-up walk
+    net, costs, source, sink = case
+    expected, _ = dict_shortest_path(net, costs, source, sink)
+    by_id = [costs[pair] for pair in net.edge_pairs]
+    s, t = net.position(source), net.position(sink)
+    found = routing._cheapest_path(net, by_id, s, t)
+    assert (found and found[0]) == expected
+    if expected is not None:
+        dist = routing._distances_to(net, by_id, t)
+        assert routing._guarded_walk(net, by_id, dist, s, t) == found
+
+
+def test_tie_walk_stops_backing_up_out_of_a_dead_end(monkeypatch):
+    # at zero flow every edge is free and tight; from node 1 the walk
+    # enters the grid (10 < 999), whose simple paths all end back at 1
+    from netdesign.network import build_grid_template
+
+    grid = [(i + 10, j + 10) for i, j in build_grid_template(4, 4, C1).network.edge_pairs]
+    pairs = [(0, 1), (1, 999), (1, 10), (10, 1)] + grid
+    net = net_of([(i, j, C1, math.inf) for i, j in pairs])
+    guarded = []
+    walk = routing._guarded_walk
+    monkeypatch.setattr(routing, "_guarded_walk",
+                        lambda *args: guarded.append(args) or walk(*args))
+    found = routing._cheapest_path(net, [0.0] * len(pairs), net.position(0), net.position(999))
+    assert found == ((0, 1, 999), [net.edge_pairs.index(p) for p in ((0, 1), (1, 999))])
+    assert len(guarded) == 1
+    assert found[0] == dict_shortest_path(net, dict.fromkeys(pairs, 0.0), 0, 999)[0]
+
+
 def test_pricing_rejects_negative_edge_costs():
     # the search checks every cost once, also those of edges it would not reach
     net = net_of([(0, 1, C1, math.inf), (1, 2, C1, math.inf), (3, 0, C1, math.inf)])
