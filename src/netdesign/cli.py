@@ -32,8 +32,8 @@ from .design import (
 )
 from .errors import BadParams, NetdesignError, SolverError
 from .jsonio import instance_from_json, load_file
-from .routing import Instance, SolverConfig, solve_mc, solve_so, solve_ue
-from .scenarios import materialize, scenario_descriptions
+from .routing import ROUTINGS, Instance, SolverConfig, solve_mc, solve_so, solve_ue
+from .scenarios import SCENARIO_NAMES, materialize, scenario_descriptions
 
 # 2: so/ue ``path_flows`` list the paths the solve generated, not every
 # simple path; 3: so do mc's, and mc ``iterations`` sum the pivots of all
@@ -226,8 +226,7 @@ def cmd_lambda(args) -> int:
     cfg = _config_from(args)
     _, candidate_set, labels, source = _load_source(args, args.routing)
     candidate_set = _require_candidates(candidate_set)
-    subset = _parse_subset(args.subset, len(candidate_set.candidates))
-    state = DesignState.create(candidate_set, subset)
+    state = DesignState.create(candidate_set, _parse_subset(args.subset))
     ev = lambda_eval(args.routing, state, cfg)
     report = _base_report("lambda", args.routing, source, cfg)
     report["results"] = {
@@ -244,17 +243,13 @@ def cmd_lambda(args) -> int:
     return EXIT_OK
 
 
-def _parse_subset(text: Optional[str], n: int):
+def _parse_subset(text: Optional[str]):
     if not text:
         return ()
     try:
-        subset = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise BadParams(f"--subset expects comma-separated indices, got {text!r}") from exc
-    for i in subset:
-        if not 0 <= i < n:
-            raise BadParams(f"candidate index {i} out of range (0..{n - 1})")
-    return subset
 
 
 def cmd_check(args) -> int:
@@ -344,8 +339,7 @@ def build_parser() -> _Parser:
 
     def add_source(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--scenario", choices=("braess", "pigou", "fig3", "fig4",
-                                                  "counterexample", "parallel"))
+        group.add_argument("--scenario", choices=SCENARIO_NAMES)
         group.add_argument("--network", metavar="FILE")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="scenario parameter (repeatable)")
@@ -357,13 +351,13 @@ def build_parser() -> _Parser:
         p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     p_solve = sub.add_parser("solve", help="solve one routing problem")
-    p_solve.add_argument("--routing", required=True, choices=("mc", "so", "ue"))
+    p_solve.add_argument("--routing", required=True, choices=ROUTINGS)
     add_source(p_solve)
     add_solver_opts(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_lambda = sub.add_parser("lambda", help="objective value of a candidate subset")
-    p_lambda.add_argument("--routing", required=True, choices=("mc", "so", "ue"))
+    p_lambda.add_argument("--routing", required=True, choices=ROUTINGS)
     add_source(p_lambda)
     add_solver_opts(p_lambda)
     p_lambda.add_argument("--subset", default="", metavar="I,J,...")
@@ -372,7 +366,7 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="monotonicity/supermodularity report")
     p_check.add_argument("--property", required=True, choices=("monotone", "supermodular"))
-    p_check.add_argument("--routing", required=True, choices=("mc", "so", "ue"))
+    p_check.add_argument("--routing", required=True, choices=ROUTINGS)
     add_source(p_check)
     add_solver_opts(p_check)
     p_check.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
@@ -384,7 +378,7 @@ def build_parser() -> _Parser:
     p_check.set_defaults(func=cmd_check)
 
     p_design = sub.add_parser("design", help="greedy candidate selection")
-    p_design.add_argument("--routing", required=True, choices=("mc", "so", "ue"))
+    p_design.add_argument("--routing", required=True, choices=ROUTINGS)
     add_source(p_design)
     add_solver_opts(p_design)
     p_design.add_argument("--budget", type=int, required=True)

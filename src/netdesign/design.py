@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .costs import evaluate, is_constant, max_flow_bound
@@ -30,7 +31,7 @@ from .network import (
     Trip,
     TripPathGraph,
     TripSpanningTree,
-    graph_union,
+    graph_union,  # unused here; perfbench's tracer binds design.graph_union
     subgraph_issues,
     validate_trip_path_graph,
     validate_trip_spanning_tree,
@@ -108,13 +109,42 @@ class CandidateSet:
     def trips(self):
         return self.spanning_tree.trips
 
-    def subset_network(self, subset: Iterable[int]) -> Network:
-        chosen = sorted(set(subset))
-        for i in chosen:
-            if not 0 <= i < len(self.candidates):
-                raise BadParams(f"candidate index {i} out of range")
-        return graph_union(self.spanning_tree.network,
-                           [self.candidates[i].network for i in chosen])
+    @cached_property
+    def _bitsets(self):
+        """(node positions, edge ids) bitsets over the template of the tree,
+        and the list of each candidate's."""
+        template = self.template.network
+        edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
+
+        def bits(net):
+            return (sum(1 << template.position(v) for v in net.nodes),
+                    sum(1 << edge_id[pair] for pair in net.edge_pairs))
+
+        return bits(self.spanning_tree.network), [bits(c.network) for c in self.candidates]
+
+    def union_key(self, subset) -> Tuple[int, int]:
+        """The (node positions, edge ids) bitsets over the template of the
+        tree's union with the candidates in ``subset``, a bitmask or an
+        iterable of indices. Equal keys mean equal graphs: members never
+        redefine a template edge. BadParams on a negative bitmask or on the
+        first index outside 0..n-1."""
+        (nodes, edges), members = self._bitsets
+        n = len(members)
+        if isinstance(subset, int):
+            if subset < 0:
+                raise BadParams(f"bitmask {subset} is negative")
+            subset = bitmask_subset(subset)
+        for i in subset:
+            if not 0 <= i < n:
+                raise BadParams(f"candidate index {i} out of range (0..{n - 1})")
+            member_nodes, member_edges = members[i]
+            nodes |= member_nodes
+            edges |= member_edges
+        return nodes, edges
+
+    def subset_network(self, subset) -> Network:
+        """The union graph of ``subset`` (see ``union_key``), cut from the template."""
+        return self.template.network.restrict(*self.union_key(subset))
 
 
 @dataclass(frozen=True)
@@ -127,8 +157,8 @@ class DesignState:
 
     @classmethod
     def create(cls, candidate_set: CandidateSet, subset: Iterable[int]) -> "DesignState":
-        chosen = tuple(sorted(set(subset)))
-        return cls(candidate_set, chosen, candidate_set.subset_network(chosen))
+        subset = tuple(subset)
+        return cls(candidate_set, tuple(sorted(set(subset))), candidate_set.subset_network(subset))
 
 
 @dataclass(frozen=True)
@@ -142,10 +172,7 @@ class LambdaEvaluation:
 
 
 def subset_bitmask(subset: Iterable[int]) -> int:
-    chosen = set(subset)
-    if chosen and min(chosen) < 0:
-        raise BadParams(f"candidate index {min(chosen)} out of range")
-    return sum(1 << i for i in chosen)
+    return sum(1 << i for i in set(subset))
 
 
 def bitmask_subset(mask: int) -> Tuple[int, ...]:
@@ -186,12 +213,10 @@ class LambdaEvaluator:
     Evaluations are cached by bitmask. Subsets with equal union graphs
     share one solve: the value depends only on the union graph and every
     solver is deterministic, so a shared evaluation is bit-identical to a
-    cold solve of each subset. A union graph is keyed by the bitsets of its
-    template node positions and template edge ids, OR-ed from per-member
-    bitsets. Only a graph not yet solved gets a ``Network``, cut from the
-    template by those bitsets (``Network.restrict``): the members were
-    checked as template subgraphs when the candidate set was built, and the
-    solve gathers its edge tables from the template's, built once.
+    cold solve of each subset. A union graph is keyed by the candidate
+    set's ``union_key``, and only a graph not yet solved gets a network,
+    cut from the template by that key; its solve gathers the edge tables
+    from the template's, built once.
     ``misses`` counts solver calls; ``hits`` counts ``value`` lookups
     answered from the bitmask cache and bitmasks whose union graph was
     already solved. Reads through ``values`` count as neither.
@@ -201,53 +226,27 @@ class LambdaEvaluator:
         self.candidate_set = candidate_set
         self.cfg = cfg
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
-        # edge ids suffice beside the nodes: members never redefine a
-        # template edge, so equal ids mean equal edges
-        template = self._template = candidate_set.template.network
-        edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
-
-        def bits(net):
-            return (sum(1 << template.position(v) for v in net.nodes),
-                    sum(1 << edge_id[pair] for pair in net.edge_pairs))
-
-        self._tree_bits = bits(candidate_set.spanning_tree.network)
-        self._member_bits = [bits(c.network) for c in candidate_set.candidates]
         self._graphs: Dict[Tuple[str, int, int], LambdaEvaluation] = {}
         self.hits = 0
         self.misses = 0
 
-    def value(self, routing: str, subset: Iterable[int]) -> LambdaEvaluation:
-        mask = subset_bitmask(subset)
+    def value(self, routing: str, subset) -> LambdaEvaluation:
+        """The evaluation of ``subset``, a bitmask or an iterable of
+        candidate indices, from the caches or from one solve."""
+        subset = subset if isinstance(subset, int) else tuple(subset)
+        nodes, edges = self.candidate_set.union_key(subset)
+        mask = subset if isinstance(subset, int) else subset_bitmask(subset)
         ev = self._cache.get((routing, mask))
-        if ev is None:
-            return self._compute(routing, mask)
-        self.hits += 1
-        return ev
-
-    def values(self, routing: str) -> Dict[int, float]:
-        """Value of every cached bitmask under ``routing``."""
-        return {mask: ev.value for (r, mask), ev in self._cache.items() if r == routing}
-
-    def _compute(self, routing: str, mask: int) -> LambdaEvaluation:
-        if mask < 0:
-            raise BadParams(f"bitmask {mask} is negative")
-        n = len(self._member_bits)
-        beyond = mask >> n
-        if beyond:
-            low = (beyond & -beyond).bit_length() - 1
-            raise BadParams(f"candidate index {n + low} out of range")
+        if ev is not None:
+            self.hits += 1
+            return ev
         subset = bitmask_subset(mask)
-        nodes, edges = self._tree_bits
-        for i in subset:
-            member_nodes, member_edges = self._member_bits[i]
-            nodes |= member_nodes
-            edges |= member_edges
         graph = (routing, nodes, edges)
         first = self._graphs.get(graph)
         if first is None:
             self.misses += 1
             state = DesignState(self.candidate_set, subset,
-                                self._template.restrict(nodes, edges))
+                                self.candidate_set.template.network.restrict(nodes, edges))
             ev = self._graphs[graph] = lambda_eval(routing, state, self.cfg)
         else:
             self.hits += 1
@@ -255,11 +254,15 @@ class LambdaEvaluator:
         self._cache[(routing, mask)] = ev
         return ev
 
+    def values(self, routing: str) -> Dict[int, float]:
+        """Value of every cached bitmask under ``routing``."""
+        return {mask: ev.value for (r, mask), ev in self._cache.items() if r == routing}
+
     def ensure(self, routing: str, masks: Iterable[int]) -> None:
         """Populate the cache for ``masks``, in sorted mask order so
         downstream reports are order-independent."""
         for mask in sorted({m for m in masks if (routing, m) not in self._cache}):
-            self._compute(routing, mask)
+            self.value(routing, mask)
 
     def evaluations(self, routing: str) -> Tuple[LambdaEvaluation, ...]:
         items = [ev for (r, _), ev in self._cache.items() if r == routing]

@@ -227,11 +227,9 @@ class _PathSpace:
         net = instance.network
         self.limit = limit  # most paths per trip
         self.edge_pairs = net.edge_pairs
-        edges = net.edges
         self.demands = np.array([t.demand for t in instance.trips])
         self.demand_list = self.demands.tolist()
-        self.models = [e.cost for e in edges]
-        self.capacities = np.array([e.capacity for e in edges])
+        self.capacities = np.array([e.capacity for e in net.edges])
         # node positions of each trip's source and sink
         self.ends = [(net.position(t.source), net.position(t.sink)) for t in instance.trips]
         self.paths = []
@@ -1260,8 +1258,7 @@ def _constant_edge_costs(net: Network) -> np.ndarray:
 
 
 def verify_certificate(instance: Instance, result: SolveResult,
-                       kind: Optional[str] = None,
-                       limit: int = DEFAULT_PATH_LIMIT) -> OptimalityCertificate:
+                       kind: Optional[str] = None) -> OptimalityCertificate:
     """Recompute a result's optimality certificate from its assignment.
 
     The used paths are compared with each trip's shortest path, priced by
@@ -1270,8 +1267,8 @@ def verify_certificate(instance: Instance, result: SolveResult,
     for so and ue on the assignment's own marginal costs or travel times,
     for mc on the costs plus the result's capacity prices (zero without
     duals). Demand residuals, and for mc capacity excess and priced edges
-    with room to spare, count as violations. ``limit`` caps the paths per
-    trip.
+    with room to spare, count as violations. The paths per trip are capped
+    at ``DEFAULT_PATH_LIMIT``.
 
     Raises BadParams when the assignment holds a path that is not a simple
     path of its trip in the instance. Never raises on a suboptimal or
@@ -1280,7 +1277,7 @@ def verify_certificate(instance: Instance, result: SolveResult,
     """
     kind = kind or result.routing
     paths = result.assignment.paths
-    space = _PathSpace(instance, limit)
+    space = _PathSpace(instance, DEFAULT_PATH_LIMIT)
     for p in paths:
         if _is_trip_path(instance, p):
             space.add(p.trip_index, p.nodes)
@@ -1292,7 +1289,7 @@ def verify_certificate(instance: Instance, result: SolveResult,
         prices = np.array([price.get(pair, 0.0) for pair in space.edge_pairs])
         edge_values = _constant_edge_costs(instance.network) + prices
         return _certificate(space, x, edge_values, MC, prices)
-    calc = _EdgeCalculator(space.models)
+    calc = _calculator(instance.network)
     return _certificate(space, x, calc.gradient(space.edge_flows(x), kind), kind)
 
 

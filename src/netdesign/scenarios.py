@@ -25,6 +25,11 @@ from .routing import Instance
 
 SCENARIO_NAMES = ("braess", "pigou", "fig3", "fig4", "counterexample", "parallel")
 
+# Most routes of the parallel scenario: so/ue take about one Newton step
+# per route, on a dense routes-by-edges system (800 routes took 23 s on
+# a 2-vCPU x86-64 machine).
+PARALLEL_ROUTES_CAP = 1_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -227,8 +232,8 @@ def _parallel(params) -> Scenario:
     p = _restrict(params, {"n": 3, "l": 1.0, "v_max": 1.0, "u": 10.0, "d": 5.0},
                   "parallel")
     n = p["n"]
-    if not isinstance(n, int) or n < 1:
-        raise BadParams(f"n must be a positive integer, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= PARALLEL_ROUTES_CAP:
+        raise BadParams(f"n must be an integer from 1 to {PARALLEL_ROUTES_CAP}, got {n!r}")
     try:
         l, v_max, u, d = (parse_number(p[k], k) for k in ("l", "v_max", "u", "d"))
     except FormatError as exc:

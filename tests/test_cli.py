@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -109,6 +111,14 @@ def test_lambda_so_defaults_to_greenshields(capsys):
 def test_lambda_bad_subset():
     assert run(["lambda", "--scenario", "counterexample", "--routing", "mc",
                 "--subset", "7"]) == 64
+
+
+@pytest.mark.parametrize("subset, index", [("7", 7), ("-1", -1), ("7,-1", 7), ("0,2", 2)])
+def test_lambda_subset_out_of_range_names_the_first_bad_index(capsys, subset, index):
+    assert run(["lambda", "--scenario", "counterexample", "--routing", "mc",
+                "--subset", subset]) == 64
+    assert capsys.readouterr().err == (
+        f"netdesign: error: candidate index {index} out of range (0..1)\n")
 
 
 def test_design_greedy(tmp_path, capsys):
@@ -357,6 +367,21 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     assert cached == session(True)
     assert [code for code, *_ in cached] == [64, 0, 64, 0]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently in other Python versions")
+def test_help_texts_are_unchanged(monkeypatch, capsys):
+    # the choices come from routing.ROUTINGS and scenarios.SCENARIO_NAMES;
+    # the digest is of the help texts the literal choice tuples gave
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for command in ([], ["solve"], ["lambda"], ["check"], ["design"], ["scenario"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--help"])
+        assert exc.value.code == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "c94755ca0b5ec55a7c869c0ae99687c93ac32284caff2aafa0ebb133b532bafa"
 
 
 def test_emit_plot_data_empty_report():

@@ -1,10 +1,13 @@
-"""Documents at the command line's front door: a bounded fuzz and a long
-chain.
+"""Documents and flags at the command line's front door: bounded fuzzes
+and a long chain.
 
 Small instance and design documents are mutated (keys deleted, values
 swapped for other types, NaN, infinities and huge numbers, list entries
-repeated, long chains) and run through ``cli.main`` in-process. Every run
-must end in a documented exit code; no exception may escape.
+repeated, long chains), and the flags of each command on the built-in
+scenarios are drawn from ordinary and odd values (NaN, infinities,
+negatives, booleans, empty strings, values past a cap); each is run
+through ``cli.main`` in-process. Every run must end in a documented exit
+code; no exception may escape.
 """
 
 import copy
@@ -15,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netdesign import cli
-from netdesign.design import candidate_set_to_json
+from netdesign.design import SAMPLED_TRIALS_CAP, candidate_set_to_json
 from netdesign.jsonio import instance_to_json
-from netdesign.scenarios import materialize
+from netdesign.scenarios import PARALLEL_ROUTES_CAP, materialize
 
 EXIT_CODES = {0, 1, 2, 64}
 
@@ -114,3 +117,84 @@ def test_long_chain_design_document(tmp_path):
     out = tmp_path / "lambda.json"
     assert cli.main(["lambda", "--routing", "ue", "--network", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["results"]["value"] == 3000.0
+
+
+# -- flag values ------------------------------------------------------------------
+
+ODD_VALUES_OF_FLAGS = ("nan", "inf", "-inf", "-1", "0", "", "true", "x", "1e400", "1.5")
+TRIALS_PAST_CAP = str(SAMPLED_TRIALS_CAP + 1)
+ROUTES_PAST_CAP = (str(PARALLEL_ROUTES_CAP + 1), str(2 ** 63))
+
+FLAG_VALUES = {
+    "--gap-tol": ("1e-12", "1e-6", "0.5"),
+    "--max-iters": ("1", "2", str(10 ** 30)),
+    "--tol": ("1e-3", "10"),
+    "--trials": ("1", "3", TRIALS_PAST_CAP),
+    "--seed": ("7", str(2 ** 70)),
+    "--budget": ("1", "2", "3"),
+    "--subset": ("0", "1", "0,1", "1,0", "0,0", "7", ",", "0,,1", " "),
+}
+COMMAND_FLAGS = {
+    "solve": ("--gap-tol", "--max-iters"),
+    "lambda": ("--gap-tol", "--max-iters", "--subset"),
+    "check": ("--gap-tol", "--max-iters", "--tol", "--trials", "--seed"),
+    "design": ("--gap-tol", "--max-iters"),
+}
+SCENARIO_PARAMS = {
+    "braess": ("with_edge=true", "with_edge=false"),
+    "pigou": (),
+    "fig3": (),
+    "counterexample": ("costing=mc", "costing=greenshields"),
+    "parallel": ("n=1", "n=2", "n=3", "d=9", "u=6", *(f"n={v}" for v in ROUTES_PAST_CAP)),
+}
+ODD_PARAMS = ("n=true", "n=false", "n=-1", "n=0", "n=nan", "n=2.0", "n=1e3", "d=nan", "d=inf",
+              "d=-1", "d=true", "d=", "l=1e400", "v_max=x", "with_edge=1", "costing=so",
+              "costing=", "=", "n", "oops=1")
+
+
+@st.composite
+def flag_lines(draw):
+    """(argv, whether a value past a cap reaches its guard) for one command
+    on a built-in scenario. Some of the command's flags are given, each
+    with one of its ordinary values or, one time in four, an odd one, as
+    ``--flag=value`` or as two arguments."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    scenario = draw(st.sampled_from(sorted(SCENARIO_PARAMS)))
+    routing = draw(st.sampled_from(("mc", "so", "ue")))
+    argv = [command, "--scenario", scenario, "--routing", routing]
+
+    def value(choices, odd):
+        return draw(st.sampled_from(choices if choices and draw(st.integers(0, 3)) else odd))
+
+    flags = {flag: value(FLAG_VALUES[flag], ODD_VALUES_OF_FLAGS)
+             for flag in COMMAND_FLAGS[command] if draw(st.booleans())}
+    if command == "check":
+        argv += ["--property", draw(st.sampled_from(("monotone", "supermodular")))]
+        flags["--mode"] = draw(st.sampled_from(("exhaustive", "sampled")))
+        flags["--expect"] = draw(st.sampled_from(("holds", "violated")))
+    if command == "design":
+        flags["--budget"] = value(FLAG_VALUES["--budget"], ODD_VALUES_OF_FLAGS)
+    params = [value(SCENARIO_PARAMS[scenario], ODD_PARAMS) for _ in range(draw(st.integers(0, 2)))]
+    for flag, text in [*flags.items(), *(("--param", p) for p in params)]:
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    # the last n given is the one the scenario sees
+    n = dict(p.split("=", 1) for p in params if "=" in p).get("n")
+    past_cap = ((scenario == "parallel" and n in ROUTES_PAST_CAP)
+                or (flags.get("--mode") == "sampled" and flags.get("--trials") == TRIALS_PAST_CAP))
+    return argv, past_cap
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=flag_lines())
+def test_fuzzed_flags_exit_with_a_documented_code(tmp_path, line):
+    argv, past_cap = line
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out.json")])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code in EXIT_CODES
+    # a count past its cap is only ever seen rejected: the guards come
+    # before any network is built or any comparison listed
+    if past_cap:
+        assert code == 64

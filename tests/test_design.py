@@ -32,8 +32,15 @@ from netdesign.design import (
     subset_bitmask,
 )
 from netdesign.errors import BadParams, DomainError, FormatError
-from netdesign.network import Edge, Network, Trip
-from netdesign.routing import CERTIFICATE_RTOL, _EdgeCalculator, solve_so
+from netdesign.network import Edge, Network, Trip, graph_union
+from netdesign.routing import (
+    CERTIFICATE_RTOL,
+    Instance,
+    _EdgeCalculator,
+    solve_so,
+    solve_ue,
+    verify_certificate,
+)
 from netdesign.scenarios import materialize, random_parallel_family
 
 
@@ -70,6 +77,19 @@ def crossing_set(routing, ids=tuple(range(8))):
     return candidate_set_from_pairs(
         Network(ids, edges), (trip,), pairs((0, 1, 3)),
         [(0, pairs(nodes)) for nodes in [(0, 4, 5, 3), (0, 6, 4, 7, 3), (0, 4, 7, 3)]])
+
+
+def union_of(cs, subset):
+    """The union graph of ``subset`` built by ``graph_union``, the reference
+    for the networks the design layer cuts from the template."""
+    return graph_union(cs.spanning_tree.network, [cs.candidates[i].network for i in subset])
+
+
+def cold_values(routing, cs, masks):
+    """Each mask's evaluation, solved on its ``graph_union`` network."""
+    return tuple(lambda_eval(routing, DesignState(cs, bitmask_subset(m),
+                                                  union_of(cs, bitmask_subset(m))))
+                 for m in masks)
 
 
 # -- objective values --------------------------------------------------------------
@@ -112,10 +132,9 @@ def test_evaluator_caches(counterexample_mc):
 def test_equal_union_graphs_share_one_solve(routing, monkeypatch):
     cs = crossing_set(routing)
     masks = range(1 << len(cs.candidates))
-    graphs = {cs.subset_network(bitmask_subset(m)) for m in masks}
+    graphs = {union_of(cs, bitmask_subset(m)) for m in masks}
     assert len(graphs) == 7
-    cold = tuple(lambda_eval(routing, DesignState.create(cs, bitmask_subset(m)))
-                 for m in masks)
+    cold = cold_values(routing, cs, masks)
     solved = []
 
     def counting(*args):
@@ -145,10 +164,9 @@ def test_union_graphs_keyed_on_sparse_node_ids(routing, monkeypatch):
     # cut from the template
     cs = crossing_set(routing, ids=(1000, 7, 0, 42, 3, 999, 12, 500))
     masks = range(1 << len(cs.candidates))
-    graphs = {cs.subset_network(bitmask_subset(m)) for m in masks}
+    graphs = {union_of(cs, bitmask_subset(m)) for m in masks}
     assert len(graphs) == 7
-    cold = tuple(lambda_eval(routing, DesignState.create(cs, bitmask_subset(m)))
-                 for m in masks)
+    cold = cold_values(routing, cs, masks)
     built = []
     restrict = Network.restrict
 
@@ -166,16 +184,18 @@ def test_union_graphs_keyed_on_sparse_node_ids(routing, monkeypatch):
 
 
 def test_restricted_networks_equal_graph_unions(counterexample_gs):
-    # every subset's network cut from the template by bitsets is the one
-    # graph_union builds, down to its ids and adjacency
+    # every subset's network cut from the template by the candidate set's
+    # bitsets is the one graph_union builds, down to its ids and adjacency
     for cs in (crossing_set("so", ids=(1000, 7, 0, 42, 3, 999, 12, 500)),
                counterexample_gs.candidate_set):
         template = cs.template.network
         edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
         for mask in range(1 << len(cs.candidates)):
-            union = cs.subset_network(bitmask_subset(mask))
-            cut = template.restrict(sum(1 << template.position(v) for v in union.nodes),
-                                    sum(1 << edge_id[pair] for pair in union.edge_pairs))
+            union = union_of(cs, bitmask_subset(mask))
+            key = (sum(1 << template.position(v) for v in union.nodes),
+                   sum(1 << edge_id[pair] for pair in union.edge_pairs))
+            assert cs.union_key(mask) == cs.union_key(bitmask_subset(mask)) == key
+            cut = cs.subset_network(mask)
             assert cut == union and hash(cut) == hash(union)
             assert cut.node_order == union.node_order
             assert cut.edges == union.edges
@@ -203,6 +223,11 @@ def test_edge_tables_built_once_per_template(routing, monkeypatch):
     monkeypatch.setattr(_EdgeCalculator, "__init__", counting)
     for _ in range(2):
         LambdaEvaluator(cs).ensure(routing, range(1 << len(cs.candidates)))
+    # and so do their certificates, recomputed
+    solve = solve_so if routing == "so" else solve_ue
+    for mask in range(1 << len(cs.candidates)):
+        instance = Instance(cs.subset_network(mask), cs.trips)
+        assert verify_certificate(instance, solve(instance)).satisfied
     assert built == [len(cs.template.network.edge_pairs)]
 
 

@@ -29,7 +29,7 @@ from netdesign.errors import (
 from netdesign import routing
 from netdesign.design import parallel_uniform_value
 from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
-from netdesign.scenarios import random_candidate_set
+from netdesign.scenarios import materialize, random_candidate_set
 from netdesign.routing import (
     FlowAssignment,
     Instance,
@@ -660,7 +660,10 @@ def test_bridge_counterexample(counterexample_gs):
     assert bridge.difference <= 1e-4 * (1.0 + bridge.so_total)
 
 
-def test_bridge_builds_each_level_form_once(counterexample_gs, monkeypatch):
+def test_bridge_builds_each_level_form_once(monkeypatch):
+    # a fresh scenario: its instance is cut from a template whose level
+    # forms a shared fixture would keep from earlier tests
+    scenario = materialize("counterexample", {"costing": "greenshields"})
     built = []
     level_forms = _EdgeCalculator._level_forms
 
@@ -669,11 +672,11 @@ def test_bridge_builds_each_level_form_once(counterexample_gs, monkeypatch):
         return level_forms(calc, level)
 
     monkeypatch.setattr(_EdgeCalculator, "_level_forms", counting)
-    so_ue_bridge(counterexample_gs.instance)
+    so_ue_bridge(scenario.instance)
     # one calculator per solve: so needs the so gradient and the travel
     # time; ue on the marginal costs needs its gradient and, for the
     # integral's x*c(x), the level-0 form, built once however many calls
-    n = len(counterexample_gs.instance.network.edge_pairs)
+    n = len(scenario.instance.network.edge_pairs)
     assert built == [n, 0, n, 0]
 
 
@@ -1081,7 +1084,7 @@ def test_line_search_brackets_the_slope_root(kind, l_b, u_b, full_step):
         return sum(de[pair] * cost_of(instance.network.edge(*pair).cost, flows[pair])
                    for pair in de)
 
-    calc = _EdgeCalculator(space.models)
+    calc = routing._calculator(instance.network)
     xe = space.edge_flows(x)
     t = _line_search(calc, xe, space.edge_flows(dvec), kind, 1.0, *calc.derivatives(xe, kind))
     if full_step:
@@ -1151,8 +1154,8 @@ def _assert_step_matches_reference(case):
     assert np.array(dx).tobytes() == e_dx.tobytes()
     assert de.tobytes() == e_de.tobytes()
     assert np.float64(t).tobytes() == np.float64(e_t).tobytes()
-    moved = routing._take_step(space, routing._EdgeCalculator(space.models), x, flat, x_sub,
-                               dx, t, "ue")[0]
+    calc = routing._calculator(space.instance.network)
+    moved = routing._take_step(space, calc, x, flat, x_sub, dx, t, "ue")[0]
     assert moved.tobytes() == dense_step_flows(space, x, e_flat, e_dx, e_t).tobytes()
     return found
 

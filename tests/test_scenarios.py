@@ -8,6 +8,7 @@ from netdesign.errors import BadParams, UnknownScenario
 from netdesign.jsonio import instance_from_json, instance_to_json
 from netdesign.routing import solve_so, solve_ue
 from netdesign.scenarios import (
+    PARALLEL_ROUTES_CAP,
     SCENARIO_NAMES,
     materialize,
     random_candidate_set,
@@ -39,6 +40,15 @@ def test_bad_params():
         materialize("parallel", {"n": 0})
     with pytest.raises(BadParams):
         materialize("parallel", {"d": 10.0, "u": 10.0})
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, 0, PARALLEL_ROUTES_CAP + 1, 2 ** 63])
+def test_parallel_route_count_must_be_an_integer_within_the_cap(n):
+    # a boolean passed isinstance(n, int), so n=true built one route and
+    # reported "n": true; a count past the cap is rejected before any
+    # network is built
+    with pytest.raises(BadParams, match=f"n must be an integer from 1 to {PARALLEL_ROUTES_CAP}"):
+        materialize("parallel", {"n": n})
 
 
 @pytest.mark.parametrize("param", ["l", "v_max", "u", "d"])
