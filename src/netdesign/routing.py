@@ -46,10 +46,16 @@ Newton step on the used paths' KKT system equalises their gradients. The
 step is taken whole when it lowers the objective and is cut back to the
 line minimum otherwise, found by a safeguarded Newton iteration on the
 directional derivative. Both Newton iterations take the objective's edge
-gradient and curvature from one closed-form pass per cost family. On a
-network cut from a template (``Network.restrict``), the per-edge tables of
-those closed forms are gathered by edge id from the template's, which are
-built once.
+gradient and curvature from one closed-form pass per cost family, on the
+whole edge arrays when one family covers every edge.
+
+What routing derives from a network's edges, the closed forms' per-edge
+tables and level forms, the constant edge costs, the capacities and the
+edge-id index, is built on first use and kept with the network
+(``Network.derived``), so solving and certifying one network again
+rebuilds none of it. A network cut from a template (``Network.restrict``)
+gathers the tables, costs and capacities by edge id from the template's,
+which are built once; its edge-id index numbers its own edges.
 
 Every accepted solution carries an optimality certificate recomputed from
 first principles: each trip meets its demand, and its used paths cost no
@@ -72,7 +78,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -229,7 +235,7 @@ class _PathSpace:
         self.edge_pairs = net.edge_pairs
         self.demands = np.array([t.demand for t in instance.trips])
         self.demand_list = self.demands.tolist()
-        self.capacities = np.array([e.capacity for e in net.edges])
+        self.capacities = _capacities(net)
         # node positions of each trip's source and sink
         self.ends = [(net.position(t.source), net.position(t.sink)) for t in instance.trips]
         self.paths = []
@@ -243,10 +249,10 @@ class _PathSpace:
     def incidence(self) -> np.ndarray:
         return self._inc[:len(self.paths)]
 
-    @cached_property
+    @property
     def edge_index(self) -> Dict[Tuple[int, int], int]:
         """Edge id of each edge pair."""
-        return {pair: k for k, pair in enumerate(self.edge_pairs)}
+        return _edge_index(self.instance.network)
 
     def add(self, m: int, nodes: Tuple[int, ...], ids: Optional[Sequence[int]] = None) -> int:
         """Row of trip ``m``'s path ``nodes``, appended when new; ``ids`` are
@@ -260,7 +266,8 @@ class _PathSpace:
         if row == len(self._inc):
             self._inc = np.concatenate([self._inc, np.zeros_like(self._inc)])
         if ids is None:
-            ids = [self.edge_index[pair] for pair in zip(nodes, nodes[1:])]
+            index = self.edge_index
+            ids = [index[pair] for pair in zip(nodes, nodes[1:])]
         self._inc[row, ids] = 1.0
         self.paths.append(Path(m, nodes))
         self.trip_of.append(m)
@@ -343,7 +350,10 @@ class _EdgeCalculator:
 
     Edges are grouped by model family once, into index arrays with the
     family's parameters gathered along them; per-call work is a handful of
-    numpy expressions on those groups.
+    numpy expressions on those groups. When one family covers every edge,
+    as on a network of Greenshields or of BPR edges alone, the expressions
+    run on the whole arrays, with no gather of the flows and no scatter of
+    the results; the same ufuncs on the same values give the same bits.
 
     The so and ue edge gradients are one operation at different depths:
     the level-n gradient is the travel time c with f -> (x*f)' applied n
@@ -420,27 +430,29 @@ class _EdgeCalculator:
 
     def gather(self, ids: Sequence[int]) -> "_EdgeCalculator":
         """The calculator of the edges ``ids`` (ascending), its tables
-        gathered from this one's rows."""
+        gathered from this one's rows. When one family covers every edge
+        here, its rows are the edge ids."""
         ids = np.array(ids, dtype=np.intp)
         sub = _EdgeCalculator.__new__(_EdgeCalculator)
         family = sub.family = self.family[ids]
-        rows = self._family_rows[ids]
         sub.n = len(ids)
         sub.bound = self.bound[ids]
         sub.ue_level = self.ue_level[ids]
         sub.im = np.flatnonzero(sub.ue_level) if self.im.size else self.im
         family_rows = []
         for k, (at, tables) in enumerate(_FAMILY_TABLES):
-            if getattr(self, at).size:
+            present = getattr(self, at)
+            if present.size == self.n:  # the family covers every edge
+                where, picked = np.arange(sub.n), ids
+            elif present.size:
                 where = np.flatnonzero(family == k)
-                picked = rows[where]
-                setattr(sub, at, where)
-                for name in tables:
-                    setattr(sub, name, getattr(self, name)[picked])
+                picked = self._family_rows[ids[where]]
             else:  # no edge of the family here: share the empty tables
-                picked = getattr(self, at)
-                for name in (at,) + tables:
-                    setattr(sub, name, getattr(self, name))
+                where = picked = present
+            setattr(sub, at, where)
+            for name in tables:
+                table = getattr(self, name)
+                setattr(sub, name, table[picked] if present.size else table)
             family_rows.append(picked)
         sub._forms = {}
         sub._origin = (self, family_rows[1:])
@@ -457,7 +469,8 @@ class _EdgeCalculator:
                       with G = c0 alpha (beta+1)^n / u^beta
         Constants have g = c and k = 0 at every level.
         """
-        la, lg, lb = level[self.ia], level[self.ig].astype(int), level[self.ib]
+        la, lb = _pick(level, self.ia), _pick(level, self.ib)
+        lg = _pick(level, self.ig).astype(int)
         slope = self.a_b * 2.0 ** la
         s, u = self.g_s, self.g_u
         a_, b_, c_, d_ = _GREENSHIELDS_LEVELS[lg].T
@@ -488,46 +501,55 @@ class _EdgeCalculator:
         return self._evaluate(x, self._forms_of(kind), False)[0]
 
     def _evaluate(self, x, forms, with_curvature):
+        """Edge gradient, and curvature or None, under the level ``forms``.
+        Each family's closed form runs on its own edges' flows; a family
+        that covers every edge runs on ``x`` itself and its arrays are the
+        result (tables copied, so no caller holds one)."""
         slope, (power, g_a, g_b, k_c, k_d), (b_g, b_k) = forms
-        grad = np.empty(self.n)
-        curv = np.zeros(self.n) if with_curvature else None
-        grad[self.ic] = self.c_c
-        a = self.ia
+        n = self.n
+        grads = []  # (edge ids, gradient) of each family present
+        curvs = []  # (edge ids, curvature) of each family with one
+        c, a, g, b = self.ic, self.ia, self.ig, self.ib
+        if c.size:
+            grads.append((c, self.c_c.copy() if c.size == n else self.c_c))
         if a.size:
-            grad[a] = self.a_a + slope * x[a]
+            grads.append((a, self.a_a + slope * _pick(x, a)))
             if with_curvature:
-                curv[a] = slope
-        g = self.ig
+                curvs.append((a, slope.copy() if a.size == n else slope))
         if g.size:
-            q = 1.0 - x[g] / self.g_u
+            q = 1.0 - _pick(x, g) / self.g_u
             r = 1.0 / q
             p = r ** power
-            grad[g] = p * (g_a - g_b * q)
+            grads.append((g, p * (g_a - g_b * q)))
             if with_curvature:
-                curv[g] = p * r * (k_c - k_d * q)
-        b = self.ib
+                curvs.append((g, p * r * (k_c - k_d * q)))
         if b.size:
-            xb = x[b]
+            xb = _pick(x, b)
             w = xb ** self.b_pow  # x^(beta-1); 0**0 is 1, so beta = 1 needs no guard
-            grad[b] = self.b_c0 + b_g * (xb * w)
+            grads.append((b, self.b_c0 + b_g * (xb * w)))
             if with_curvature:
-                curv[b] = b_k * w
-        return grad, curv
+                curvs.append((b, b_k * w))
+        return _assemble(n, grads), _assemble(n, curvs) if with_curvature else None
 
     def value(self, x):
         """Effective edge travel time (marginal of the base where wrapped)."""
         return self.gradient(x, UE)
 
     def integral(self, x):
-        out = np.zeros(self.n)
+        parts = []  # (edge ids, integral) of each family present
         c, a, g, b = self.ic, self.ia, self.ig, self.ib
-        out[c] = self.c_c * x[c]
-        xa = x[a]
-        out[a] = self.a_a * xa + 0.5 * self.a_b * xa ** 2
-        out[g] = self.g_int * np.log(1.0 - x[g] / self.g_u)
+        if c.size:
+            parts.append((c, self.c_c * _pick(x, c)))
+        if a.size:
+            xa = _pick(x, a)
+            parts.append((a, self.a_a * xa + 0.5 * self.a_b * xa ** 2))
+        if g.size:
+            parts.append((g, self.g_int * np.log(1.0 - _pick(x, g) / self.g_u)))
         if b.size:
-            xb = x[b]
-            out[b] = self.b_c0 * (xb + self.b_alpha * xb ** (self.b_beta + 1.0) / self.b_int)
+            xb = _pick(x, b)
+            parts.append((b, self.b_c0 * (xb + self.b_alpha * xb ** (self.b_beta + 1.0)
+                                          / self.b_int)))
+        out = _assemble(self.n, parts)
         m = self.im
         if m.size:
             # the integral of c + t*c' is exactly x*c(x)
@@ -535,13 +557,82 @@ class _EdgeCalculator:
         return out
 
 
+def _pick(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``values`` at the ascending edge ids ``ids``; ``values`` itself when
+    ``ids`` holds every edge."""
+    return values if ids.size == values.size else values[ids]
+
+
+def _assemble(n: int, parts) -> np.ndarray:
+    """The array over ``n`` edges holding each (edge ids, values) part at
+    its ids, zero elsewhere: the part's own array when it covers every
+    edge, which skips the scatter."""
+    if len(parts) == 1 and parts[0][0].size == n:
+        return parts[0][1]
+    out = np.zeros(n)
+    for ids, values in parts:
+        out[ids] = values
+    return out
+
+
+# ---------------------------------------------------------------------------
+# per-network tables
+
+
+def _network_table(gather=None):
+    """Decorator: the table ``build(net)`` makes from a network's edges,
+    made on first use and kept with the network (``Network.derived``). A
+    network cut from a template makes it with ``gather(net, table)`` from
+    the template's table instead, picking the entries at
+    ``net.template_ids``, unless the template's table is None: a template
+    with a non-constant edge has no constant costs, and a cut may have
+    them. Kept arrays are read-only: solves share them."""
+    def wrap(build):
+        def make(net):
+            whole = None if gather is None or net.template is None else table(net.template)
+            made = build(net) if whole is None else gather(net, whole)
+            if isinstance(made, np.ndarray):
+                made.flags.writeable = False
+            return made
+
+        @wraps(build)
+        def table(net: Network):
+            return net.derived(table, make)
+
+        return table
+    return wrap
+
+
+@_network_table(lambda net, calc: calc.gather(net.template_ids))
 def _calculator(net: Network) -> _EdgeCalculator:
-    """The edge calculator of ``net``. A network restricted from a template
-    gathers it by edge id from the template's, which is built once and kept
-    with the template."""
-    if net.template is None:
-        return _EdgeCalculator([e.cost for e in net.edges])
-    return net.template.derived(_EdgeCalculator, _calculator).gather(net.template_ids)
+    """The edge calculator of ``net``, with its level forms."""
+    return _EdgeCalculator([e.cost for e in net.edges])
+
+
+def _at_template_ids(net: Network, values: np.ndarray) -> np.ndarray:
+    return values[list(net.template_ids)]
+
+
+@_network_table(_at_template_ids)
+def _constant_costs(net: Network) -> Optional[np.ndarray]:
+    """Edge costs by edge id, or None when some edge's cost is not constant."""
+    models = [e.cost for e in net.edges]
+    if not all(is_constant(m) for m in models):
+        return None
+    return np.array([m.c for m in models])
+
+
+@_network_table(_at_template_ids)
+def _capacities(net: Network) -> np.ndarray:
+    """Edge capacities by edge id (inf where unbounded)."""
+    return np.array([e.capacity for e in net.edges])
+
+
+@_network_table()
+def _edge_index(net: Network) -> Dict[Tuple[int, int], int]:
+    """Edge id of each edge pair; a cut network's own ids, so it is built,
+    not gathered."""
+    return {pair: k for k, pair in enumerate(net.edge_pairs)}
 
 
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
@@ -1247,10 +1338,10 @@ def _generate(space: _PathSpace, edge_costs: np.ndarray, potentials: np.ndarray)
 
 def _constant_edge_costs(net: Network) -> np.ndarray:
     """Edge costs in ``net.edge_pairs`` order; BadParams unless all are constant."""
-    models = [net.edge(*pair).cost for pair in net.edge_pairs]
-    if not all(is_constant(m) for m in models):
+    costs = _constant_costs(net)
+    if costs is None:
         raise BadParams("mc routing requires constant edge costs")
-    return np.array([m.c for m in models])
+    return costs
 
 
 # ---------------------------------------------------------------------------

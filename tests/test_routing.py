@@ -15,6 +15,7 @@ from netdesign.costs import (
     Marginalized,
     derivative,
     evaluate,
+    is_constant,
     marginal,
     second_derivative,
 )
@@ -680,6 +681,70 @@ def test_bridge_builds_each_level_form_once(monkeypatch):
     assert built == [n, 0, n, 0]
 
 
+def test_tables_built_once_per_network(monkeypatch):
+    # a network from the constructor keeps its tables: so and ue solve and
+    # certify on one calculator, whose level forms later rounds reuse
+    scenario = materialize("counterexample", {"costing": "greenshields"})
+    net = scenario.instance.network
+    instance = Instance(Network(net.nodes, net.edges), scenario.instance.trips)
+    assert instance.network.template is None
+    built = []
+    forms = []
+    init = _EdgeCalculator.__init__
+    level_forms = _EdgeCalculator._level_forms
+
+    def counting_init(calc, models):
+        built.append(len(models))
+        init(calc, models)
+
+    def counting_forms(calc, level):
+        forms.append(level.sum())
+        return level_forms(calc, level)
+
+    monkeypatch.setattr(_EdgeCalculator, "__init__", counting_init)
+    monkeypatch.setattr(_EdgeCalculator, "_level_forms", counting_forms)
+    for _ in range(2):
+        for solve in (solve_so, solve_ue):
+            assert verify_certificate(instance, solve(instance)).satisfied
+        assert built == [len(net.edge_pairs)]
+        assert len(forms) == 2  # so's level and ue's
+
+    # mc reads the edge models once per network; a cut network gathers
+    # its costs and capacities from the template's
+    cs = materialize("counterexample", {"costing": "mc"}).candidate_set
+    full = cs.subset_network(0b11)
+    plain = Instance(Network(full.nodes, full.edges), cs.trips)
+    cut = Instance(cs.subset_network(0b01), cs.trips)
+    read = []
+
+    def counting_is_constant(model):
+        read.append(model)
+        return is_constant(model)
+
+    monkeypatch.setattr(routing, "is_constant", counting_is_constant)
+    for inst in (plain, plain, cut, cut):
+        assert verify_certificate(inst, solve_mc(inst)).satisfied
+    assert len(read) == len(full.edge_pairs) + len(cs.template.network.edge_pairs)
+    for inst in (plain, cut):
+        caps = _PathSpace(inst, 10).capacities
+        assert caps is _PathSpace(inst, 10).capacities and not caps.flags.writeable
+        assert caps.tolist() == [e.capacity for e in inst.network.edges]
+        costs = routing._constant_edge_costs(inst.network)
+        assert costs.tolist() == [e.cost.c for e in inst.network.edges]
+
+
+def test_constant_cut_of_a_mixed_template_routes_mc():
+    # the template has no constant costs to gather; the cut has its own
+    template = net_of([(0, 1, Constant(1.0), 5.0), (1, 2, Constant(2.0), 5.0),
+                       (0, 2, Greenshields(1.0, 1.0, 5.0), 5.0)])
+    trips = (Trip(0, 2, 1.0),)
+    with pytest.raises(BadParams):
+        solve_mc(Instance(template, trips))
+    cut = template.restrict(0b111, 0b101)  # edges (0, 1) and (1, 2)
+    assert routing._constant_edge_costs(cut).tolist() == [1.0, 2.0]
+    assert solve_mc(Instance(cut, trips)).total_cost == 3.0
+
+
 def test_cached_level_zero_forms_keep_the_integral_bits():
     models = [Marginalized(Greenshields(1.5, 1.0, 10.0)), Affine(2.0, 0.5),
               Marginalized(BPR(1.0, 5.0, 0.15, 4.0)), Constant(3.0)]
@@ -1002,17 +1067,18 @@ def test_so_under_capacity_margin_stays_interior(counterexample_gs):
 
 
 _positive = st.floats(0.1, 10.0)
-_cost_models = st.one_of(
+_families = (
     st.builds(Constant, _positive),
     st.builds(Affine, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
     st.builds(Greenshields, _positive, _positive, _positive),
     st.builds(BPR, _positive, _positive, st.floats(0.0, 5.0), st.sampled_from([1.0, 2.0, 4.0])),
 )
+_cost_models = st.one_of(*_families)
 
 
 @st.composite
-def _edge_at_flow(draw):
-    model = draw(_cost_models)
+def _edge_at_flow(draw, models=_cost_models):
+    model = draw(models)
     if isinstance(model, Greenshields):
         x = model.u * draw(st.floats(0.0, 0.999))
     else:
@@ -1061,6 +1127,50 @@ def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
     assert gathered.value(x).tobytes() == fresh.value(x).tobytes()
     assert gathered.integral(x).tobytes() == fresh.integral(x).tobytes()
     assert gathered.bound.tobytes() == fresh.bound.tobytes()
+
+
+@st.composite
+def _one_family_plus_another(draw):
+    """Edges of one family, each bare or inside Marginalized, and one edge
+    of another family."""
+    k = draw(st.integers(0, len(_families) - 1))
+    edges = draw(st.lists(_edge_at_flow(_families[k]), min_size=1, max_size=8))
+    others = st.one_of(*(f for j, f in enumerate(_families) if j != k))
+    return edges, draw(_edge_at_flow(others))
+
+
+def _calculator_outputs(calc, x):
+    out = [calc.value(x), calc.integral(x)]
+    for kind in ("so", "ue"):
+        out += [*calc.derivatives(x, kind), calc.gradient(x, kind)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_family_plus_another(), st.lists(st.booleans(), min_size=8, max_size=8))
+@example(([(Marginalized(Greenshields(1.0, 2.0, 4.0)), 3.0), (Greenshields(2.0, 1.0, 5.0), 1.0)],
+          (Constant(2.0), 1.0)), [True, False] * 4)
+@example(([(BPR(1.0, 2.0, 0.15, 4.0), 1.5), (Marginalized(BPR(1.0, 3.0, 0.5, 2.0)), 0.0)],
+          (Greenshields(1.0, 2.0, 4.0), 3.0)), [False, True] * 4)
+def test_single_family_calculator_matches_the_general_path(edges_and_other, chosen):
+    # one family over every edge runs on the whole arrays; the same edges
+    # beside an edge of another family take the gather and scatter, and
+    # both give the same bits, also when gathered from a template
+    edges, (other, x_other) = edges_and_other
+    models = [m for m, _ in edges]
+    n = len(models)
+    x = np.array([v for _, v in edges])
+    sole = _EdgeCalculator(models)
+    assert n in (sole.ic.size, sole.ia.size, sole.ig.size, sole.ib.size)
+    mixed = _EdgeCalculator(models + [other])
+    for mine, general in zip(_calculator_outputs(sole, x),
+                             _calculator_outputs(mixed, np.append(x, x_other))):
+        assert mine.tobytes() == general[:n].tobytes()
+    ids = [k for k, keep in enumerate(chosen[:n]) if keep] or [n - 1]
+    fresh = _calculator_outputs(_EdgeCalculator([models[k] for k in ids]), x[ids])
+    for gathered in (sole.gather(ids), mixed.gather(ids)):
+        for mine, theirs in zip(_calculator_outputs(gathered, x[ids]), fresh):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["so", "ue"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,38 @@ def test_random_candidate_set_valid():
         for cand in cs.candidates:
             assert cand.path.nodes[0] == trip.source
             assert cand.path.nodes[-1] == trip.sink
+
+
+def test_random_candidate_sets_keep_their_paths():
+    # every 4x4 and 5x5 walk of seeds 0-199 stays within the back-up
+    # budget, so these sets are those of the unbounded search
+    digest = hashlib.sha256()
+    for rows, cols in ((4, 4), (5, 5)):
+        for seed in range(200):
+            cs = random_candidate_set(seed, "constant", rows, cols)
+            digest.update(repr((rows, cols, seed, cs.trips,
+                                [p.nodes for p in cs.spanning_tree.trip_paths],
+                                [c.path.nodes for c in cs.candidates],
+                                [(e.pair, e.cost, e.capacity)
+                                 for e in cs.template.network.edges])).encode())
+    assert digest.hexdigest() == \
+        "bb85b01fe26ee50554ff7407f8dd2a47ed34491427535706f05914b04ed2008c"
+
+
+@pytest.mark.parametrize("seed, rows, cols", [(20, 6, 6), (1, 10, 10)])
+def test_random_candidate_set_finishes_on_larger_grids(seed, rows, cols):
+    # an unbounded search backs up more than 200,000 times on 6x6 seed 20
+    # and does not finish on 10x10 seed 1 in 15 s
+    started = time.perf_counter()
+    cs = random_candidate_set(seed, "constant", rows, cols)
+    assert time.perf_counter() - started < 10.0
+    trip = cs.trips[0]
+    for cand in cs.candidates:
+        nodes = cand.path.nodes
+        assert (nodes[0], nodes[-1]) == (trip.source, trip.sink)
+        assert len(set(nodes)) == len(nodes)
+        assert all(cs.template.network.has_edge(*pair) for pair in cand.path.edge_pairs)
+    assert 1 <= len(cs.candidates) <= 5
 
 
 def test_random_parallel_family_flavours():
