@@ -57,6 +57,13 @@ rebuilds none of it. A network cut from a template (``Network.restrict``)
 gathers the tables, costs and capacities by edge id from the template's,
 which are built once; its edge-id index numbers its own edges.
 
+A path is kept as the list of its edge ids, as the search returns it, and
+only the path space reads the lists. A path's cost sums the edge values
+along its list, and the edge flows add each path's flow to its edges in
+path order; neither uses BLAS, and a path that carries no flow changes no
+edge flow's bits. Only the Newton system and the mc master take dense 0/1
+rows, built for the paths they hold.
+
 Every accepted solution carries an optimality certificate recomputed from
 first principles: each trip meets its demand, and its used paths cost no
 more than its cheapest path, priced by the same search, under marginal costs
@@ -218,14 +225,29 @@ def _num(x: float) -> float:
     return 0.0 if x == 0.0 else float(x)
 
 
+# The flat arrays of a path space with no rows; arrays that are never written.
+_NO_ENTRIES = tuple(np.zeros((2, 0), dtype=np.intp))
+
+
 class _PathSpace:
-    """The paths a solve works on, grouped by trip, plus their edge incidence.
+    """The paths a solve works on, grouped by trip, each kept as its edge ids.
 
     It starts empty and grows by pricing: ``price`` adds each trip's
     cheapest path under given edge costs when it is new. Rows are numbered
     in the order paths arrive and a flow vector sized before later arrivals
     gives them zero flow; reports list each trip's paths in lexicographic
     order.
+
+    The rows' edge ids lie end to end in one flat list, beside a list of
+    each entry's row; their arrays grow on the first read after paths
+    arrive. A path has at least one edge, since a trip's source is never
+    its sink, so no row is empty. Both sums run over the entries in order,
+    with no BLAS: ``path_costs`` adds each row's gathered edge values left
+    to right, and ``edge_flows`` adds each row's flow to its edges in row
+    order, so a row of zero flow changes no edge flow's bits and the
+    thread count none at all. ``incidence`` builds dense 0/1 rows only for
+    the operands that need them: the Newton system's support and the mc
+    master's capacity rows.
     """
 
     def __init__(self, instance: Instance, limit: int):
@@ -243,16 +265,9 @@ class _PathSpace:
         self._row = {}  # (trip index, node sequence) -> row
         self.groups = [[] for _ in instance.trips]  # rows of each trip
         self._priced = None  # (edge cost list, rows) of the last pricing
-        self._inc = np.zeros((2 * len(instance.trips) + 6, len(self.edge_pairs)))
-
-    @property
-    def incidence(self) -> np.ndarray:
-        return self._inc[:len(self.paths)]
-
-    @property
-    def edge_index(self) -> Dict[Tuple[int, int], int]:
-        """Edge id of each edge pair."""
-        return _edge_index(self.instance.network)
+        self._ids = []  # every row's edge ids, row after row
+        self._of = []  # the row of each entry of _ids
+        self._arrays = _NO_ENTRIES  # _flat's, for the entries they hold
 
     def add(self, m: int, nodes: Tuple[int, ...], ids: Optional[Sequence[int]] = None) -> int:
         """Row of trip ``m``'s path ``nodes``, appended when new; ``ids`` are
@@ -263,24 +278,15 @@ class _PathSpace:
         if len(self.groups[m]) >= self.limit:
             raise PathLimitExceeded(self.limit, self.instance.trips[m])
         row = len(self.paths)
-        if row == len(self._inc):
-            self._inc = np.concatenate([self._inc, np.zeros_like(self._inc)])
         if ids is None:
-            index = self.edge_index
+            index = _edge_index(self.instance.network)
             ids = [index[pair] for pair in zip(nodes, nodes[1:])]
-        self._inc[row, ids] = 1.0
+        self._ids += ids
+        self._of += [row] * len(ids)
         self.paths.append(Path(m, nodes))
         self.trip_of.append(m)
         self._row[(m, nodes)] = row
         self.groups[m].append(row)
-        return row
-
-    def row(self, path: Path) -> int:
-        """Row of a path already in the set; BadParams for any other path."""
-        row = self._row.get((path.trip_index, path.nodes))
-        if row is None:
-            raise BadParams(f"path {path.key()} of trip {path.trip_index} is not a "
-                            f"simple path of that trip in the instance")
         return row
 
     def price(self, edge_costs: np.ndarray) -> np.ndarray:
@@ -308,15 +314,43 @@ class _PathSpace:
         extra = len(self.paths) - len(x)
         return np.concatenate([x, np.zeros(extra)]) if extra else x
 
+    def _flat(self):
+        """The flat edge ids and each one's row, as arrays; the first read
+        after rows arrive appends theirs."""
+        known = len(self._arrays[0])
+        if known < len(self._ids):
+            new = np.array([self._ids[known:], self._of[known:]], dtype=np.intp)
+            self._arrays = tuple(np.concatenate([self._arrays, new], axis=1) if known else new)
+        return self._arrays
+
+    def path_costs(self, edge_values: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``edge_values`` over its edges, added left to
+        right."""
+        ids, of = self._flat()
+        return np.bincount(of, weights=edge_values[ids])
+
     def edge_flows(self, x: np.ndarray) -> np.ndarray:
-        return self._inc[:len(x)].T @ x
+        """Edge flows of the path flows ``x`` on the first ``len(x)`` rows:
+        each edge's sum of its rows' flows, added in row order. The rows
+        after them add zeros, which change no bit."""
+        ids, of = self._flat()
+        return np.bincount(ids, weights=self.pad(x)[of], minlength=len(self.edge_pairs))
+
+    def incidence(self, rows: Sequence[int]) -> np.ndarray:
+        """Dense 0/1 incidence of ``rows``: one row per path, one column per edge."""
+        ids, of = self._flat()
+        local = np.full(len(self.paths), len(rows))  # the other rows' edges go to a spare row
+        local[rows] = np.arange(len(rows))
+        out = np.zeros((len(rows) + 1, len(self.edge_pairs)))
+        out[local[of], ids] = 1.0
+        return out[:-1]
 
     def trip_totals(self, x: np.ndarray) -> list:
         """Each trip's total flow under the padded flows ``x``."""
         return [float(x[rows].sum()) for rows in self.groups]
 
     def assignment(self, x: np.ndarray) -> FlowAssignment:
-        x = self.pad(x)
+        """The assignment of the padded path flows ``x``."""
         flows = x.tolist()
         order = [r for group in self.groups
                  for r in sorted(group, key=lambda r: self.paths[r].nodes)]
@@ -840,9 +874,8 @@ def _initial_point(instance: Instance, limit: int, calc: _EdgeCalculator,
         if x is not None:
             return space, x
     space = _PathSpace(instance, limit)
-    best = space.price(calc.gradient(np.zeros(len(space.edge_pairs)), kind))
-    x = np.zeros(len(space.paths))
-    x[best] = space.demands
+    space.price(calc.gradient(np.zeros(len(space.edge_pairs)), kind))
+    x = space.demands.copy()  # on the empty space, row m is trip m's cheapest path
     if np.any(space.edge_flows(x) >= calc.bound):
         raise CapacitySaturation(
             "no interior starting flow: demand saturates a congestion-priced edge")
@@ -872,12 +905,11 @@ def _incremental_load(space: _PathSpace, calc: _EdgeCalculator,
             found = _cheapest_path(net, open_costs, source, sink)
             if found is None:
                 return None
-            nodes, ids = found
-            row = space.add(m, nodes, ids)
+            row = space.add(m, *found)
             if row == len(x):
                 x.append(0.0)
             x[row] += part
-            for e in ids:
+            for e in found[1]:  # the part's edge ids
                 xe[e] += part
     return np.array(x)
 
@@ -1002,7 +1034,7 @@ def _newton_direction(space: _PathSpace, x: list, g: list, curv_e: np.ndarray, f
         # mean) only keeps the right-hand side small near the solution
         rhs = np.array([sums[m] / counts[m] - v for m, v in zip(trips, g_sub)]
                        + [0.0] * n_trips)
-        a_sub = space.incidence[flat]
+        a_sub = space.incidence(flat)
         kkt = np.zeros((k + n_trips, k + n_trips))
         kkt[:k, :k] = (a_sub * curv_e) @ a_sub.T
         for i, m in enumerate(trips):
@@ -1040,11 +1072,11 @@ def _solve_kkt(kkt, rhs, a_sub):
     k = len(a_sub)
     try:
         dx = np.linalg.solve(kkt, rhs)[:k]
-        de = a_sub.T @ dx
         dxl = dx.tolist()
-        if (all(map(math.isfinite, dxl))
-                and max(map(abs, dxl)) <= 1e6 * max(map(abs, de.tolist()))):
-            return dxl, de
+        if all(map(math.isfinite, dxl)):
+            de = a_sub.T @ dx
+            if max(map(abs, dxl)) <= 1e6 * max(map(abs, de.tolist())):
+                return dxl, de
     except np.linalg.LinAlgError:
         pass
     try:
@@ -1081,10 +1113,9 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     iterations = 0
     while True:
         grad_e, curv_e = calc.derivatives(xe, kind)
-        sized = len(x)  # the rows xe was summed over
         best = space.price(grad_e)
         x = space.pad(x)
-        g = space.incidence @ grad_e
+        g = space.path_costs(grad_e)
         g_best = g[best]
         best_lb = max(best_lb, f - float(x @ g - demands @ g_best))
         rel_gap = (f - best_lb) / abs(f) if f != 0.0 else 0.0
@@ -1092,11 +1123,6 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
             raise NotConverged(iterations, rel_gap)
         rel_gap = max(0.0, rel_gap)
         if rel_gap <= cfg.relative_gap_tol:
-            if len(x) > sized:
-                # the product over all rows, zero-flow ones included, can
-                # round differently, and the report's edge flows use it
-                xe = space.edge_flows(x)
-                grad_e = calc.gradient(xe, kind)
             return space, calc, x, xe, grad_e, kind, iterations, rel_gap
         if iterations == cfg.max_iterations:
             raise NotConverged(iterations, rel_gap)
@@ -1141,7 +1167,7 @@ def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
     # holds each trip's shortest path and the ue minimum below is over all
     # simple paths.
     times = edge_values if kind == UE else calc.value(xe)
-    return _result(kind, space, x, space.incidence @ times, float((xe * times).sum()),
+    return _result(kind, space, x, space.path_costs(times), float((xe * times).sum()),
                    iterations, rel_gap, certificate)
 
 
@@ -1190,7 +1216,7 @@ def _certificate(space: _PathSpace, x: np.ndarray, edge_values: np.ndarray, kind
     space.price(edge_values)
     x = space.pad(x)
     flows = x.tolist()
-    values = (space.incidence @ edge_values).tolist()
+    values = space.path_costs(edge_values).tolist()
     spreads = []
     tol = 0.0
     checks = []  # (violation, tolerance)
@@ -1249,21 +1275,19 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
     edge_costs = _constant_edge_costs(instance.network)
     space = _PathSpace(instance, cfg.path_limit)
     try:
-        start = space.price(edge_costs)
+        space.price(edge_costs)  # on the empty space, row m is trip m's cheapest path
     except Unreachable as exc:
         raise Infeasible(str(exc)) from exc
-    if not np.any(space.demands @ space.incidence[start] > space.capacities):
+    if not np.any(space.edge_flows(space.demands) > space.capacities):
         # the master over the start holds one path per trip, so x = demands,
         # its capacity prices are zero and each potential is its path's cost
-        x = np.zeros(len(space.paths))
-        x[start] = space.demands
-        path_costs = space.incidence @ edge_costs
-        return _mc_result(space, edge_costs, x, float(path_costs @ x), path_costs[start],
-                          np.zeros(len(space.edge_pairs)), 0)
+        path_costs = space.path_costs(edge_costs)
+        return _mc_result(space, edge_costs, space.demands, float(path_costs @ space.demands),
+                          path_costs, np.zeros(len(space.edge_pairs)), 0)
     cap_rows = np.flatnonzero(np.isfinite(space.capacities))
     pivots = _phase_one(space, cap_rows)
     while True:
-        path_costs = space.incidence @ edge_costs
+        path_costs = space.path_costs(edge_costs)
         lp, prices = _restricted_master(space, cap_rows, path_costs)
         pivots += lp.iterations
         if not _generate(space, edge_costs + prices, lp.duals_eq):
@@ -1284,7 +1308,7 @@ def _mc_result(space: _PathSpace, edge_costs: np.ndarray, x: np.ndarray, total: 
                           if math.isfinite(cap)),
     )
     certificate = _certificate(space, x, edge_costs + prices, MC, prices)
-    return _result(MC, space, x, space.incidence @ edge_costs, total,
+    return _result(MC, space, x, space.path_costs(edge_costs), total,
                    pivots, 0.0, certificate, duals)
 
 
@@ -1316,7 +1340,7 @@ def _restricted_master(space: _PathSpace, cap_rows: np.ndarray,
     n_trips, n_paths = len(space.demands), len(space.paths)
     a_eq = np.zeros((n_trips, n_paths))
     a_eq[space.trip_of, np.arange(n_paths)] = 1.0
-    a_ub = space.incidence.T[cap_rows]
+    a_ub = space.incidence(range(n_paths)).T[cap_rows]
     if path_costs is None:
         path_costs = np.concatenate([np.zeros(n_paths), np.ones(n_trips)])
         a_eq = np.hstack([a_eq, np.eye(n_trips)])
@@ -1332,7 +1356,7 @@ def _generate(space: _PathSpace, edge_costs: np.ndarray, potentials: np.ndarray)
     than its trip's potential, so that it improves the master."""
     known = len(space.paths)
     rows = space.price(edge_costs)
-    reduced = space.incidence[rows] @ edge_costs - potentials
+    reduced = space.path_costs(edge_costs)[rows] - potentials
     return bool(np.any((rows >= known) & (reduced < -MC_PRICE_RTOL * (1.0 + np.abs(potentials)))))
 
 
@@ -1367,12 +1391,13 @@ def verify_certificate(instance: Instance, result: SolveResult,
     finds.
     """
     kind = kind or result.routing
-    paths = result.assignment.paths
     space = _PathSpace(instance, DEFAULT_PATH_LIMIT)
-    for p in paths:
-        if _is_trip_path(instance, p):
-            space.add(p.trip_index, p.nodes)
-    rows = [space.row(p) for p in paths]
+    rows = []
+    for p in result.assignment.paths:
+        if not _is_trip_path(instance, p):
+            raise BadParams(f"path {p.key()} of trip {p.trip_index} is not a "
+                            f"simple path of that trip in the instance")
+        rows.append(space.add(p.trip_index, p.nodes))
     x = np.zeros(len(space.paths))
     x[rows] = result.assignment.flows
     if kind == MC:

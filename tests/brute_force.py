@@ -184,12 +184,25 @@ def dict_shortest_path(net, edge_costs, source, sink):
     return None, dist_to
 
 
+def dense_incidence(space):
+    """The 0/1 incidence of a path space's paths, one row per path in row
+    order and one column per edge in the network's edge order, built from
+    each path's node pairs."""
+    import numpy as np
+
+    column = {pair: k for k, pair in enumerate(space.instance.network.edge_pairs)}
+    inc = np.zeros((len(space.paths), len(column)))
+    for r, path in enumerate(space.paths):
+        inc[r, [column[pair] for pair in path.edge_pairs]] = 1.0
+    return inc
+
+
 def dense_incremental_load(space, calc, kind):
     """Reference for incremental loading: each trip's demand in
     ``routing.LOAD_PARTS`` equal parts, each on the cheapest open path
     under the gradient at the current edge flows, with those flows
     recomputed after every part as the dense product of the path
-    incidence and the path flows.
+    incidence (``dense_incidence``) and the path flows.
 
     Returns the path flows, or None when a part finds no open path.
     """
@@ -213,7 +226,7 @@ def dense_incremental_load(space, calc, kind):
             row = space.add(m, *found)
             x = space.pad(x)
             x[row] += part
-            xe = space.edge_flows(x)
+            xe = dense_incidence(space).T @ x
     return x
 
 
@@ -242,9 +255,10 @@ def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
         k = len(a_sub)
         try:
             dx = np.linalg.solve(kkt, rhs)[:k]
-            de = a_sub.T @ dx
-            if np.isfinite(dx).all() and np.abs(dx).max() <= 1e6 * np.abs(de).max():
-                return dx, de
+            if np.isfinite(dx).all():
+                de = a_sub.T @ dx
+                if np.abs(dx).max() <= 1e6 * np.abs(de).max():
+                    return dx, de
         except np.linalg.LinAlgError:
             pass
         try:
@@ -253,11 +267,12 @@ def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
             return None
         return dx, a_sub.T @ dx
 
+    inc = dense_incidence(space)
     while True:
         flat = np.flatnonzero(support)
         trip_of = row_trip[flat]
         k = len(flat)
-        a_sub = space.incidence[flat]
+        a_sub = inc[flat]
         g_sub = g[flat]
         lam = (np.bincount(trip_of, weights=g_sub, minlength=n_trips)
                / np.bincount(trip_of, minlength=n_trips))

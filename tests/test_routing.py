@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from netdesign import routing
 from netdesign.design import parallel_uniform_value
 from netdesign.network import Edge, Network, Path, Trip, enumerate_trip_paths
 from netdesign.scenarios import materialize, random_candidate_set
+from netdesign.simplex import solve_lp
 from netdesign.routing import (
     FlowAssignment,
     Instance,
@@ -50,6 +52,7 @@ from netdesign.routing import (
 )
 from brute_force import (
     assert_assignment_feasible,
+    dense_incidence,
     dense_incremental_load,
     dense_newton_step,
     dense_step_flows,
@@ -295,14 +298,19 @@ def _fitting_starts():
 
 def _start_master(instance):
     """simplex.solve_lp on the master over each trip's cheapest path alone,
-    as ``_restricted_master`` builds it, plus that master's path costs."""
+    its capacity rows taken from ``dense_incidence``, plus its capacity
+    prices and path costs. The path costs are the solver's: a dense product
+    can round them differently."""
     space = _PathSpace(instance, 100)
     edge_costs = routing._constant_edge_costs(instance.network)
     space.price(edge_costs)
-    path_costs = space.incidence @ edge_costs
+    path_costs = space.path_costs(edge_costs)
     cap_rows = np.flatnonzero(np.isfinite(space.capacities))
-    lp, prices = routing._restricted_master(space, cap_rows, path_costs)
-    return lp, prices, path_costs
+    a_eq = np.zeros((len(space.demands), len(space.paths)))
+    a_eq[space.trip_of, np.arange(len(space.paths))] = 1.0
+    lp = solve_lp(path_costs, a_eq, space.demands, dense_incidence(space).T[cap_rows],
+                  space.capacities[cap_rows])
+    return lp, np.maximum(0.0, -lp.duals_ub), path_costs
 
 
 def test_mc_fitting_start_matches_its_master(monkeypatch):
@@ -1236,13 +1244,14 @@ def _newton_case(rng):
                                           1e-14 * space.demand_list[m]])
     grad_e = np.array([rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 1.0 + rng.random()])
                        for _ in range(n_edges)])
-    g = space.incidence @ grad_e
+    inc = dense_incidence(space)
+    g = inc @ grad_e
     best = np.array([min(rows, key=lambda r: (g[r], r)) if rng.random() < 0.7
                      else rng.choice(rows) for rows in space.groups], dtype=np.intp)
     curvatures = rng.choice([(0.0,), (1.0, 5.0, 0.1 + rng.random()),
                              (0.0, 0.0, 1.0, 5.0, rng.random())])
     curv_e = np.array([rng.choice(curvatures) for _ in range(n_edges)])
-    xe = space.edge_flows(x)
+    xe = inc.T @ x
     bounded = np.array([rng.random() < 0.5 for _ in range(n_edges)])
     margin = np.where(bounded, xe + np.array([rng.choice([0.0, 1e-3, 0.5, 10.0])
                                               for _ in range(n_edges)]), math.inf)
@@ -1311,7 +1320,7 @@ def test_newton_step_reference_cases_cover_every_branch(monkeypatch):
         if len(solves) > 1:
             seen.add("blocked path")
         if (fallbacks and (curv_e > 0.0).all()
-                and np.linalg.matrix_rank(space.incidence[flat]) < len(flat)):
+                and np.linalg.matrix_rank(dense_incidence(space)[flat]) < len(flat)):
             seen.add("dependent paths")
         if not curv_e.any():
             seen.add("zero curvature")
@@ -1325,6 +1334,112 @@ def test_newton_step_reference_cases_cover_every_branch(monkeypatch):
             seen.add("residue at the threshold")
     assert seen == {"no step", "blocked path", "dependent paths", "zero curvature",
                     "several trips", "capacity margin", "residue at the threshold"}
+
+
+@pytest.mark.parametrize("curvature, step_hex", [(5e-324, "0x0.0p+0"),
+                                                (1e-310, "0x0.0049a22dc398bp-1022")])
+def test_singular_newton_system_falls_back_quietly(curvature, step_hex, monkeypatch):
+    # the diamond's routes share no edge, so a curvature that vanishes in
+    # the Hessian leaves the KKT system singular and its LU step not
+    # finite; least squares replaces it without a warning, with the step
+    # bits the fallback gave when the edge flow change was formed first
+    instance = Instance(net_of([(0, 1, C1, math.inf), (1, 3, C1, math.inf),
+                                (0, 2, C1, math.inf), (2, 3, C1, math.inf)]),
+                        (Trip(0, 3, 1.0),))
+    space = _PathSpace(instance, 10)
+    space.add(0, (0, 1, 3))
+    space.add(0, (0, 2, 3))
+    solved, fallbacks = [], []
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+    def spy_solve(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    def spy_lstsq(*args, **kwargs):
+        fallbacks.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat, x_sub, dx, de, t = routing._newton_direction(
+            space, [1.0, 0.0], [2.0, 1.0], np.full(4, curvature), [0, 1])
+    assert len(solved) == 1 and not np.isfinite(solved[0]).all()
+    assert fallbacks == [1]
+    assert (flat, x_sub, t) == ([0, 1], [1.0, 0.0], 1.0)
+    assert [v.hex() for v in dx] == [step_hex] * 2
+    assert [v.hex() for v in de.tolist()] == [step_hex] * 4
+
+
+# -- the path space's edge-id lists ----------------------------------------------------
+
+
+@st.composite
+def _path_space_case(draw):
+    """Paths of random trips on the series diamonds, added in a random
+    order, path flows (zeros among them) for the first ``known`` rows, and
+    edge values."""
+    net = net_of([(i, j, C1, math.inf) for i, j in _SERIES_PAIRS])
+    ends = draw(st.lists(st.sampled_from(_SERIES_TRIPS), min_size=1, max_size=3, unique=True))
+    instance = Instance(net, tuple(Trip(s, t, 1.0) for s, t in ends))
+    per_trip = enumerate_trip_paths(net, instance.trips).per_trip
+    arrivals = draw(st.permutations([(m, p.nodes) for m, paths in enumerate(per_trip)
+                                     for p in paths]))
+    known = draw(st.integers(1, len(arrivals)))
+    flow = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.sampled_from([0.1, 1.0 / 3.0, 1e-9]))
+    x = np.array(draw(st.lists(flow, min_size=known, max_size=known)))
+    values = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=len(net.edge_pairs),
+                                    max_size=len(net.edge_pairs))))
+    return instance, arrivals, known, x, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_path_space_case())
+def test_edge_flows_are_row_order_sums_that_zero_rows_keep(case):
+    # each edge's flow is its rows' flows added left to right in row order,
+    # and rows of zero flow, appended or padded, change no bit
+    instance, arrivals, known, x, _ = case
+    space = _PathSpace(instance, 100)
+    for m, nodes in arrivals[:known]:
+        space.add(m, nodes)
+    expected = [0.0] * len(space.edge_pairs)
+    column = space.instance.network.edge_pairs.index
+    for flow, path in zip(x.tolist(), space.paths):
+        for pair in path.edge_pairs:
+            expected[column(pair)] += flow
+    xe = space.edge_flows(x)
+    assert xe.tobytes() == np.array(expected).tobytes()
+    for m, nodes in arrivals[known:]:
+        space.add(m, nodes)
+    assert space.edge_flows(space.pad(x)).tobytes() == xe.tobytes()
+    assert space.edge_flows(x).tobytes() == xe.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_path_space_case())
+def test_path_costs_and_incidence_rows_keep_their_bits_as_rows_arrive(case):
+    # a row's cost is its edges' values added left to right along the
+    # path, and neither it nor its dense incidence row moves when other
+    # rows arrive
+    instance, arrivals, known, _, values = case
+    space = _PathSpace(instance, 100)
+    for m, nodes in arrivals[:known]:
+        space.add(m, nodes)
+    costs = space.path_costs(values)
+    column = space.instance.network.edge_pairs.index
+    expected = [sum(values[column(pair)] for pair in path.edge_pairs) for path in space.paths]
+    assert costs.tobytes() == np.array(expected).tobytes()
+    rows = list(range(0, known, 2))
+    first = space.incidence(rows)
+    assert first.tobytes() == dense_incidence(space)[rows].tobytes()
+    for m, nodes in arrivals[known:]:
+        space.add(m, nodes)
+    assert space.path_costs(values)[:known].tobytes() == costs.tobytes()
+    assert space.incidence(rows).tobytes() == first.tobytes()
+    every = list(range(len(space.paths)))
+    assert space.incidence(every).tobytes() == dense_incidence(space).tobytes()
 
 
 # -- failure modes --------------------------------------------------------------------
