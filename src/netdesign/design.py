@@ -114,11 +114,10 @@ class CandidateSet:
         """(node positions, edge ids) bitsets over the template of the tree,
         and the list of each candidate's."""
         template = self.template.network
-        edge_id = {pair: k for k, pair in enumerate(template.edge_pairs)}
 
         def bits(net):
             return (sum(1 << template.position(v) for v in net.nodes),
-                    sum(1 << edge_id[pair] for pair in net.edge_pairs))
+                    sum(1 << template.edge_id(*pair) for pair in net.edge_pairs))
 
         return bits(self.spanning_tree.network), [bits(c.network) for c in self.candidates]
 

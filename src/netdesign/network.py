@@ -11,6 +11,7 @@ keeps the union operation well-defined when operands overlap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -149,6 +150,15 @@ class Network:
 
     def edge(self, tail: int, head: int) -> Edge:
         return self._edges[(tail, head)]
+
+    def edge_id(self, tail: int, head: int) -> int:
+        """Index of the edge (tail, head) in ``edge_pairs``; KeyError for
+        other pairs."""
+        pairs = self._pairs
+        k = bisect_left(pairs, (tail, head))
+        if k == len(pairs) or pairs[k] != (tail, head):
+            raise KeyError((tail, head))
+        return k
 
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self._edges

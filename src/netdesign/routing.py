@@ -49,13 +49,14 @@ directional derivative. Both Newton iterations take the objective's edge
 gradient and curvature from one closed-form pass per cost family, on the
 whole edge arrays when one family covers every edge.
 
-What routing derives from a network's edges, the closed forms' per-edge
-tables and level forms, the constant edge costs, the capacities and the
-edge-id index, is built on first use and kept with the network
+What routing derives from a network's edges is one edge calculator: the
+closed forms' per-edge tables and level forms, the flow bounds, the
+capacities and, when every edge cost is a bare constant, the mc edge
+costs. It is built on first use and kept with the network
 (``Network.derived``), so solving and certifying one network again
 rebuilds none of it. A network cut from a template (``Network.restrict``)
-gathers the tables, costs and capacities by edge id from the template's,
-which are built once; its edge-id index numbers its own edges.
+gathers its calculator by edge id from the template's, which is built
+once.
 
 A path is kept as the list of its edge ids, as the search returns it, and
 only the path space reads the lists. A path's cost sums the edge values
@@ -85,7 +86,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +98,6 @@ from .costs import (
     Greenshields,
     Marginalized,
     evaluate,
-    is_constant,
     marginal_model,
     max_flow_bound,
 )
@@ -111,6 +111,7 @@ from .errors import (
 )
 from .network import (
     DEFAULT_PATH_LIMIT,
+    Edge,
     Network,
     Path,
     Trip,
@@ -167,6 +168,10 @@ class SolverConfig:
     path_limit: int = DEFAULT_PATH_LIMIT  # paths a solve generates per trip
 
     def __post_init__(self):
+        for name in ("max_iterations", "path_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.relative_gap_tol > 0 and self.max_iterations > 0
                 and self.capacity_margin > 0 and self.path_limit > 0):
             raise ValueError("solver configuration values must be positive")
@@ -257,7 +262,7 @@ class _PathSpace:
         self.edge_pairs = net.edge_pairs
         self.demands = np.array([t.demand for t in instance.trips])
         self.demand_list = self.demands.tolist()
-        self.capacities = _capacities(net)
+        self.capacities = _calculator(net).capacities
         # node positions of each trip's source and sink
         self.ends = [(net.position(t.source), net.position(t.sink)) for t in instance.trips]
         self.paths = []
@@ -279,8 +284,8 @@ class _PathSpace:
             raise PathLimitExceeded(self.limit, self.instance.trips[m])
         row = len(self.paths)
         if ids is None:
-            index = _edge_index(self.instance.network)
-            ids = [index[pair] for pair in zip(nodes, nodes[1:])]
+            edge_id = self.instance.network.edge_id
+            ids = [edge_id(*pair) for pair in zip(nodes, nodes[1:])]
         self._ids += ids
         self._of += [row] * len(ids)
         self.paths.append(Path(m, nodes))
@@ -380,14 +385,18 @@ _FAMILY_TABLES = (
 
 
 class _EdgeCalculator:
-    """Vectorised closed forms over all edges.
+    """Vectorised closed forms over all edges, and every table routing
+    reads from a network's edges.
 
     Edges are grouped by model family once, into index arrays with the
     family's parameters gathered along them; per-call work is a handful of
-    numpy expressions on those groups. When one family covers every edge,
-    as on a network of Greenshields or of BPR edges alone, the expressions
-    run on the whole arrays, with no gather of the flows and no scatter of
-    the results; the same ufuncs on the same values give the same bits.
+    numpy expressions on those groups. Each edge's capacity sits beside its
+    flow bound, and when every edge cost is a bare constant the constant
+    family's table ``c_c`` holds the mc edge costs. When one family covers
+    every edge, as on a network of Greenshields or of BPR edges alone, the
+    expressions run on the whole arrays, with no gather of the flows and
+    no scatter of the results; the same ufuncs on the same values give the
+    same bits.
 
     The so and ue edge gradients are one operation at different depths:
     the level-n gradient is the travel time c with f -> (x*f)' applied n
@@ -399,19 +408,19 @@ class _EdgeCalculator:
 
     ``gather`` makes the calculator of some of the edges from this one's
     tables. Every table and level form is elementwise in the edges, so a
-    gathered calculator matches one built from those edges' models bit for
-    bit.
+    gathered calculator matches one built from those edges bit for bit.
     """
 
-    def __init__(self, models: Sequence):
-        n = len(models)
+    def __init__(self, edges: Sequence[Edge]):
+        n = len(edges)
         self.n = n
         kind = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
         marg = np.zeros(n, dtype=bool)
         p1, p2, p3, p4 = (np.zeros(n) for _ in range(4))
         self.bound = np.full(n, math.inf)
-        for k, model in enumerate(models):
-            base = model
+        self.capacities = np.array([e.capacity for e in edges])
+        for k, edge in enumerate(edges):
+            model = base = edge.cost
             if isinstance(model, Marginalized):
                 marg[k] = True
                 base = model.base
@@ -471,6 +480,7 @@ class _EdgeCalculator:
         family = sub.family = self.family[ids]
         sub.n = len(ids)
         sub.bound = self.bound[ids]
+        sub.capacities = self.capacities[ids]
         sub.ue_level = self.ue_level[ids]
         sub.im = np.flatnonzero(sub.ue_level) if self.im.size else self.im
         family_rows = []
@@ -609,64 +619,21 @@ def _assemble(n: int, parts) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# per-network tables
-
-
-def _network_table(gather=None):
-    """Decorator: the table ``build(net)`` makes from a network's edges,
-    made on first use and kept with the network (``Network.derived``). A
-    network cut from a template makes it with ``gather(net, table)`` from
-    the template's table instead, picking the entries at
-    ``net.template_ids``, unless the template's table is None: a template
-    with a non-constant edge has no constant costs, and a cut may have
-    them. Kept arrays are read-only: solves share them."""
-    def wrap(build):
-        def make(net):
-            whole = None if gather is None or net.template is None else table(net.template)
-            made = build(net) if whole is None else gather(net, whole)
-            if isinstance(made, np.ndarray):
-                made.flags.writeable = False
-            return made
-
-        @wraps(build)
-        def table(net: Network):
-            return net.derived(table, make)
-
-        return table
-    return wrap
-
-
-@_network_table(lambda net, calc: calc.gather(net.template_ids))
 def _calculator(net: Network) -> _EdgeCalculator:
-    """The edge calculator of ``net``, with its level forms."""
-    return _EdgeCalculator([e.cost for e in net.edges])
+    """The edge calculator of ``net``, built on first use and kept with the
+    network (``Network.derived``); a network cut from a template gathers it
+    from the template's. Solves share it, so its capacities and constant
+    costs are read-only."""
+    return net.derived(_calculator, _new_calculator)
 
 
-def _at_template_ids(net: Network, values: np.ndarray) -> np.ndarray:
-    return values[list(net.template_ids)]
-
-
-@_network_table(_at_template_ids)
-def _constant_costs(net: Network) -> Optional[np.ndarray]:
-    """Edge costs by edge id, or None when some edge's cost is not constant."""
-    models = [e.cost for e in net.edges]
-    if not all(is_constant(m) for m in models):
-        return None
-    return np.array([m.c for m in models])
-
-
-@_network_table(_at_template_ids)
-def _capacities(net: Network) -> np.ndarray:
-    """Edge capacities by edge id (inf where unbounded)."""
-    return np.array([e.capacity for e in net.edges])
-
-
-@_network_table()
-def _edge_index(net: Network) -> Dict[Tuple[int, int], int]:
-    """Edge id of each edge pair; a cut network's own ids, so it is built,
-    not gathered."""
-    return {pair: k for k, pair in enumerate(net.edge_pairs)}
+def _new_calculator(net: Network) -> _EdgeCalculator:
+    if net.template is None:
+        calc = _EdgeCalculator(net.edges)
+    else:
+        calc = _calculator(net.template).gather(net.template_ids)
+    calc.capacities.flags.writeable = calc.c_c.flags.writeable = False
+    return calc
 
 
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
@@ -1361,11 +1328,12 @@ def _generate(space: _PathSpace, edge_costs: np.ndarray, potentials: np.ndarray)
 
 
 def _constant_edge_costs(net: Network) -> np.ndarray:
-    """Edge costs in ``net.edge_pairs`` order; BadParams unless all are constant."""
-    costs = _constant_costs(net)
-    if costs is None:
+    """Edge costs in ``net.edge_pairs`` order; BadParams unless every edge's
+    cost is a bare constant."""
+    calc = _calculator(net)
+    if calc.ic.size < calc.n or calc.im.size:
         raise BadParams("mc routing requires constant edge costs")
-    return costs
+    return calc.c_c
 
 
 # ---------------------------------------------------------------------------
@@ -1386,9 +1354,9 @@ def verify_certificate(instance: Instance, result: SolveResult,
     at ``DEFAULT_PATH_LIMIT``.
 
     Raises BadParams when the assignment holds a path that is not a simple
-    path of its trip in the instance. Never raises on a suboptimal or
-    infeasible assignment; the certificate simply reports the violation it
-    finds.
+    path of its trip in the instance, or holds a path twice. Never raises
+    on a suboptimal or infeasible assignment; the certificate simply
+    reports the violation it finds.
     """
     kind = kind or result.routing
     space = _PathSpace(instance, DEFAULT_PATH_LIMIT)
@@ -1398,6 +1366,8 @@ def verify_certificate(instance: Instance, result: SolveResult,
             raise BadParams(f"path {p.key()} of trip {p.trip_index} is not a "
                             f"simple path of that trip in the instance")
         rows.append(space.add(p.trip_index, p.nodes))
+        if len(rows) > len(space.paths):
+            raise BadParams(f"path {p.key()} of trip {p.trip_index} is listed twice")
     x = np.zeros(len(space.paths))
     x[rows] = result.assignment.flows
     if kind == MC:

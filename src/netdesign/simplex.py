@@ -10,10 +10,10 @@ index. It prevents cycling only in exact arithmetic: in floating point,
 rounding separates ratios that are tied, so an exact comparison would
 break the ties at random and degenerate programs (integer data) can
 cycle. The ratio test therefore counts as tied every ratio within
-``tol * (1 + |minimum ratio|)`` of the minimum; that tolerance is part of
-the termination guarantee. Pivots below ``tol`` are treated as zero, and
-a solve that still exceeds ``PIVOTS_PER_ROW`` pivots per row raises
-NotConverged.
+``PIVOT_TOL * (1 + |minimum ratio|)`` of the minimum; that tolerance is
+part of the termination guarantee. Pivots below ``PIVOT_TOL`` are treated
+as zero, and a solve that still exceeds ``PIVOTS_PER_ROW`` pivots per row
+raises NotConverged.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class LPResult:
     iterations: int
 
 
-def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) -> LPResult:
+def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     c = np.asarray(costs, dtype=float)
     a_eq = np.asarray(a_eq, dtype=float).reshape(len(b_eq), -1) if len(b_eq) else np.zeros((0, c.size))
     b_eq = np.asarray(b_eq, dtype=float)
@@ -83,16 +83,16 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
         while True:
             cb = cost_vec[basis]
             reduced = cost_vec[:-1] - cb @ tableau[:, :-1]
-            eligible = np.flatnonzero(allowed & (reduced < -tol))
+            eligible = np.flatnonzero(allowed & (reduced < -PIVOT_TOL))
             if not eligible.size:
                 return
             entering = eligible[0]  # Bland: smallest eligible index
-            rows = np.flatnonzero(tableau[:, entering] > tol)
+            rows = np.flatnonzero(tableau[:, entering] > PIVOT_TOL)
             if not rows.size:
                 raise Unbounded("objective unbounded along a feasible ray")
             ratios = tableau[rows, -1] / tableau[rows, entering]
             low = ratios.min()
-            tied = rows[ratios <= low + tol * (1.0 + abs(low))]
+            tied = rows[ratios <= low + PIVOT_TOL * (1.0 + abs(low))]
             pivot(min(tied, key=basis.__getitem__), entering)  # Bland: smallest basic index
             iterations += 1
             if iterations > PIVOTS_PER_ROW * (m + 1):
@@ -111,7 +111,7 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None, tol: float = PIVOT_TOL) ->
         for i in range(m):
             if basis[i] >= n + n_slack:
                 for j in range(n + n_slack):
-                    if abs(tableau[i, j]) > tol:
+                    if abs(tableau[i, j]) > PIVOT_TOL:
                         pivot(i, j)
                         break
                 else:

@@ -376,3 +376,30 @@ def test_network_pickle_and_deepcopy_round_trip(name):
             assert back.predecessors(n) == tuple(sorted(i for i, j in net.edge_pairs if j == n))
         for n in unknown:
             assert back.successors(n) == back.predecessors(n) == ()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_edge_id_is_the_index_in_edge_pairs(name):
+    # on the scenario's networks, a cut of each holding every other edge,
+    # and every union graph cut from its template; a pair that is not an
+    # edge, reversed or with an unknown end, is a KeyError
+    scenario = materialize(name)
+    nets = [scenario.instance.network] if scenario.instance else []
+    cs = scenario.candidate_set
+    if cs is not None:
+        nets.append(cs.template.network)
+    nets += [net.restrict((1 << len(net.nodes)) - 1,
+                          sum(1 << k for k in range(0, len(net.edge_pairs), 2)))
+             for net in nets]
+    if cs is not None:
+        nets += [cs.subset_network(mask) for mask in range(1 << len(cs.candidates))]
+    for net in nets:
+        pairs = net.edge_pairs
+        for k, (i, j) in enumerate(pairs):
+            assert net.edge_id(i, j) == pairs.index((i, j)) == k
+            if not net.has_edge(j, i):
+                with pytest.raises(KeyError):
+                    net.edge_id(j, i)
+        for pair in ((-1, 0), (max(net.nodes) + 1, 0), (min(net.nodes), max(net.nodes) + 1)):
+            with pytest.raises(KeyError):
+                net.edge_id(*pair)

@@ -16,7 +16,6 @@ from netdesign.costs import (
     Marginalized,
     derivative,
     evaluate,
-    is_constant,
     marginal,
     second_derivative,
 )
@@ -67,6 +66,12 @@ C1 = Constant(1.0)
 def net_of(defs):
     nodes = {n for i, j, *_ in defs for n in (i, j)}
     return Network(nodes, [Edge(i, j, cost, cap) for i, j, cost, cap in defs])
+
+
+def calculator_of(models):
+    """The edge calculator of a chain of uncapacitated edges whose costs
+    are ``models``, in order."""
+    return _EdgeCalculator([Edge(k, k + 1, model) for k, model in enumerate(models)])
 
 
 def corner_grid(n, seed, draw):
@@ -647,6 +652,19 @@ def test_verify_certificate_rejects_paths_not_in_instance(braess_with, nodes):
             verify_certificate(braess_with.instance, bad, kind)
 
 
+def test_verify_certificate_rejects_a_path_listed_twice(braess_with):
+    # the second listing's flow would overwrite the first's, and the
+    # certificate would judge flows that the result does not hold
+    r = solve_so(braess_with.instance)
+    twice = Path(0, (0, 1, 2, 3))
+    assert twice in r.assignment.paths
+    bad = dataclasses.replace(r, assignment=dataclasses.replace(
+        r.assignment, paths=(twice,) + r.assignment.paths, flows=(5.0,) + r.assignment.flows))
+    for kind in ("ue", "so", "mc"):
+        with pytest.raises(BadParams, match=f"path {twice.key()} of trip 0 is listed twice"):
+            verify_certificate(braess_with.instance, bad, kind)
+
+
 def test_so_certificate_on_counterexample(counterexample_gs):
     r = solve_so(counterexample_gs.instance)
     cert = verify_certificate(counterexample_gs.instance, r)
@@ -701,9 +719,9 @@ def test_tables_built_once_per_network(monkeypatch):
     init = _EdgeCalculator.__init__
     level_forms = _EdgeCalculator._level_forms
 
-    def counting_init(calc, models):
-        built.append(len(models))
-        init(calc, models)
+    def counting_init(calc, edges):
+        built.append(len(edges))
+        init(calc, edges)
 
     def counting_forms(calc, level):
         forms.append(level.sum())
@@ -717,28 +735,25 @@ def test_tables_built_once_per_network(monkeypatch):
         assert built == [len(net.edge_pairs)]
         assert len(forms) == 2  # so's level and ue's
 
-    # mc reads the edge models once per network; a cut network gathers
-    # its costs and capacities from the template's
+    # mc reads the edges once per constructed network: the plain one and
+    # the template, whose calculator the cut network gathers from
     cs = materialize("counterexample", {"costing": "mc"}).candidate_set
     full = cs.subset_network(0b11)
     plain = Instance(Network(full.nodes, full.edges), cs.trips)
     cut = Instance(cs.subset_network(0b01), cs.trips)
-    read = []
-
-    def counting_is_constant(model):
-        read.append(model)
-        return is_constant(model)
-
-    monkeypatch.setattr(routing, "is_constant", counting_is_constant)
+    built.clear()
     for inst in (plain, plain, cut, cut):
         assert verify_certificate(inst, solve_mc(inst)).satisfied
-    assert len(read) == len(full.edge_pairs) + len(cs.template.network.edge_pairs)
+    assert built == [len(full.edge_pairs), len(cs.template.network.edge_pairs)]
     for inst in (plain, cut):
         caps = _PathSpace(inst, 10).capacities
         assert caps is _PathSpace(inst, 10).capacities and not caps.flags.writeable
         assert caps.tolist() == [e.capacity for e in inst.network.edges]
         costs = routing._constant_edge_costs(inst.network)
+        assert costs is routing._constant_edge_costs(inst.network)
+        assert not costs.flags.writeable
         assert costs.tolist() == [e.cost.c for e in inst.network.edges]
+    assert built == [len(full.edge_pairs), len(cs.template.network.edge_pairs)]
 
 
 def test_constant_cut_of_a_mixed_template_routes_mc():
@@ -756,7 +771,7 @@ def test_constant_cut_of_a_mixed_template_routes_mc():
 def test_cached_level_zero_forms_keep_the_integral_bits():
     models = [Marginalized(Greenshields(1.5, 1.0, 10.0)), Affine(2.0, 0.5),
               Marginalized(BPR(1.0, 5.0, 0.15, 4.0)), Constant(3.0)]
-    calc = _EdgeCalculator(models)
+    calc = calculator_of(models)
     x = np.array([4.0, 1.5, 2.5, 7.0])
     fresh = calc._evaluate(x, calc._level_forms(np.zeros(4)), False)[0]
     for _ in range(2):
@@ -1099,7 +1114,7 @@ def _edge_at_flow(draw, models=_cost_models):
 def test_edge_derivatives_match_scalar_closed_forms(edges):
     # ue differentiates the travel time, so the marginal cost; both against
     # the scalar forms of costs.py, bare and inside Marginalized
-    calc = _EdgeCalculator([m for m, _ in edges])
+    calc = calculator_of([m for m, _ in edges])
     x = np.array([v for _, v in edges])
     expected = {
         "ue": [(evaluate(m, v), derivative(m, v)) for m, v in edges],
@@ -1123,10 +1138,10 @@ def test_edge_derivatives_match_scalar_closed_forms(edges):
 def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
     # a template's tables gathered by edge id give the bits of a calculator
     # built from the chosen edges' models alone
-    template = _EdgeCalculator([m for m, _ in edges])
+    template = calculator_of([m for m, _ in edges])
     ids = [k for k, keep in enumerate(chosen[:len(edges)]) if keep] or [len(edges) - 1]
     gathered = template.gather(ids)
-    fresh = _EdgeCalculator([edges[k][0] for k in ids])
+    fresh = calculator_of([edges[k][0] for k in ids])
     x = np.array([edges[k][1] for k in ids])
     for kind in ("so", "ue"):
         for mine, theirs in zip(gathered.derivatives(x, kind), fresh.derivatives(x, kind)):
@@ -1135,6 +1150,7 @@ def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
     assert gathered.value(x).tobytes() == fresh.value(x).tobytes()
     assert gathered.integral(x).tobytes() == fresh.integral(x).tobytes()
     assert gathered.bound.tobytes() == fresh.bound.tobytes()
+    assert gathered.capacities.tobytes() == fresh.capacities.tobytes()
 
 
 @st.composite
@@ -1168,14 +1184,14 @@ def test_single_family_calculator_matches_the_general_path(edges_and_other, chos
     models = [m for m, _ in edges]
     n = len(models)
     x = np.array([v for _, v in edges])
-    sole = _EdgeCalculator(models)
+    sole = calculator_of(models)
     assert n in (sole.ic.size, sole.ia.size, sole.ig.size, sole.ib.size)
-    mixed = _EdgeCalculator(models + [other])
+    mixed = calculator_of(models + [other])
     for mine, general in zip(_calculator_outputs(sole, x),
                              _calculator_outputs(mixed, np.append(x, x_other))):
         assert mine.tobytes() == general[:n].tobytes()
     ids = [k for k, keep in enumerate(chosen[:n]) if keep] or [n - 1]
-    fresh = _calculator_outputs(_EdgeCalculator([models[k] for k in ids]), x[ids])
+    fresh = _calculator_outputs(calculator_of([models[k] for k in ids]), x[ids])
     for gathered in (sole.gather(ids), mixed.gather(ids)):
         for mine, theirs in zip(_calculator_outputs(gathered, x[ids]), fresh):
             assert mine.tobytes() == theirs.tobytes()
@@ -1531,6 +1547,12 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(path_limit=-5)
+    # both caps are counts: a fractional step cap is never met by the step
+    # count, so it would be no cap at all
+    for name in ("max_iterations", "path_limit"):
+        for value in (1.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
     # an infinite gap target stops every solve at its start point, and a
     # margin of 1 or more puts the step limit below the current flows
     for gap in (math.inf, math.nan):
