@@ -6,6 +6,15 @@ of candidate path additions, and checks monotonicity and supermodularity
 of those objectives with explicit witnesses.
 """
 
+import os
+
+# The Newton step's dense products add in an order that depends on the BLAS
+# thread count, and λ's last bits with them; one thread fixes that order.
+# BLAS reads these variables when numpy loads, so this runs before any
+# import of numpy, and a caller that imports numpy first sets them itself.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .costs import (
     Affine,
     BPR,

@@ -534,7 +534,8 @@ def validate_trip_path_graph(candidate: Network, trip: Trip, trip_index: int = 0
         # with properties 2-3 satisfied only path edges can remain, except
         # possibly anti-parallel duplicates, which property 2 already rules
         # out for length > 1.
-        extra = [e.pair for e in candidate.edges if e.pair not in set(path.edge_pairs)]
+        on_path = set(path.edge_pairs)
+        extra = [e.pair for e in candidate.edges if e.pair not in on_path]
         if extra and not violations:
             violations.append(Violation(2, f"edges {extra} are off the path"))
     if violations:

@@ -25,10 +25,12 @@ program over the generated paths is solved with the simplex, and each
 trip is priced on the edge costs plus the master's capacity prices. A
 priced path joins the master when it is cheaper than its trip's potential;
 when none is, the master's solution is optimal over all paths. Since
-the cheapest paths overload a capacity here, the loop first runs on the
-phase-1 master, whose artificial columns carry the demand no path takes
-(Farkas pricing; Lübbecke & Desrosiers, 2005); artificial flow that no
-path can replace means the instance is infeasible.
+the cheapest paths overload a capacity here, the first masters may not
+carry the demand. The simplex then returns the master marked infeasible
+with its phase-1 duals, a Farkas certificate, and the same loop prices
+each trip on the phase-1 capacity prices alone against its phase-1
+potential (Farkas pricing; Lübbecke & Desrosiers, 2005). An infeasible
+master that no new path improves means the instance is infeasible.
 
 The congestion-priced system-optimal (``so``) and user-equilibrium
 (``ue``) flows are computed by one path-based projected Newton method
@@ -1234,10 +1236,13 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
     Requires constant edge costs. When each trip's cheapest path fits the
     capacities, those paths are optimal: no master runs, the capacity
     prices are zero and ``iterations`` is 0. Otherwise path column
-    generation: the phase-1 master first finds columns that carry the
-    demand, then the restricted master linear program over the generated
-    paths is re-solved while pricing on the costs plus its capacity prices
-    finds a path cheaper than its trip's potential.
+    generation: the restricted master linear program over the generated
+    paths is re-solved while pricing finds a path cheaper than its trip's
+    potential. A feasible master prices on the costs plus its capacity
+    prices; one whose paths cannot carry the demand prices on its phase-1
+    capacity prices against its phase-1 potentials (Farkas pricing), and
+    is Infeasible when no new path prices in. ``iterations`` counts every
+    master's pivots, phase 1's included.
     """
     edge_costs = _constant_edge_costs(instance.network)
     space = _PathSpace(instance, cfg.path_limit)
@@ -1252,13 +1257,17 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
         return _mc_result(space, edge_costs, space.demands, float(path_costs @ space.demands),
                           path_costs, np.zeros(len(space.edge_pairs)), 0)
     cap_rows = np.flatnonzero(np.isfinite(space.capacities))
-    pivots = _phase_one(space, cap_rows)
+    pivots = 0
     while True:
         path_costs = space.path_costs(edge_costs)
         lp, prices = _restricted_master(space, cap_rows, path_costs)
         pivots += lp.iterations
-        if not _generate(space, edge_costs + prices, lp.duals_eq):
+        # an infeasible master prices on its phase-1 capacity prices alone
+        if not _generate(space, edge_costs + prices if lp.feasible else prices, lp.duals_eq):
             break
+    if not lp.feasible:
+        raise Infeasible(f"capacities cannot carry the demand "
+                         f"(phase-1 residual {lp.objective:.3e})")
     x = np.maximum(lp.x, 0.0)
     return _mc_result(space, edge_costs, x, float(path_costs @ x), lp.duals_eq, prices, pivots)
 
@@ -1279,39 +1288,19 @@ def _mc_result(space: _PathSpace, edge_costs: np.ndarray, x: np.ndarray, total: 
                    pivots, 0.0, certificate, duals)
 
 
-def _phase_one(space: _PathSpace, cap_rows: np.ndarray) -> int:
-    """Grow the space until its paths carry every trip's demand within the
-    capacities; returns the pivots spent. Infeasible when the phase-1
-    master keeps artificial flow and pricing finds no path to replace it."""
-    feasible = 1e-9 * (1.0 + float(np.sum(space.demands)))
-    pivots = 0
-    while True:
-        lp, prices = _restricted_master(space, cap_rows)
-        pivots += lp.iterations
-        if lp.objective <= feasible:
-            return pivots
-        if not _generate(space, prices, lp.duals_eq):
-            raise Infeasible(f"capacities cannot carry the demand "
-                             f"(phase-1 residual {lp.objective:.3e})")
+def _restricted_master(space: _PathSpace, cap_rows: np.ndarray, path_costs: np.ndarray):
+    """The path linear program over the space's paths at ``path_costs``,
+    with capacity rows for the edges ``cap_rows``, and its capacity prices
+    (the negated capacity duals, one per edge, zero on uncapacitated
+    edges).
 
-
-def _restricted_master(space: _PathSpace, cap_rows: np.ndarray,
-                       path_costs: Optional[np.ndarray] = None):
-    """The path linear program over the space's paths, with capacity rows
-    for the edges ``cap_rows``, and its capacity prices (the negated
-    capacity duals, one per edge, zero on uncapacitated edges).
-
-    Without ``path_costs`` it is the phase-1 master: paths cost nothing
-    and one artificial column per trip, at cost 1, carries the demand its
-    paths do not."""
+    When the paths cannot carry the demand within the capacities, the
+    simplex returns the master marked infeasible, and its duals and prices
+    are phase 1's: the Farkas certificate that prices the next paths."""
     n_trips, n_paths = len(space.demands), len(space.paths)
     a_eq = np.zeros((n_trips, n_paths))
     a_eq[space.trip_of, np.arange(n_paths)] = 1.0
     a_ub = space.incidence(range(n_paths)).T[cap_rows]
-    if path_costs is None:
-        path_costs = np.concatenate([np.zeros(n_paths), np.ones(n_trips)])
-        a_eq = np.hstack([a_eq, np.eye(n_trips)])
-        a_ub = np.hstack([a_ub, np.zeros((len(cap_rows), n_trips))])
     lp = solve_lp(path_costs, a_eq, space.demands, a_ub, space.capacities[cap_rows])
     prices = np.zeros(len(space.edge_pairs))
     prices[cap_rows] = np.maximum(0.0, -lp.duals_ub)

@@ -14,6 +14,16 @@ cycle. The ratio test therefore counts as tied every ratio within
 part of the termination guarantee. Pivots below ``PIVOT_TOL`` are treated
 as zero, and a solve that still exceeds ``PIVOTS_PER_ROW`` pivots per row
 raises NotConverged.
+
+Phase 1 minimises the sum of one artificial column per equality row. When
+it ends above ``1e-7 * (1 + sum |rhs|)`` the program is infeasible, and the
+solve returns a result with ``feasible`` false instead of raising: its
+``objective`` is that phase-1 residual and its duals are phase 1's, read
+off the tableau as phase 2's are. They are a Farkas certificate: with
+``y = (duals_eq, duals_ub)``, ``duals_ub <= 0`` and ``y . A_j <= 0`` for
+every column ``j`` (within ``PIVOT_TOL``), and ``y . b`` equals the
+residual, which is positive. A column-generation caller prices new
+columns on them (Farkas pricing).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import Infeasible, NotConverged, Unbounded
+from .errors import NotConverged, Unbounded
 
 PIVOT_TOL = 1e-9
 # A solve that pivots more than this many times per constraint row (plus
@@ -37,6 +47,7 @@ class LPResult:
     duals_eq: np.ndarray  # one per equality row, free sign
     duals_ub: np.ndarray  # one per inequality row, <= 0 at optimality
     iterations: int
+    feasible: bool  # false: phase 1 ended above its tolerance, see the module docstring
 
 
 def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
@@ -99,6 +110,20 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
                 raise NotConverged(iterations, math.inf)
 
     total_cols = n + n_slack + n_art
+
+    def result(cost_vec, residual=None):
+        """The result at the current basis, priced on ``cost_vec``: phase 2's,
+        or phase 1's with its ``residual`` when the program is infeasible."""
+        x_full = np.zeros(total_cols)
+        x_full[basis] = tableau[:, -1]
+        x = x_full[:n]
+        # y = c_B B^-1, read off the slack and artificial columns: their
+        # original columns are unit vectors, so the tableau holds B^-1 there
+        y = cost_vec[basis] @ tableau[:, n:total_cols]
+        return LPResult(x=x, objective=float(c @ x) if residual is None else residual,
+                        duals_eq=y[n_slack:], duals_ub=y[:n_slack], iterations=iterations,
+                        feasible=residual is None)
+
     if n_art:
         phase1_cost = np.zeros(total_cols + 1)
         phase1_cost[n + n_slack:total_cols] = 1.0
@@ -106,7 +131,7 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
         run_phase(phase1_cost, allowed)
         infeas = float(phase1_cost[basis] @ tableau[:, -1])
         if infeas > 1e-7 * (1.0 + float(np.abs(rhs).sum())):
-            raise Infeasible(f"phase-1 residual {infeas:.3e}")
+            return result(phase1_cost, infeas)
         # Drive surviving artificials out of the basis (degenerate rows).
         for i in range(m):
             if basis[i] >= n + n_slack:
@@ -124,15 +149,5 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     allowed = np.ones(total_cols, dtype=bool)
     allowed[n + n_slack:] = False
     run_phase(phase2_cost, allowed)
-
-    x_full = np.zeros(total_cols)
-    x_full[basis] = tableau[:, -1]
-    x = x_full[:n]
-
-    # y = c_B B^-1, read off the slack and artificial columns: their
-    # original columns are unit vectors, so the tableau holds B^-1 there
-    y = phase2_cost[basis] @ tableau[:, n:total_cols]
-    duals_ub, duals_eq = y[:n_slack], y[n_slack:]
-    return LPResult(x=x, objective=float(c @ x), duals_eq=duals_eq, duals_ub=duals_ub,
-                    iterations=iterations)
+    return result(phase2_cost)
 

@@ -336,6 +336,23 @@ def test_validators_stop_at_the_second_path():
     assert [v.message for v in result.violations] == ["expected exactly one path, found 0"]
 
 
+def test_path_graph_validation_reads_the_path_edges_once(monkeypatch):
+    # a chain of 200 edges: checking each edge against the path's edge set
+    # must not rebuild that set per edge, which made validation quadratic
+    reads = []
+    original = network.Path.edge_pairs
+
+    def counted(path):
+        reads.append(path)
+        return original.fget(path)
+
+    monkeypatch.setattr(network.Path, "edge_pairs", property(counted))
+    chain = net_of([(i, i + 1) for i in range(200)])
+    result = validate_trip_path_graph(chain, Trip(0, 200, 1.0))
+    assert isinstance(result, TripPathGraph)
+    assert len(reads) == 1
+
+
 @st.composite
 def _digraph_trip(draw):
     n = draw(st.integers(2, 8))

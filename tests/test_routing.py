@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -184,8 +187,9 @@ def test_mc_unreachable_is_infeasible():
 
 
 def test_mc_infeasible_after_phase_one(monkeypatch):
-    # the cheapest route overloads its capacity, so phase 1 runs; it brings
-    # in every route, and together they hold 4.5 of the demand of 5
+    # the cheapest route overloads its capacity, so the first master cannot
+    # carry the demand; Farkas pricing brings in every route, and together
+    # they hold 4.5 of the demand of 5
     instance = Instance(net_of([
         (0, 1, Constant(1.0), 2.0), (1, 3, Constant(1.0), 2.0),
         (0, 2, Constant(3.0), 2.0), (2, 3, Constant(3.0), 2.0),
@@ -194,15 +198,16 @@ def test_mc_infeasible_after_phase_one(monkeypatch):
     masters = []
     original = routing._restricted_master
 
-    def spy(space, cap_rows, path_costs=None):
-        masters.append((len(space.paths), path_costs is None))
-        return original(space, cap_rows, path_costs)
+    def spy(space, cap_rows, path_costs):
+        lp, prices = original(space, cap_rows, path_costs)
+        masters.append((len(space.paths), lp.feasible, lp.objective))
+        return lp, prices
 
     monkeypatch.setattr(routing, "_restricted_master", spy)
     with pytest.raises(Infeasible, match="cannot carry"):
         solve_mc(instance)
-    assert masters[0] == (1, True)
-    assert masters[-1] == (3, True)
+    assert [m[:2] for m in (masters[0], masters[-1])] == [(1, False), (3, False)]
+    assert masters[-1][2] == pytest.approx(0.5)  # the phase-1 residual
 
 
 def test_mc_grid_beyond_enumeration():
@@ -369,18 +374,21 @@ def test_mc_start_over_a_capacity_runs_phase_one(monkeypatch):
         (0, 1, Constant(1.0), 1.5), (1, 3, Constant(1.0), 1.5),
         (0, 2, Constant(3.0), 10.0), (2, 3, Constant(3.0), 10.0),
     ]), (Trip(0, 3, 2.0),))
-    phases = []
-    original = routing._phase_one
+    masters = []
+    original = routing._restricted_master
 
-    def spy(space, cap_rows):
-        pivots = original(space, cap_rows)
-        phases.append(pivots)
-        return pivots
+    def spy(space, cap_rows, path_costs):
+        lp, prices = original(space, cap_rows, path_costs)
+        masters.append(lp)
+        return lp, prices
 
-    monkeypatch.setattr(routing, "_phase_one", spy)
+    monkeypatch.setattr(routing, "_restricted_master", spy)
     r = solve_mc(instance)
-    assert len(phases) == 1 and phases[0] > 0
-    assert r.iterations >= phases[0] > 0
+    # the start alone cannot carry the demand: its phase 1 pivots and
+    # prices in the dear route, and the second master is feasible
+    assert [lp.feasible for lp in masters] == [False, True]
+    assert masters[0].iterations > 0
+    assert r.iterations == sum(lp.iterations for lp in masters)
     assert r.total_cost == pytest.approx(1.5 * 2 + 0.5 * 6)
     assert r.certificate.satisfied
 
@@ -1481,6 +1489,40 @@ def test_grids_beyond_enumeration(n):
         assert r.certificate.satisfied
         assert verify_certificate(instance, r).satisfied
         assert_assignment_feasible(instance, r)
+
+
+# Run in a fresh interpreter: imports netdesign before numpy, solves
+# bpr_grid(10, 10) at 10x demand under so and ue, and prints float.hex of
+# each λ and of its edge flows.
+_THREADED_SOLVE = """
+import netdesign
+from netdesign.network import Trip
+from netdesign.routing import Instance, solve_so, solve_ue
+from test_routing import bpr_grid
+grid = bpr_grid(10, 10)
+instance = Instance(grid.network, tuple(Trip(t.source, t.sink, 10 * t.demand) for t in grid.trips))
+for solver in (solve_so, solve_ue):
+    r = solver(instance)
+    print(r.total_cost.hex(), *(f.hex() for _, f in r.assignment.edge_flows))
+"""
+
+
+def test_lambda_does_not_depend_on_blas_threads():
+    # the package pins BLAS to one thread unless the caller set a count, so
+    # leaving the variables unset gives the bits of one thread
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(routing.__file__)))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas}
+    base["PYTHONPATH"] = os.pathsep.join([src, here])
+    outputs = []
+    for pinned in (True, False):
+        env = dict(base, **{k: "1" for k in blas}) if pinned else base
+        done = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env, cwd=here,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_wardrop_against_every_simple_path():

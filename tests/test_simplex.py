@@ -5,7 +5,7 @@ import pytest
 
 from netdesign import simplex
 from netdesign.costs import Constant
-from netdesign.errors import Infeasible, Unbounded
+from netdesign.errors import Unbounded
 from netdesign.network import Edge, Network, Trip, enumerate_trip_paths
 from netdesign.routing import Instance, solve_mc
 from netdesign.simplex import solve_lp
@@ -38,8 +38,48 @@ def test_degenerate_ties_terminate():
 
 
 def test_infeasible_capacity():
-    with pytest.raises(Infeasible):
-        solve_lp([1.0], [[1.0]], [2.0], [[1.0]], [1.0])
+    # demand 2 through a column capped at 1: phase 1 keeps 1 unit artificial
+    res = solve_lp([1.0], [[1.0]], [2.0], [[1.0]], [1.0])
+    assert not res.feasible
+    assert res.objective == pytest.approx(1.0)
+    assert_farkas(res, [[1.0]], [2.0], [[1.0]], [1.0])
+
+
+def assert_farkas(res, a_eq, b_eq, a_ub, b_ub):
+    """The infeasible result's duals y prove that no x >= 0 meets the
+    rows: y <= 0 on the inequality rows, y . A_j <= 0 for every column and
+    y . b, which equals the phase-1 residual, > 0."""
+    a = np.vstack([np.asarray(a_eq, dtype=float), np.asarray(a_ub, dtype=float)])
+    b = np.concatenate([b_eq, b_ub])
+    y = np.concatenate([res.duals_eq, res.duals_ub])
+    assert np.all(res.duals_ub <= simplex.PIVOT_TOL)
+    assert np.all(y @ a <= 1e-9 * (1.0 + np.abs(y) @ np.abs(a)))
+    assert y @ b == pytest.approx(res.objective, rel=1e-9, abs=1e-12)
+    assert res.objective > 0.0
+
+
+def test_infeasible_duals_are_a_farkas_certificate():
+    # random programs whose inequality rows cut below a point of the
+    # equality rows; dense ones and 0/1 path-like ones, which are degenerate
+    rng = np.random.default_rng(3)
+    met = 0
+    for trial in range(240):
+        n, m_eq, m_ub = rng.integers(2, 8), rng.integers(1, 4), rng.integers(1, 5)
+        if trial % 2:
+            a_eq = rng.uniform(0.2, 1.0, size=(m_eq, n))
+            a_ub = rng.uniform(0.0, 1.0, size=(m_ub, n))
+        else:
+            a_eq = (rng.uniform(size=(m_eq, n)) < 0.5).astype(float)
+            a_eq[rng.integers(m_eq), :] = 1.0  # no all-zero column
+            a_ub = (rng.uniform(size=(m_ub, n)) < 0.6).astype(float)
+        b_eq = a_eq @ rng.uniform(0.5, 1.5, size=n)
+        b_ub = np.maximum(a_ub @ rng.uniform(0.0, 1.0, size=n) - rng.uniform(0.0, 1.0, size=m_ub),
+                          0.0)
+        res = solve_lp(rng.uniform(0.5, 2.0, size=n), a_eq, b_eq, a_ub, b_ub)
+        if not res.feasible:
+            met += 1
+            assert_farkas(res, a_eq, b_eq, a_ub, b_ub)
+    assert met >= 150
 
 
 def test_unbounded_detected():
