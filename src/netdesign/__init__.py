@@ -12,6 +12,8 @@ import os
 # thread count, and λ's last bits with them; one thread fixes that order.
 # BLAS reads these variables when numpy loads, so this runs before any
 # import of numpy, and a caller that imports numpy first sets them itself.
+# The setting is process-wide: later OpenMP and MKL users and every child
+# process inherit it.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

@@ -16,14 +16,15 @@ as zero, and a solve that still exceeds ``PIVOTS_PER_ROW`` pivots per row
 raises NotConverged.
 
 Phase 1 minimises the sum of one artificial column per equality row. When
-it ends above ``1e-7 * (1 + sum |rhs|)`` the program is infeasible, and the
-solve returns a result with ``feasible`` false instead of raising: its
-``objective`` is that phase-1 residual and its duals are phase 1's, read
-off the tableau as phase 2's are. They are a Farkas certificate: with
-``y = (duals_eq, duals_ub)``, ``duals_ub <= 0`` and ``y . A_j <= 0`` for
-every column ``j`` (within ``PIVOT_TOL``), and ``y . b`` equals the
-residual, which is positive. A column-generation caller prices new
-columns on them (Farkas pricing).
+it ends above ``PIVOT_TOL * (1 + sum b_eq)``, scaled by the rows that
+carry the artificials and not by the inequality rows, the program is
+infeasible, and the solve returns a result with ``feasible`` false instead
+of raising: its ``x`` is empty, its ``objective`` is that phase-1 residual
+and its duals are phase 1's, read off the tableau as phase 2's are. They
+are a Farkas certificate: with ``y = (duals_eq, duals_ub)``,
+``duals_ub <= 0`` and ``y . A_j <= 0`` for every column ``j`` (within
+``PIVOT_TOL``), and ``y . b`` equals the residual, which is positive. A
+column-generation caller prices new columns on them (Farkas pricing).
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ class LPResult:
     duals_eq: np.ndarray  # one per equality row, free sign
     duals_ub: np.ndarray  # one per inequality row, <= 0 at optimality
     iterations: int
-    feasible: bool  # false: phase 1 ended above its tolerance, see the module docstring
+    # False when phase 1 ended above its tolerance (see the module
+    # docstring): x is then empty and objective is the phase-1 residual,
+    # so every caller checks this before it reads a solution.
+    feasible: bool
 
 
 def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
@@ -116,7 +120,7 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
         or phase 1's with its ``residual`` when the program is infeasible."""
         x_full = np.zeros(total_cols)
         x_full[basis] = tableau[:, -1]
-        x = x_full[:n]
+        x = x_full[:n] if residual is None else np.zeros(0)  # no phase-1 point to misread
         # y = c_B B^-1, read off the slack and artificial columns: their
         # original columns are unit vectors, so the tableau holds B^-1 there
         y = cost_vec[basis] @ tableau[:, n:total_cols]
@@ -130,7 +134,7 @@ def solve_lp(costs, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
         allowed = np.ones(total_cols, dtype=bool)
         run_phase(phase1_cost, allowed)
         infeas = float(phase1_cost[basis] @ tableau[:, -1])
-        if infeas > 1e-7 * (1.0 + float(np.abs(rhs).sum())):
+        if infeas > PIVOT_TOL * (1.0 + float(b_eq.sum())):
             return result(phase1_cost, infeas)
         # Drive surviving artificials out of the basis (degenerate rows).
         for i in range(m):

@@ -210,6 +210,26 @@ def test_mc_infeasible_after_phase_one(monkeypatch):
     assert masters[-1][2] == pytest.approx(0.5)  # the phase-1 residual
 
 
+def test_mc_near_infeasible_on_a_large_network_is_infeasible():
+    # the one route holds 1 of a demand 1 + 1e-5, while edges off the route
+    # carry a total capacity of 1e5: the phase-1 residual of 1e-5 must count
+    # against the demand, not against all the capacities
+    instance = Instance(net_of([
+        (0, 1, C1, 1.0), (1, 2, C1, 5e4), (2, 3, C1, 5e4),
+    ]), (Trip(0, 1, 1.0 + 1e-5),))
+    with pytest.raises(Infeasible, match="cannot carry"):
+        solve_mc(instance)
+    # with a dear route beside it, pricing must bring that route in for the
+    # 1e-5 the cheap one cannot hold, and no capacity is overloaded
+    instance = Instance(net_of([
+        (0, 1, C1, 1.0), (0, 2, Constant(3.0), 5e4), (2, 1, Constant(3.0), 5e4),
+    ]), (Trip(0, 1, 1.0 + 1e-5),))
+    r = solve_mc(instance)
+    assert r.total_cost == pytest.approx(1.0 + 6e-5, rel=1e-12)
+    assert r.certificate.satisfied
+    assert_assignment_feasible(instance, r, check_capacity=True)
+
+
 def test_mc_grid_beyond_enumeration():
     pytest.importorskip("scipy")
     instance = corner_grid(6, 0, lambda rng: (Constant(round(rng.uniform(1.0, 9.0), 3)),

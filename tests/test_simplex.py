@@ -41,6 +41,7 @@ def test_infeasible_capacity():
     # demand 2 through a column capped at 1: phase 1 keeps 1 unit artificial
     res = solve_lp([1.0], [[1.0]], [2.0], [[1.0]], [1.0])
     assert not res.feasible
+    assert res.x.size == 0  # no solution to read by mistake
     assert res.objective == pytest.approx(1.0)
     assert_farkas(res, [[1.0]], [2.0], [[1.0]], [1.0])
 
