@@ -228,7 +228,11 @@ def max_flow_bound(model: CostModel) -> float:
     return math.inf
 
 
-_JSON_FIELDS = {
+# The cost families in a fixed order: each one's name, class and parameter
+# names. The JSON forms use the names and parameters; routing's edge
+# calculator numbers the families in this order and keeps each one's
+# parameters in this order.
+FAMILIES = {
     "constant": (Constant, ("c",)),
     "affine": (Affine, ("a", "b")),
     "greenshields": (Greenshields, ("l", "v_max", "u")),
@@ -237,7 +241,7 @@ _JSON_FIELDS = {
 
 
 def cost_to_json(model: CostModel) -> dict:
-    for kind, (cls, fields) in _JSON_FIELDS.items():
+    for kind, (cls, fields) in FAMILIES.items():
         if type(model) is cls:
             out = {"kind": kind}
             for f in fields:
@@ -262,9 +266,9 @@ def cost_from_json(obj) -> CostModel:
     if not isinstance(obj, dict):
         raise FormatError(f"cost must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _JSON_FIELDS:
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise FormatError(f"unknown cost kind {kind!r}")
-    cls, fields = _JSON_FIELDS[kind]
+    cls, fields = FAMILIES[kind]
     extra = set(obj) - {"kind", *fields}
     if extra:
         raise FormatError(f"unknown keys {sorted(extra)} in {kind} cost")

@@ -9,12 +9,14 @@ acyclic network the labels come from one sweep in reverse topological
 order, which the network computes once and keeps (Ahuja, Magnanti &
 Orlin, 1993, section 4.4); on a network with a cycle, from Dijkstra. The
 sweep makes the additions and comparisons Dijkstra makes, so both give
-the same labels bit for bit, and one walk over the edges that the labels
-make tight picks the lexicographically smallest shortest path. The walk
-backs up out of dead ends at most as many times as the network has
-nodes; past that it restarts as a guarded walk, which checks before each
-step that the sink is still reachable and so never backs up, and returns
-the same path in time polynomial in the network.
+the same labels bit for bit, and one forward walk over the edges that
+the labels make tight picks the lexicographically smallest shortest path:
+from each node, the lowest-id tight edge to a node off its path. Only a
+tight cycle of zero-cost edges can leave it at a node whose every tight
+edge leads back onto its path; from such a dead end the search restarts
+as a guarded walk, which checks before each step that the sink is still
+reachable off the path, and returns the same path in time polynomial in
+the network.
 
 The capacitated constant-cost program (``mc``) starts from each trip's
 cheapest path. When those paths fit the capacities they are optimal, as
@@ -94,10 +96,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .costs import (
-    Affine,
-    BPR,
-    Constant,
-    Greenshields,
+    FAMILIES,
     Marginalized,
     evaluate,
     marginal_model,
@@ -375,6 +374,10 @@ _GREENSHIELDS_LEVELS = np.array([[1.0, 0.0, 1.0, 0.0],
                                  [2.0, 1.0, 6.0, 2.0]])
 
 
+# Each cost class's family code and parameter names, from the families'
+# order in ``costs``; _EdgeCalculator keeps the parameters in that order.
+_FAMILY_OF = {cls: (code, fields) for code, (cls, fields) in enumerate(FAMILIES.values())}
+
 # Per family, in the order of _EdgeCalculator.family's codes: the
 # _EdgeCalculator attribute holding the family's edge ids, and those
 # holding its per-edge tables.
@@ -418,7 +421,7 @@ class _EdgeCalculator:
         self.n = n
         kind = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
         marg = np.zeros(n, dtype=bool)
-        p1, p2, p3, p4 = (np.zeros(n) for _ in range(4))
+        params = [np.zeros(n) for _ in range(4)]  # p1..p4: each edge's parameters in table order
         self.bound = np.full(n, math.inf)
         self.capacities = np.array([e.capacity for e in edges])
         for k, edge in enumerate(edges):
@@ -426,27 +429,14 @@ class _EdgeCalculator:
             if isinstance(model, Marginalized):
                 marg[k] = True
                 base = model.base
-            self.bound[k] = max_flow_bound(base)
-            if isinstance(base, Constant):
-                kind[k] = 0
-                p1[k] = base.c
-            elif isinstance(base, Affine):
-                kind[k] = 1
-                p1[k] = base.a
-                p2[k] = base.b
-            elif isinstance(base, Greenshields):
-                kind[k] = 2
-                p1[k] = base.l
-                p2[k] = base.v_max
-                p3[k] = base.u
-            elif isinstance(base, BPR):
-                kind[k] = 3
-                p1[k] = base.c0
-                p2[k] = base.u
-                p3[k] = base.alpha
-                p4[k] = base.beta
-            else:
+            family = _FAMILY_OF.get(type(base))
+            if family is None:
                 raise TypeError(f"unsupported cost model {model!r}")
+            kind[k], fields = family
+            for row, name in zip(params, fields):
+                row[k] = getattr(base, name)
+            self.bound[k] = max_flow_bound(base)
+        p1, p2, p3, p4 = params
         self.ue_level = marg * 1.0
         self.im = np.flatnonzero(marg)
         self.ic = np.flatnonzero(kind == 0)
@@ -663,63 +653,46 @@ def _cheapest_path(net: Network, costs: Sequence[float], source: int, sink: int)
     None; ``costs`` is indexed by edge id.
 
     ``_distances_to`` gives each node its distance to the sink; an edge is
-    tight when it lies on a shortest path. A
-    depth-first walk over tight edges, lowest node id first and never back
-    onto its own prefix, returns the first path that reaches the sink: the
-    smallest one among ties. With positive costs the tight edges form a
-    DAG and the walk never backs up; zero-cost edges can close tight
-    cycles, which the walk steps around. Backing up out of a dead-end
-    region can take time exponential in its size, so once the walk has
-    backed up more times than the network has nodes, ``_guarded_walk``
-    returns the same path instead. An edge of infinite cost is closed.
+    tight when it lies on a shortest path, within ``_tie_tolerance``. One
+    forward pass takes from each node the lowest-id tight edge to a node
+    off its own path; its path to the sink is the smallest among ties. A
+    node with a finite label has an exactly tight edge out, the one its
+    label was set from, so the pass dead-ends only where every tight edge
+    leads back onto its path, which takes a tight cycle of zero-cost
+    edges. There ``_guarded_walk`` returns the smallest path instead. An
+    edge of infinite cost is closed.
     """
-    inf = math.inf
     dist = _distances_to(net, costs, sink)
-    total = dist[source]
-    if total == inf:
+    if dist[source] == math.inf:
         return None
-    tol = 1e-12 * (1.0 + abs(total))
+    tol = _tie_tolerance(dist, source)
     out_adj = net.out_adjacency
     nodes = [source]
     ids = []
     on_path = {source}
-    branches = [iter(out_adj[source])]
-    backups = 0
-    while branches:
+    while nodes[-1] != sink:
         here = dist[nodes[-1]]
-        for nxt, e in branches[-1]:  # ascending positions: first hit is smallest id
-            if nxt in on_path or dist[nxt] == inf:
-                continue
-            if abs(costs[e] + dist[nxt] - here) <= tol:
+        for nxt, e in out_adj[nodes[-1]]:  # ascending positions: first hit is smallest id
+            if nxt not in on_path and abs(costs[e] + dist[nxt] - here) <= tol:
                 break
         else:
-            backups += 1
-            if backups > len(dist):
-                return _guarded_walk(net, costs, dist, source, sink)
-            branches.pop()
-            on_path.discard(nodes.pop())
-            if ids:
-                ids.pop()
-            continue
+            return _guarded_walk(net, costs, dist, source, sink)
         nodes.append(nxt)
         ids.append(e)
-        if nxt == sink:
-            order = net.node_order
-            return tuple(order[p] for p in nodes), ids
         on_path.add(nxt)
-        branches.append(iter(out_adj[nxt]))
-    return None
+    order = net.node_order
+    return tuple(order[p] for p in nodes), ids
 
 
 def _guarded_walk(net: Network, costs: Sequence[float], dist: Sequence[float],
                   source: int, sink: int):
     """``_cheapest_path``'s path, found under the labels ``dist`` without
-    backing up: from each node the walk takes the lowest-id tight edge to
-    a node off its path from which the sink is reachable by tight edges
-    that avoid the path, found by one reverse search per step. A node that
-    cannot reach the sink has an infinite label and no tight edge out, so
-    it never enters that set."""
-    tol = 1e-12 * (1.0 + abs(dist[source]))
+    dead ends: from each node the walk takes the lowest-id tight edge to a
+    node off its path from which the sink is reachable by tight edges that
+    avoid the path, found by one reverse search per step, in time
+    polynomial in the network. A node that cannot reach the sink has an
+    infinite label and no tight edge out, so it never enters that set."""
+    tol = _tie_tolerance(dist, source)
     out_adj = net.out_adjacency
     in_adj = net.in_adjacency
     nodes = [source]
@@ -746,6 +719,12 @@ def _guarded_walk(net: Network, costs: Sequence[float], dist: Sequence[float],
         on_path.add(nxt)
     order = net.node_order
     return tuple(order[p] for p in nodes), ids
+
+
+def _tie_tolerance(dist: Sequence[float], source: int) -> float:
+    """How far an edge's cost plus its head's label may miss its tail's
+    label, on a walk from ``source``, for the edge to count as tight."""
+    return 1e-12 * (1.0 + abs(dist[source]))
 
 
 def _distances_to(net: Network, costs: Sequence[float], root: int):
@@ -1067,8 +1046,8 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     objective never rises. Paths whose flow reaches zero are dropped. A
     step that cannot descend while the gap is open ends the solve with
     NotConverged, and so does an objective or gap that overflows to inf or
-    NaN. Returns the final path and edge flows with the edge gradient
-    priced last.
+    NaN. Returns the result at the flows where the gap closed, certified on
+    the edge gradient priced last.
     """
     calc = _calculator(instance.network)
     space, x = _initial_point(instance, cfg.path_limit, calc, kind)
@@ -1092,7 +1071,13 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
             raise NotConverged(iterations, rel_gap)
         rel_gap = max(0.0, rel_gap)
         if rel_gap <= cfg.relative_gap_tol:
-            return space, calc, x, xe, grad_e, kind, iterations, rel_gap
+            certificate = _certificate(space, x, grad_e, kind)
+            # The certificate priced every trip (on travel times for ue), so
+            # the set holds each trip's shortest path and the ue minimum in
+            # the result is over all simple paths.
+            times = grad_e if kind == UE else calc.value(xe)
+            return _result(kind, space, x, space.path_costs(times), float((xe * times).sum()),
+                           iterations, rel_gap, certificate)
         if iterations == cfg.max_iterations:
             raise NotConverged(iterations, rel_gap)
         iterations += 1
@@ -1124,20 +1109,6 @@ def _take_step(space, calc, x, flat, x_sub, dx, t, kind):
     x[flat] = moved
     xe = space.edge_flows(x)
     return x, xe, _objective(calc, xe, kind)
-
-
-def _finish_flow_result(space: _PathSpace, calc: _EdgeCalculator, x: np.ndarray,
-                        xe: np.ndarray, edge_values: np.ndarray, kind: str,
-                        iterations: int, rel_gap: float) -> SolveResult:
-    """The result of a solve that stopped at path flows ``x``, edge flows
-    ``xe`` and edge gradient ``edge_values``."""
-    certificate = _certificate(space, x, edge_values, kind)
-    # The certificate priced every trip (on travel times for ue), so the set
-    # holds each trip's shortest path and the ue minimum below is over all
-    # simple paths.
-    times = edge_values if kind == UE else calc.value(xe)
-    return _result(kind, space, x, space.path_costs(times), float((xe * times).sum()),
-                   iterations, rel_gap, certificate)
 
 
 def _result(kind: str, space: _PathSpace, x: np.ndarray, path_costs: np.ndarray,
@@ -1218,12 +1189,12 @@ def _certificate(space: _PathSpace, x: np.ndarray, edge_values: np.ndarray, kind
 
 def solve_so(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Minimise total system travel time sum(x_e * c_e(x_e))."""
-    return _finish_flow_result(*_solve_flows(instance, cfg, SO))
+    return _solve_flows(instance, cfg, SO)
 
 
 def solve_ue(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Equilibrium flows: minimise the summed edge cost integrals."""
-    return _finish_flow_result(*_solve_flows(instance, cfg, UE))
+    return _solve_flows(instance, cfg, UE)
 
 
 # ---------------------------------------------------------------------------

@@ -290,12 +290,15 @@ def dense_newton_step(space, x, xe, g, curv_e, best, margin, bounded):
         support[flat[blocked]] = False
     dx, de = step
     t = 1.0
-    neg = dx < 0.0
-    if neg.any():
-        t = min(t, float(np.min(x[flat][neg] / -dx[neg])))
-    up = (de > 0.0) & bounded
-    if up.any():
-        t = min(t, float(np.min((margin[up] - xe[up]) / de[up])))
+    # a ratio over a tiny flow change overflows to +inf, which cannot limit
+    # the step, so the overflow is no fault
+    with np.errstate(over="ignore"):
+        neg = dx < 0.0
+        if neg.any():
+            t = min(t, float(np.min(x[flat][neg] / -dx[neg])))
+        up = (de > 0.0) & bounded
+        if up.any():
+            t = min(t, float(np.min((margin[up] - xe[up]) / de[up])))
     if t <= 0.0:
         return None
     return flat, dx, de, t

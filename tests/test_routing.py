@@ -497,7 +497,8 @@ def _fixed_case(costs, source, sink, acyclic):
 # 0.1 + 0.2 misses 0.3 in the last bit: the walk takes 0-7-1000 only
 # because it compares within a tolerance
 @example(_fixed_case({(0, 7): 0.1, (7, 1000): 0.2, (0, 1000): 0.3}, 0, 1000, True))
-# the free cycle 0-7-0 is tight, so the walk enters 7 and backs up
+# the free cycle 0-7-0 is tight, so the walk enters 7, dead-ends there
+# and hands over to the guarded walk
 @example(_fixed_case({(0, 7): 0.0, (7, 0): 0.0, (0, 1000): 1.0}, 0, 1000, False))
 # acyclic, with the sink's out-edge to a node that cannot reach it, a
 # node no path reaches the sink from, and a closed edge
@@ -528,7 +529,7 @@ def test_id_search_matches_dict_search(case):
     assert reached == {v: d.hex() for v, d in expected_dist.items()}
 
 
-def test_shortest_path_steps_around_zero_cost_cycles():
+def test_shortest_path_steps_around_zero_cost_cycles(monkeypatch):
     # 0 <-> 1 cost nothing at zero flow, so the tie walk could circle them
     free = Affine(0.0, 1.0)
     paid = Affine(1.0, 1.0)
@@ -537,11 +538,17 @@ def test_shortest_path_steps_around_zero_cost_cycles():
     # edge ids: (0, 1), (0, 2), (1, 0), (1, 2)
     assert routing._reverse_topological_order(net) is None  # so pricing runs Dijkstra
     assert routing._cheapest_path(net, [0.0, 1.0, 0.0, 1.0], 0, 2) == ((0, 1, 2), [0, 3])
-    # from 1 the only tight way on leads back to 0: the walk backs up
+    # from 1 the only tight way on leads back to 0: the walk dead-ends and
+    # hands the search to the guarded walk, once, instead of backing up
     dead_end = net_of([(0, 1, free, math.inf), (1, 0, free, math.inf),
                        (0, 2, paid, math.inf)])
     # edge ids: (0, 1), (0, 2), (1, 0)
+    guarded = []
+    walk = routing._guarded_walk
+    monkeypatch.setattr(routing, "_guarded_walk",
+                        lambda *args: guarded.append(args) or walk(*args))
     assert routing._cheapest_path(dead_end, [0.0, 1.0, 0.0], 0, 2) == ((0, 2), [1])
+    assert len(guarded) == 1
     instance = Instance(net, (Trip(0, 2, 1.0),))
     costs = {(0, 1): 0.0, (1, 0): 0.0, (0, 2): 1.0, (1, 2): 1.0}
     assert priced_paths(instance, costs) == [Path(0, (0, 1, 2))]
@@ -554,7 +561,8 @@ def test_shortest_path_steps_around_zero_cost_cycles():
 @st.composite
 def _tight_network(draw):
     """Up to 9 nodes with mostly free edges, so the tight edges hold
-    cycles and dead ends that the backing-up walk has to leave."""
+    cycles and dead ends, where the forward walk hands over to the guarded
+    walk."""
     n = draw(st.integers(2, 9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda p: p[0] != p[1]), unique=True, max_size=30))
@@ -567,8 +575,8 @@ def _tight_network(draw):
 @settings(max_examples=300, deadline=None)
 @given(_tight_network())
 def test_tie_walks_match_backing_up_walk(case):
-    # the walk that falls back after its back-up budget, and the guarded
-    # walk on its own, against brute_force's unbounded backing-up walk
+    # the forward walk with its guarded fallback, and the guarded walk on
+    # its own, against brute_force's unbounded backing-up walk
     net, costs, source, sink = case
     expected, _ = dict_shortest_path(net, costs, source, sink)
     by_id = [costs[pair] for pair in net.edge_pairs]
@@ -580,9 +588,10 @@ def test_tie_walks_match_backing_up_walk(case):
         assert routing._guarded_walk(net, by_id, dist, s, t) == found
 
 
-def test_tie_walk_stops_backing_up_out_of_a_dead_end(monkeypatch):
+def test_tie_walk_hands_a_dead_end_region_to_the_guarded_walk(monkeypatch):
     # at zero flow every edge is free and tight; from node 1 the walk
-    # enters the grid (10 < 999), whose simple paths all end back at 1
+    # enters the grid (10 < 999), whose simple paths all end back at 1, and
+    # the guarded walk, called once, steps past it without backing up
     from netdesign.network import build_grid_template
 
     grid = [(i + 10, j + 10) for i, j in build_grid_template(4, 4, C1).network.edge_pairs]
@@ -1179,6 +1188,17 @@ def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
     assert gathered.integral(x).tobytes() == fresh.integral(x).tobytes()
     assert gathered.bound.tobytes() == fresh.bound.tobytes()
     assert gathered.capacities.tobytes() == fresh.capacities.tobytes()
+
+
+def test_calculator_rejects_an_unsupported_cost_model():
+    # a model outside the four families, bare or as the base of a
+    # Marginalized, and a Marginalized inside another
+    class Toll:
+        pass
+
+    for model in (Toll(), Marginalized(Toll()), Marginalized(Marginalized(Constant(1.0)))):
+        with pytest.raises(TypeError, match="unsupported cost model"):
+            calculator_of([Constant(1.0), model])
 
 
 @st.composite
