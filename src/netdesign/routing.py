@@ -50,17 +50,20 @@ Newton step on the used paths' KKT system equalises their gradients. The
 step is taken whole when it lowers the objective and is cut back to the
 line minimum otherwise, found by a safeguarded Newton iteration on the
 directional derivative. Both Newton iterations take the objective's edge
-gradient and curvature from one closed-form pass per cost family, on the
-whole edge arrays when one family covers every edge.
+gradient and curvature from one closed-form pass per cost family, each on
+the whole edge arrays; on a network of several families each edge's
+values are picked from its own family's pass.
 
-What routing derives from a network's edges is one edge calculator: the
-closed forms' per-edge tables and level forms, the flow bounds, the
-capacities and, when every edge cost is a bare constant, the mc edge
-costs. It is built on first use and kept with the network
+What routing derives from a network's edges is one edge calculator: one
+edge table whose rows are every family's parameters (each edge holds
+neutral values in the other families' rows), the level forms, the flow
+bounds, the capacities and, when every edge cost is a bare constant, the
+mc edge costs. It is built on first use and kept with the network
 (``Network.derived``), so solving and certifying one network again
 rebuilds none of it. A network cut from a template (``Network.restrict``)
 gathers its calculator by edge id from the template's, which is built
-once.
+once: the table's columns in one gather, and the level forms the same
+way when first needed.
 
 A path is kept as the list of its edge ids, as the search returns it, and
 only the path space reads the lists. A path's cost sums the edge values
@@ -375,33 +378,49 @@ _GREENSHIELDS_LEVELS = np.array([[1.0, 0.0, 1.0, 0.0],
 
 
 # Each cost class's family code and parameter names, from the families'
-# order in ``costs``; _EdgeCalculator keeps the parameters in that order.
+# order in ``costs``; _EdgeCalculator reads the parameters in that order.
 _FAMILY_OF = {cls: (code, fields) for code, (cls, fields) in enumerate(FAMILIES.values())}
 
-# Per family, in the order of _EdgeCalculator.family's codes: the
-# _EdgeCalculator attribute holding the family's edge ids, and those
-# holding its per-edge tables.
-_FAMILY_TABLES = (
-    ("ic", ("c_c",)),
-    ("ia", ("a_a", "a_b")),
-    ("ig", ("g_u", "g_s", "g_int")),
-    ("ib", ("b_c0", "b_u", "b_alpha", "b_beta", "b_pow", "b_int")),
-)
+# The rows of _EdgeCalculator.table, family by family in the order of the
+# family codes, and the neutral value each row holds on the edges of the
+# other families. Under the neutral values every family's closed forms
+# give 0 at any flow below 1e154 (an integral squares the flow), with no
+# division by zero or NaN.
+_ROWS = (slice(0, 1), slice(1, 3), slice(3, 6), slice(6, 12))
+_NEUTRAL = np.array([
+    0.0,                           # constant: c
+    0.0, 0.0,                      # affine: a, b
+    math.inf, 0.0, 0.0,            # greenshields: u, l/v_max, integral coefficient
+    0.0, 1.0, 0.0, 1.0, 0.0, 2.0,  # bpr: c0, u, alpha, beta, beta-1, integral coefficient
+])
+
+
+def _own_rows(code: int, p1, p2, p3, p4):
+    """The table rows of family ``code`` on its own edges, from their
+    parameters p1..p4 (in ``costs.FAMILIES`` order)."""
+    if code == 0:
+        return (p1,)
+    if code == 1:
+        return p1, p2
+    if code == 2:  # l, v_max, u
+        return p3, p1 / p2, -(p1 * p3 / p2)
+    return p1, p2, p3, p4, p4 - 1.0, (p4 + 1.0) * p2 ** p4  # c0, u, alpha, beta
 
 
 class _EdgeCalculator:
     """Vectorised closed forms over all edges, and every table routing
     reads from a network's edges.
 
-    Edges are grouped by model family once, into index arrays with the
-    family's parameters gathered along them; per-call work is a handful of
-    numpy expressions on those groups. Each edge's capacity sits beside its
-    flow bound, and when every edge cost is a bare constant the constant
-    family's table ``c_c`` holds the mc edge costs. When one family covers
-    every edge, as on a network of Greenshields or of BPR edges alone, the
-    expressions run on the whole arrays, with no gather of the flows and
-    no scatter of the results; the same ufuncs on the same values give the
-    same bits.
+    ``table`` is one edge table: its rows (``_ROWS``) are each family's
+    parameters and derived coefficients. Each edge holds its own family's
+    values, and in the other families' rows the neutral values of
+    ``_NEUTRAL``. Every closed form runs on the whole edge arrays, once per
+    family in ``families``. On a network of one family that is the result.
+    On a network of several, each edge's value is picked from its own
+    family's result by index assignment, which keeps every bit, -0.0
+    included. Each edge's capacity sits beside its flow bound, and when
+    every edge cost is a bare constant the constant family's row holds the
+    mc edge costs (``costs``).
 
     The so and ue edge gradients are one operation at different depths:
     the level-n gradient is the travel time c with f -> (x*f)' applied n
@@ -411,17 +430,20 @@ class _EdgeCalculator:
     curvature, shares that form's powers, so ``derivatives`` returns both
     in one pass per family.
 
-    ``gather`` makes the calculator of some of the edges from this one's
-    tables. Every table and level form is elementwise in the edges, so a
-    gathered calculator matches one built from those edges bit for bit.
+    ``gather`` makes the calculator of some of the edges: their table
+    columns in one gather and, when first needed, their level forms
+    gathered from this one's. It keeps this one's ``families``: a family
+    with no edge among them runs on neutral values and is picked nowhere,
+    which costs time only on cuts of a network of several families. Every
+    table and level form is elementwise in the edges, so a gathered
+    calculator matches one built from those edges bit for bit.
     """
 
     def __init__(self, edges: Sequence[Edge]):
         n = len(edges)
-        self.n = n
-        kind = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
+        family = np.zeros(n, dtype=np.int8)  # 0 const, 1 affine, 2 greenshields, 3 bpr
         marg = np.zeros(n, dtype=bool)
-        params = [np.zeros(n) for _ in range(4)]  # p1..p4: each edge's parameters in table order
+        params = np.zeros((4, n))  # p1..p4: each edge's parameters in table order
         self.bound = np.full(n, math.inf)
         self.capacities = np.array([e.capacity for e in edges])
         for k, edge in enumerate(edges):
@@ -429,102 +451,103 @@ class _EdgeCalculator:
             if isinstance(model, Marginalized):
                 marg[k] = True
                 base = model.base
-            family = _FAMILY_OF.get(type(base))
-            if family is None:
+            found = _FAMILY_OF.get(type(base))
+            if found is None:
                 raise TypeError(f"unsupported cost model {model!r}")
-            kind[k], fields = family
-            for row, name in zip(params, fields):
-                row[k] = getattr(base, name)
+            family[k], fields = found
+            for p, name in enumerate(fields):
+                params[p, k] = getattr(base, name)
             self.bound[k] = max_flow_bound(base)
-        p1, p2, p3, p4 = params
+        self.table = np.repeat(_NEUTRAL[:, None], n, axis=1)
+        for code, rows in enumerate(_ROWS):
+            own = np.flatnonzero(family == code)
+            self.table[rows, own] = _own_rows(code, *params[:, own])
+        self.family = family
+        # the family codes present, the one with the most edges first, so
+        # that the pick writes the fewest edges; an edgeless network counts
+        # as constant, whose forms give it empty arrays
+        codes, counts = np.unique(family, return_counts=True)
+        self.families = tuple(codes[np.argsort(-counts, kind="stable")].tolist()) or (0,)
         self.ue_level = marg * 1.0
         self.im = np.flatnonzero(marg)
-        self.ic = np.flatnonzero(kind == 0)
-        self.c_c = p1[self.ic]
-        ia = self.ia = np.flatnonzero(kind == 1)
-        self.a_a, self.a_b = p1[ia], p2[ia]
-        ig = self.ig = np.flatnonzero(kind == 2)
-        self.g_u = p3[ig]
-        self.g_s = p1[ig] / p2[ig]  # l / v_max
-        self.g_int = -(p1[ig] * p3[ig] / p2[ig])
-        ib = self.ib = np.flatnonzero(kind == 3)
-        self.b_c0, self.b_u, self.b_alpha, self.b_beta = p1[ib], p2[ib], p3[ib], p4[ib]
-        self.b_pow = self.b_beta - 1.0
-        self.b_int = (self.b_beta + 1.0) * self.b_u ** self.b_beta
-        self.family = kind
         self._forms = {}  # level forms by objective kind (None: level 0), built on first use
-        self._origin = None  # (calculator, family rows) this one was gathered from
-
-    @cached_property
-    def _family_rows(self) -> np.ndarray:
-        """Each edge's row in its family's tables."""
-        rows = np.empty(self.n, dtype=np.intp)
-        for at in (self.ic, self.ia, self.ig, self.ib):
-            rows[at] = np.arange(at.size)
-        return rows
+        self._origin = None  # (calculator, edge ids) this one was gathered from
 
     def gather(self, ids: Sequence[int]) -> "_EdgeCalculator":
-        """The calculator of the edges ``ids`` (ascending), its tables
-        gathered from this one's rows. When one family covers every edge
-        here, its rows are the edge ids."""
+        """The calculator of the edges ``ids`` (ascending): this one's
+        columns at ``ids``."""
         ids = np.array(ids, dtype=np.intp)
         sub = _EdgeCalculator.__new__(_EdgeCalculator)
-        family = sub.family = self.family[ids]
-        sub.n = len(ids)
         sub.bound = self.bound[ids]
         sub.capacities = self.capacities[ids]
+        sub.table = self.table[:, ids]
+        sub.family = self.family[ids]
+        sub.families = self.families
         sub.ue_level = self.ue_level[ids]
         sub.im = np.flatnonzero(sub.ue_level) if self.im.size else self.im
-        family_rows = []
-        for k, (at, tables) in enumerate(_FAMILY_TABLES):
-            present = getattr(self, at)
-            if present.size == self.n:  # the family covers every edge
-                where, picked = np.arange(sub.n), ids
-            elif present.size:
-                where = np.flatnonzero(family == k)
-                picked = self._family_rows[ids[where]]
-            else:  # no edge of the family here: share the empty tables
-                where = picked = present
-            setattr(sub, at, where)
-            for name in tables:
-                table = getattr(self, name)
-                setattr(sub, name, table[picked] if present.size else table)
-            family_rows.append(picked)
         sub._forms = {}
-        sub._origin = (self, family_rows[1:])
+        sub._origin = (self, ids)
         return sub
 
-    def _level_forms(self, level):
-        """Per-family coefficients of the level-n gradient g and curvature k.
+    @cached_property
+    def rows(self) -> Dict[int, Tuple[np.ndarray, ...]]:
+        """The table rows of each family in ``families``, as views."""
+        return {code: tuple(self.table[_ROWS[code]]) for code in self.families}
 
+    @cached_property
+    def costs(self) -> Optional[np.ndarray]:
+        """The mc edge costs, the constant family's row; None unless every
+        edge cost is a bare constant."""
+        return None if self.family.any() or self.im.size else self.table[0]
+
+    @cached_property
+    def _members(self) -> Dict[int, np.ndarray]:
+        """Each family's edge ids, read by the pick on a network of several
+        families."""
+        return {code: np.flatnonzero(self.family == code) for code in self.families}
+
+    def _level_forms(self, level):
+        """The level-n forms of each family present, on the whole edge
+        arrays: pairs of the family code and the arrays its closed form
+        reads, for the level-n gradient g and curvature k.
+
+        constant      g = c                                k = 0
         affine        g = a + 2^n b x                      k = 2^n b
         greenshields  g = (l/v) r^(n+1) (A - B q)          k = (l/(v u)) r^(n+2) (C - D q)
                       with q = 1 - x/u, r = 1/q and (A, B, C, D) from
                       _GREENSHIELDS_LEVELS
         bpr           g = c0 + G x^beta                    k = beta G x^(beta-1)
                       with G = c0 alpha (beta+1)^n / u^beta
-        Constants have g = c and k = 0 at every level.
         """
-        la, lb = _pick(level, self.ia), _pick(level, self.ib)
-        lg = _pick(level, self.ig).astype(int)
-        slope = self.a_b * 2.0 ** la
-        s, u = self.g_s, self.g_u
-        a_, b_, c_, d_ = _GREENSHIELDS_LEVELS[lg].T
-        green = (lg + 1.0, s * a_, s * b_, s / u * c_, s / u * d_)
-        beta = self.b_beta
-        g_coef = self.b_c0 * self.b_alpha * (beta + 1.0) ** lb / self.b_u ** beta
-        return slope, green, (g_coef, beta * g_coef)
+        forms = []
+        for code in self.families:
+            rows = self.rows[code]
+            if code == 0:
+                forms.append((code, rows))
+            elif code == 1:
+                a, b = rows
+                forms.append((code, (a, b * 2.0 ** level)))
+            elif code == 2:
+                u, s, _ = rows
+                n = level.astype(int)
+                a_, b_, c_, d_ = _GREENSHIELDS_LEVELS[n].T
+                forms.append((code, (u, n + 1.0, s * a_, s * b_, s / u * c_, s / u * d_)))
+            else:
+                c0, u, alpha, beta, power, _ = rows
+                g = c0 * alpha * (beta + 1.0) ** level / u ** beta
+                forms.append((code, (c0, power, g, beta * g)))
+        return tuple(forms)
 
     def _forms_of(self, kind):
         forms = self._forms.get(kind)
         if forms is None:
             if self._origin is None:
-                level = np.zeros(self.n) if kind is None else self.ue_level + (kind == SO)
+                level = np.zeros_like(self.ue_level) if kind is None else self.ue_level + (kind == SO)
                 forms = self._level_forms(level)
             else:
-                origin, (ra, rg, rb) = self._origin
-                slope, green, bpr = origin._forms_of(kind)
-                forms = (slope[ra], tuple(c[rg] for c in green), tuple(c[rb] for c in bpr))
+                origin, ids = self._origin
+                forms = tuple((code, tuple(f[ids] for f in arrays))
+                              for code, arrays in origin._forms_of(kind))
             self._forms[kind] = forms
         return forms
 
@@ -537,55 +560,34 @@ class _EdgeCalculator:
         return self._evaluate(x, self._forms_of(kind), False)[0]
 
     def _evaluate(self, x, forms, with_curvature):
-        """Edge gradient, and curvature or None, under the level ``forms``.
-        Each family's closed form runs on its own edges' flows; a family
-        that covers every edge runs on ``x`` itself and its arrays are the
-        result (tables copied, so no caller holds one)."""
-        slope, (power, g_a, g_b, k_c, k_d), (b_g, b_k) = forms
-        n = self.n
-        grads = []  # (edge ids, gradient) of each family present
-        curvs = []  # (edge ids, curvature) of each family with one
-        c, a, g, b = self.ic, self.ia, self.ig, self.ib
-        if c.size:
-            grads.append((c, self.c_c.copy() if c.size == n else self.c_c))
-        if a.size:
-            grads.append((a, self.a_a + slope * _pick(x, a)))
-            if with_curvature:
-                curvs.append((a, slope.copy() if a.size == n else slope))
-        if g.size:
-            q = 1.0 - _pick(x, g) / self.g_u
-            r = 1.0 / q
-            p = r ** power
-            grads.append((g, p * (g_a - g_b * q)))
-            if with_curvature:
-                curvs.append((g, p * r * (k_c - k_d * q)))
-        if b.size:
-            xb = _pick(x, b)
-            w = xb ** self.b_pow  # x^(beta-1); 0**0 is 1, so beta = 1 needs no guard
-            grads.append((b, self.b_c0 + b_g * (xb * w)))
-            if with_curvature:
-                curvs.append((b, b_k * w))
-        return _assemble(n, grads), _assemble(n, curvs) if with_curvature else None
+        """Edge gradient, and curvature or None, under the level ``forms``:
+        each family's closed form on the whole arrays, and on a network of
+        several families each edge's values picked from its own family's."""
+        grad = curv = None
+        for code, arrays in forms:
+            g, k = _CLOSED_FORMS[code](x, with_curvature, *arrays)
+            if grad is None:  # the largest family's arrays take the others' values
+                grad, curv = g, k
+            else:
+                own = self._members[code]
+                grad[own] = g[own]
+                if with_curvature:
+                    curv[own] = k[own]
+        return grad, curv
 
     def value(self, x):
         """Effective edge travel time (marginal of the base where wrapped)."""
         return self.gradient(x, UE)
 
     def integral(self, x):
-        parts = []  # (edge ids, integral) of each family present
-        c, a, g, b = self.ic, self.ia, self.ig, self.ib
-        if c.size:
-            parts.append((c, self.c_c * _pick(x, c)))
-        if a.size:
-            xa = _pick(x, a)
-            parts.append((a, self.a_a * xa + 0.5 * self.a_b * xa ** 2))
-        if g.size:
-            parts.append((g, self.g_int * np.log(1.0 - _pick(x, g) / self.g_u)))
-        if b.size:
-            xb = _pick(x, b)
-            parts.append((b, self.b_c0 * (xb + self.b_alpha * xb ** (self.b_beta + 1.0)
-                                          / self.b_int)))
-        out = _assemble(self.n, parts)
+        out = None
+        for code in self.families:  # picked as in _evaluate
+            part = _INTEGRALS[code](x, *self.rows[code])
+            if out is None:
+                out = part
+            else:
+                own = self._members[code]
+                out[own] = part[own]
         m = self.im
         if m.size:
             # the integral of c + t*c' is exactly x*c(x)
@@ -593,29 +595,47 @@ class _EdgeCalculator:
         return out
 
 
-def _pick(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``values`` at the ascending edge ids ``ids``; ``values`` itself when
-    ``ids`` holds every edge."""
-    return values if ids.size == values.size else values[ids]
+# Each family's closed form, by family code: the edge gradient at edge
+# flows x and, when asked, the curvature (else None), from its level forms.
+# Every result is a new array, so the pick may write into it.
 
 
-def _assemble(n: int, parts) -> np.ndarray:
-    """The array over ``n`` edges holding each (edge ids, values) part at
-    its ids, zero elsewhere: the part's own array when it covers every
-    edge, which skips the scatter."""
-    if len(parts) == 1 and parts[0][0].size == n:
-        return parts[0][1]
-    out = np.zeros(n)
-    for ids, values in parts:
-        out[ids] = values
-    return out
+def _constant_form(x, with_curvature, c):
+    return c.copy(), np.zeros(x.size) if with_curvature else None
+
+
+def _affine_form(x, with_curvature, a, slope):
+    return a + slope * x, slope.copy() if with_curvature else None
+
+
+def _greenshields_form(x, with_curvature, u, power, g_a, g_b, k_c, k_d):
+    q = 1.0 - x / u
+    r = 1.0 / q
+    p = r ** power
+    return p * (g_a - g_b * q), p * r * (k_c - k_d * q) if with_curvature else None
+
+
+def _bpr_form(x, with_curvature, c0, power, g, k):
+    w = x ** power  # x^(beta-1); 0**0 is 1, so beta = 1 needs no guard
+    return c0 + g * (x * w), k * w if with_curvature else None
+
+
+_CLOSED_FORMS = (_constant_form, _affine_form, _greenshields_form, _bpr_form)
+
+# Each family's edge cost integral at edge flows x, from its table rows, by
+# family code.
+_INTEGRALS = (
+    lambda x, c: c * x,
+    lambda x, a, b: a * x + 0.5 * b * x ** 2,
+    lambda x, u, _s, coef: coef * np.log(1.0 - x / u),
+    lambda x, c0, _u, alpha, beta, _power, coef: c0 * (x + alpha * x ** (beta + 1.0) / coef),
+)
 
 
 def _calculator(net: Network) -> _EdgeCalculator:
     """The edge calculator of ``net``, built on first use and kept with the
     network (``Network.derived``); a network cut from a template gathers it
-    from the template's. Solves share it, so its capacities and constant
-    costs are read-only."""
+    from the template's. Solves share it, so its tables are read-only."""
     return net.derived(_calculator, _new_calculator)
 
 
@@ -624,7 +644,7 @@ def _new_calculator(net: Network) -> _EdgeCalculator:
         calc = _EdgeCalculator(net.edges)
     else:
         calc = _calculator(net.template).gather(net.template_ids)
-    calc.capacities.flags.writeable = calc.c_c.flags.writeable = False
+    calc.capacities.flags.writeable = calc.table.flags.writeable = False
     return calc
 
 
@@ -1034,6 +1054,7 @@ def _solve_kkt(kkt, rhs, a_sub):
     return dx.tolist(), a_sub.T @ dx
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite checks decide on overflow
 def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     """Path-based projected Newton (gradient projection on path flows).
 
@@ -1045,9 +1066,10 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
     the objective, and cut back to the line minimum otherwise, so the
     objective never rises. Paths whose flow reaches zero are dropped. A
     step that cannot descend while the gap is open ends the solve with
-    NotConverged, and so does an objective or gap that overflows to inf or
-    NaN. Returns the result at the flows where the gap closed, certified on
-    the edge gradient priced last.
+    NotConverged, and so do a cut-back step that moves no path flow, which
+    the next step would repeat, and an objective or gap that overflows to
+    inf or NaN. Returns the result at the flows where the gap closed,
+    certified on the edge gradient priced last.
     """
     calc = _calculator(instance.network)
     space, x = _initial_point(instance, cfg.path_limit, calc, kind)
@@ -1091,6 +1113,8 @@ def _solve_flows(instance: Instance, cfg: SolverConfig, kind: str):
             if t is None:
                 raise NotConverged(iterations, rel_gap)
             trial = _take_step(space, calc, x, flat, x_sub, dx, t, kind)
+            if np.array_equal(trial[0], x):  # stalled: the next step repeats this one
+                raise NotConverged(iterations, rel_gap)
         x, xe, f = trial
 
 
@@ -1213,7 +1237,8 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
     prices; one whose paths cannot carry the demand prices on its phase-1
     capacity prices against its phase-1 potentials (Farkas pricing), and
     is Infeasible when no new path prices in. ``iterations`` counts every
-    master's pivots, phase 1's included.
+    master's pivots, phase 1's included. A total cost or dual that
+    overflows to inf or NaN raises NotConverged.
     """
     edge_costs = _constant_edge_costs(instance.network)
     space = _PathSpace(instance, cfg.path_limit)
@@ -1225,7 +1250,7 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
         # the master over the start holds one path per trip, so x = demands,
         # its capacity prices are zero and each potential is its path's cost
         path_costs = space.path_costs(edge_costs)
-        return _mc_result(space, edge_costs, space.demands, float(path_costs @ space.demands),
+        return _mc_result(space, edge_costs, space.demands, path_costs,
                           path_costs, np.zeros(len(space.edge_pairs)), 0)
     cap_rows = np.flatnonzero(np.isfinite(space.capacities))
     pivots = 0
@@ -1240,14 +1265,21 @@ def solve_mc(instance: Instance, cfg: SolverConfig = SolverConfig()) -> SolveRes
         raise Infeasible(f"capacities cannot carry the demand "
                          f"(phase-1 residual {lp.objective:.3e})")
     x = np.maximum(lp.x, 0.0)
-    return _mc_result(space, edge_costs, x, float(path_costs @ x), lp.duals_eq, prices, pivots)
+    return _mc_result(space, edge_costs, x, path_costs, lp.duals_eq, prices, pivots)
 
 
-def _mc_result(space: _PathSpace, edge_costs: np.ndarray, x: np.ndarray, total: float,
-               potentials: np.ndarray, prices: np.ndarray, pivots: int) -> SolveResult:
-    """The mc result of path flows ``x`` (total cost ``total``) with trip
-    ``potentials`` and per-edge capacity ``prices``, certified on the costs
-    plus the prices."""
+def _mc_result(space: _PathSpace, edge_costs: np.ndarray, x: np.ndarray,
+               path_costs: np.ndarray, potentials: np.ndarray, prices: np.ndarray,
+               pivots: int) -> SolveResult:
+    """The mc result of path flows ``x`` on paths costing ``path_costs``,
+    with trip ``potentials`` and per-edge capacity ``prices``, certified on
+    the costs plus the prices. NotConverged when the total cost or a dual
+    overflows to inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(path_costs @ x)
+    if not (math.isfinite(total) and np.isfinite(potentials).all()
+            and np.isfinite(prices).all()):
+        raise NotConverged(pivots, math.nan)
     duals = MCDuals(
         trip_potentials=tuple(_num(v) for v in potentials),
         edge_prices=tuple((pair, _num(price)) for pair, price, cap
@@ -1290,10 +1322,10 @@ def _generate(space: _PathSpace, edge_costs: np.ndarray, potentials: np.ndarray)
 def _constant_edge_costs(net: Network) -> np.ndarray:
     """Edge costs in ``net.edge_pairs`` order; BadParams unless every edge's
     cost is a bare constant."""
-    calc = _calculator(net)
-    if calc.ic.size < calc.n or calc.im.size:
+    costs = _calculator(net).costs
+    if costs is None:
         raise BadParams("mc routing requires constant edge costs")
-    return calc.c_c
+    return costs
 
 
 # ---------------------------------------------------------------------------

@@ -281,22 +281,32 @@ def test_solver_error_exit_code():
     assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning escapes
 @pytest.mark.parametrize("routing, field, value", [
     ("so", "demand", 1e300),
     ("ue", "demand", 1e300),
     ("ue", "b", 1e308),
+    ("mc", "demand", 1e300),
 ])
 def test_overflowing_solve_exits_as_solver_error(tmp_path, capsys, routing, field, value):
-    # finite numbers whose objective overflows: the gap is NaN, which used
-    # to pass for converged and write Infinity into the report
-    braess = materialize("braess")
-    doc = instance_to_json(braess.instance.network, braess.instance.trips)
+    # finite numbers whose objective overflows: the so/ue gap is NaN, which
+    # used to pass for converged, and the mc total is inf; both used to
+    # write Infinity into the report
+    if routing == "mc":  # constant costs, and a cheapest path that fits
+        from netdesign.costs import Constant
+        from netdesign.network import Edge, Network, Trip
+
+        net = Network({0, 1, 2}, [Edge(0, 1, Constant(1e10)), Edge(1, 2, Constant(1e10)),
+                                  Edge(0, 2, Constant(3e10))])
+        doc = instance_to_json(net, (Trip(0, 2, 1.0),))
+    else:
+        braess = materialize("braess")
+        doc = instance_to_json(braess.instance.network, braess.instance.trips)
     if field == "demand":
         doc["trips"][0]["demand"] = value
     else:
         doc["edges"][0]["cost"]["b"] = value  # the affine edge (0, 1)
-    path = tmp_path / "braess.json"
+    path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "solve.json"
     assert run(["solve", "--routing", routing, "--network", str(path), "--out", str(out)]) == 2

@@ -1127,6 +1127,12 @@ def test_so_under_capacity_margin_stays_interior(counterexample_gs):
 
 
 _positive = st.floats(0.1, 10.0)
+
+# The calculator runs every family's closed form on every edge, so no edge
+# of another family may overflow, divide by zero or make a NaN there.
+# Underflow stays allowed: flows near 1e-266 underflow in x**(beta+1).
+_float_errors_raise = np.errstate(over="raise", invalid="raise", divide="raise")
+
 _families = (
     st.builds(Constant, _positive),
     st.builds(Affine, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
@@ -1148,6 +1154,7 @@ def _edge_at_flow(draw, models=_cost_models):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_edge_at_flow(), min_size=1, max_size=8))
+@_float_errors_raise
 def test_edge_derivatives_match_scalar_closed_forms(edges):
     # ue differentiates the travel time, so the marginal cost; both against
     # the scalar forms of costs.py, bare and inside Marginalized
@@ -1172,6 +1179,11 @@ def test_edge_derivatives_match_scalar_closed_forms(edges):
           (Marginalized(BPR(1.0, 3.0, 0.5, 2.0)), 2.0), (Marginalized(Affine(0.5, 2.0)), 1.0),
           (Marginalized(Constant(3.0)), 4.0)],
          [False, True, True, False, True, True, False, True, False, False])
+# a cut keeping two of a three-family template's families
+@example([(Constant(2.0), 1.0), (Greenshields(1.0, 2.0, 4.0), 0.0), (BPR(1.0, 2.0, 0.15, 4.0), 1.5),
+          (Marginalized(Greenshields(2.0, 1.0, 5.0)), 1.0), (Constant(1.0), 3.0)],
+         [False, True, True, True, False] + [False] * 5)
+@_float_errors_raise
 def test_gathered_calculator_matches_a_fresh_one(edges, chosen):
     # a template's tables gathered by edge id give the bits of a calculator
     # built from the chosen edges' models alone
@@ -1224,17 +1236,19 @@ def _calculator_outputs(calc, x):
           (Constant(2.0), 1.0)), [True, False] * 4)
 @example(([(BPR(1.0, 2.0, 0.15, 4.0), 1.5), (Marginalized(BPR(1.0, 3.0, 0.5, 2.0)), 0.0)],
           (Greenshields(1.0, 2.0, 4.0), 3.0)), [False, True] * 4)
-def test_single_family_calculator_matches_the_general_path(edges_and_other, chosen):
-    # one family over every edge runs on the whole arrays; the same edges
-    # beside an edge of another family take the gather and scatter, and
-    # both give the same bits, also when gathered from a template
+@_float_errors_raise
+def test_single_family_calculator_matches_the_pick(edges_and_other, chosen):
+    # one family over every edge returns its closed forms' arrays; beside
+    # an edge of another family both families run on every edge and each
+    # edge's values are picked from its own family's, and both give the
+    # same bits, also when gathered from a template
     edges, (other, x_other) = edges_and_other
     models = [m for m, _ in edges]
     n = len(models)
     x = np.array([v for _, v in edges])
     sole = calculator_of(models)
-    assert n in (sole.ic.size, sole.ia.size, sole.ig.size, sole.ib.size)
     mixed = calculator_of(models + [other])
+    assert len(sole.families) == 1 and len(mixed.families) == 2
     for mine, general in zip(_calculator_outputs(sole, x),
                              _calculator_outputs(mixed, np.append(x, x_other))):
         assert mine.tobytes() == general[:n].tobytes()
@@ -1598,6 +1612,17 @@ def test_not_converged():
     instance = Instance(net_of(defs), (Trip(0, 3, 5.0),))
     with pytest.raises(NotConverged):
         solve_so(instance, scenario_cfg)
+
+
+@pytest.mark.parametrize("solve", [solve_so, solve_ue])
+def test_stalled_solve_ends_at_once(pigou, solve):
+    # at demand 1e20 the flow absorbs each step's shift of 0.5, which is
+    # then zeroed as a residue: the cut-back step moves no path flow, and
+    # every later step would repeat it until the iteration budget ran out
+    instance = Instance(pigou.instance.network, (Trip(0, 3, 1e20),))
+    with pytest.raises(NotConverged) as info:
+        solve(instance, SolverConfig(max_iterations=1000))
+    assert info.value.iterations <= 2
 
 
 def test_capacity_saturation():
