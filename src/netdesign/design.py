@@ -282,25 +282,23 @@ def check_restriction(cs: CandidateSet, declared: Optional[str] = None) -> Restr
     except at the trip endpoints, each able to hold the whole demand
     (constant flavour) or with identical whole-path cost functions
     including the spanning tree's path (flow-dependent flavour).
+
+    Violations come in a fixed order: shared edges (with the spanning tree,
+    then between candidate pairs); for "prime" the uniformity message; for
+    "double_prime" the trip-count or trip-index messages, shared interior
+    nodes (with the tree, then between pairs) and the capacity or path-cost
+    messages. The overlap scan lists each edge's and node's owners once, so
+    it is linear in the members' sizes plus the overlaps it reports.
     """
     declared = declared or cs.declared_class
     if declared == GENERAL:
         return RestrictionReport(GENERAL, True, ())
     if declared not in CANDIDATE_CLASSES:
         raise BadParams(f"unknown candidate class {declared!r}")
-    violations = []
     tree = cs.spanning_tree.network
     cands = cs.candidates
-
-    tree_edges = set(tree.edge_pairs)
-    for i, cand in enumerate(cands):
-        shared = sorted(set(cand.network.edge_pairs) & tree_edges)
-        if shared:
-            violations.append(f"candidate {i} shares edges {shared} with the spanning tree")
-    for i, j in itertools.combinations(range(len(cands)), 2):
-        shared = sorted(set(cands[i].network.edge_pairs) & set(cands[j].network.edge_pairs))
-        if shared:
-            violations.append(f"candidates {i} and {j} share edges {shared}")
+    violations = _overlaps("edges", tree.edge_pairs,
+                           [cand.network.edge_pairs for cand in cands])
 
     constant_flavour = all(
         is_constant(e.cost) for cand in cands for e in cand.network.edges)
@@ -324,17 +322,10 @@ def check_restriction(cs: CandidateSet, declared: Optional[str] = None) -> Restr
         return RestrictionReport(DOUBLE_PRIME, False, tuple(violations))
     trip = cs.trips[0]
     endpoints = {trip.source, trip.sink}
-    for i, cand in enumerate(cands):
-        if cand.trip_index != 0:
-            violations.append(f"candidate {i} is not for the single trip")
-        shared = sorted((cand.network.nodes & tree.nodes) - endpoints)
-        if shared:
-            violations.append(
-                f"candidate {i} shares interior nodes {shared} with the spanning tree")
-    for i, j in itertools.combinations(range(len(cands)), 2):
-        shared = sorted((cands[i].network.nodes & cands[j].network.nodes) - endpoints)
-        if shared:
-            violations.append(f"candidates {i} and {j} share interior nodes {shared}")
+    violations += [f"candidate {i} is not for the single trip"
+                   for i, cand in enumerate(cands) if cand.trip_index != 0]
+    violations += _overlaps("interior nodes", tree.nodes,
+                            [cand.network.nodes - endpoints for cand in cands])
 
     if constant_flavour:
         for i, cand in enumerate(cands):
@@ -363,6 +354,24 @@ def check_restriction(cs: CandidateSet, declared: Optional[str] = None) -> Restr
                     violations.append(
                         f"{name} path cost function differs from {ref_name}'s")
     return RestrictionReport(DOUBLE_PRIME, not violations, tuple(violations))
+
+
+def _overlaps(what: str, tree_items, members) -> list:
+    """The messages of members that meet the spanning tree's items, then
+    of member pairs (i, j), i < j, that share items, each with its shared
+    items sorted. Each item's owners are listed once (the tree as -1), so
+    the cost is linear in the sizes plus the overlaps reported."""
+    owners = {item: [-1] for item in tree_items}
+    for i, items in enumerate(members):
+        for item in items:
+            owners.setdefault(item, []).append(i)
+    shared: Dict[Tuple[int, int], list] = {}
+    for item, who in owners.items():
+        for pair in itertools.combinations(who, 2):
+            shared.setdefault(pair, []).append(item)
+    return [f"candidate {j} shares {what} {sorted(items)} with the spanning tree" if i < 0
+            else f"candidates {i} and {j} share {what} {sorted(items)}"
+            for (i, j), items in sorted(shared.items())]
 
 
 def _probe_flows(cs: CandidateSet) -> Tuple[float, ...]:

@@ -348,3 +348,27 @@ def lattice_witnesses(n, value, tol):
         if lhs < rhs - tol:
             supermod.append((a, b, x, lhs, rhs, lhs - rhs))
     return len(pairs), mono, len(triples), supermod
+
+
+def pairwise_overlaps(cs, declared):
+    """The overlap messages of ``design.check_restriction``, from a scan
+    of every (tree, candidate) and (candidate, candidate) pair: shared
+    edges for both classes, then, for a single-trip "double_prime" set,
+    shared interior nodes (the trip's endpoints excepted)."""
+    tree = cs.spanning_tree.network
+    cands = [c.network for c in cs.candidates]
+    scans = [("edges", lambda net: set(net.edge_pairs))]
+    if declared == "double_prime" and len(cs.trips) == 1:
+        endpoints = {cs.trips[0].source, cs.trips[0].sink}
+        scans.append(("interior nodes", lambda net: net.nodes - endpoints))
+    messages = []
+    for what, items in scans:
+        for i, cand in enumerate(cands):
+            shared = sorted(items(cand) & items(tree))
+            if shared:
+                messages.append(f"candidate {i} shares {what} {shared} with the spanning tree")
+        for i, j in itertools.combinations(range(len(cands)), 2):
+            shared = sorted(items(cands[i]) & items(cands[j]))
+            if shared:
+                messages.append(f"candidates {i} and {j} share {what} {shared}")
+    return messages

@@ -3,9 +3,10 @@ import json
 import math
 import os
 import random
+import time
 
 import pytest
-from brute_force import lattice_witnesses
+from brute_force import lattice_witnesses, pairwise_overlaps
 
 from netdesign import design
 from netdesign.costs import Affine, Constant
@@ -41,7 +42,7 @@ from netdesign.routing import (
     solve_ue,
     verify_certificate,
 )
-from netdesign.scenarios import materialize, random_parallel_family
+from netdesign.scenarios import materialize, random_candidate_set, random_parallel_family
 
 
 def parallel_mc_set(spanning_cost, candidate_costs, demand, capacity=10.0):
@@ -317,6 +318,63 @@ def test_declared_class_verified_on_construction(counterexample_mc):
     with pytest.raises(ValueError):
         CandidateSet(template=cs.template, spanning_tree=cs.spanning_tree,
                      candidates=cs.candidates, declared_class=DOUBLE_PRIME)
+
+
+def _reference_corpus():
+    sets = [materialize("counterexample", {"costing": c}).candidate_set
+            for c in ("mc", "greenshields")]
+    sets += [materialize("parallel", {"n": n}).candidate_set for n in range(1, 31)]
+    for seed in range(100):
+        for costing in ("constant", "greenshields"):
+            sets.append(random_parallel_family(seed, costing).candidate_set)
+            sets.append(random_candidate_set(seed, costing))
+    return sets
+
+
+def test_overlaps_match_the_pairwise_scans():
+    reports = 0
+    overlaps = 0
+    for cs in _reference_corpus():
+        for declared in (PRIME, DOUBLE_PRIME):
+            found = [m for m in check_restriction(cs, declared).violations if " share" in m]
+            assert found == pairwise_overlaps(cs, declared)
+            reports += 1
+            overlaps += len(found)
+    assert reports == 864 and overlaps > 0
+
+
+def test_double_prime_violation_order():
+    # candidate 0 meets the tree at node 1; candidate 1 is for another
+    # trip and shares node 2 with candidate 2
+    cs = paths_set([(0, 1, 3), (0, 4, 1, 5, 3), (0, 2, 3), (0, 6, 2, 7, 3)])
+    cands = list(cs.candidates)
+    cands[1] = dataclasses.replace(cands[1], trip_index=1)
+    cs = dataclasses.replace(cs, candidates=tuple(cands))
+    assert check_restriction(cs, DOUBLE_PRIME).violations == (
+        "candidate 1 is not for the single trip",
+        "candidate 0 shares interior nodes [1] with the spanning tree",
+        "candidates 1 and 2 share interior nodes [2]",
+    )
+
+
+def test_overlap_check_is_linear_at_the_parallel_cap():
+    # 1,000 routes 0 -> 3 (the parallel scenario's cap), the tree the direct
+    # edge: candidate 997 shares node 5 with candidate 1, and candidate 998
+    # reuses the tree's edge
+    paths = [(0, 3)] + [(0, k, 3) for k in range(4, 1001)]
+    paths += [(0, 2000, 5, 2001, 3), (0, 3)]
+    cs = paths_set(paths)
+    assert len(cs.candidates) == 999
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        report = check_restriction(cs, DOUBLE_PRIME)
+        times.append(time.perf_counter() - started)
+    assert report.violations == (
+        "candidate 998 shares edges [(0, 3)] with the spanning tree",
+        "candidates 1 and 997 share interior nodes [5]",
+    )
+    assert min(times) < 0.1
 
 
 # -- monotonicity ---------------------------------------------------------------------
