@@ -1,9 +1,17 @@
 """Command-line surface.
 
 Subcommands: ``solve``, ``lambda``, ``check``, ``design`` and
-``scenario list``. Reports are deterministic JSON (sorted keys, no
-timestamps) so identical invocations reproduce identical bytes; ``check``
-and ``lambda`` reports also export a per-subset CSV for external plotting.
+``scenario list``. The first four take one path from source to report
+(``_run``): the solver configuration from the flags; the source, a
+built-in scenario with its ``--param`` values or a JSON instance or design
+document; a design problem, which every command but ``solve`` needs; the
+command's own computation (``cmd_*``), which returns its ``results`` and
+its summary lines; then the report, written to ``--out`` (and its
+per-subset CSV to ``--csv``, for external plotting), and the summary,
+printed. ``results`` are the fields of the result dataclasses, less the
+routing the report states once, plus the names of the subsets. Reports
+are deterministic JSON (sorted keys, no timestamps) so identical
+invocations reproduce identical bytes.
 
 Exit codes: 0 success; 1 a property verdict contradicted ``--expect``;
 2 a ``SolverError``; 64 any other package error (usage or input format).
@@ -18,12 +26,9 @@ import functools
 import io
 import json
 import sys
-from typing import Optional
 
 from .design import (
     DesignState,
-    GreedyDesign,
-    PropertyReport,
     candidate_set_from_json,
     check_monotonicity,
     check_supermodularity,
@@ -70,18 +75,23 @@ def _parse_param(text: str):
         return key, raw
 
 
-def _gather_params(args, routing: Optional[str]) -> dict:
-    params = dict(_parse_param(p) for p in (args.param or []))
-    if getattr(args, "scenario", None) == "counterexample" and "costing" not in params:
-        params["costing"] = "mc" if routing == "mc" else "greenshields"
+def _scenario_params(args) -> dict:
+    pairs = [_parse_param(p) for p in args.param or ()]
+    params = dict(pairs)
+    if len(params) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise BadParams(f"--param key {repeated!r} given more than once")
+    if args.scenario == "counterexample" and "costing" not in params:
+        params["costing"] = "mc" if args.routing == "mc" else "greenshields"
     return params
 
 
 def _config_from(args) -> SolverConfig:
     kwargs = {}
-    if getattr(args, "gap_tol", None) is not None:
+    if args.gap_tol is not None:
         kwargs["relative_gap_tol"] = args.gap_tol
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
     try:
         return SolverConfig(**kwargs)
@@ -89,78 +99,40 @@ def _config_from(args) -> SolverConfig:
         raise BadParams(str(exc)) from exc
 
 
-def _load_source(args, routing: Optional[str]):
-    """Returns (instance, candidate_set, labels, source descriptor).
+def _load_source(args):
+    """Returns (report source fields, instance, candidate set, labels).
 
     A design document has no instance here: only ``solve`` needs one, the
     union of all its members, and builds it."""
     if args.scenario:
-        scenario = materialize(args.scenario, _gather_params(args, routing))
-        return (scenario.instance, scenario.candidate_set, scenario.candidate_labels,
-                {"scenario": scenario.name, "params": scenario.params_dict()})
+        scenario = materialize(args.scenario, _scenario_params(args))
+        return ({"scenario": scenario.name, "params": scenario.params_dict(),
+                 "network_file": None},
+                scenario.instance, scenario.candidate_set, scenario.candidate_labels)
+    if args.param:
+        raise BadParams("--param needs --scenario")
     doc = load_file(args.network)
-    descriptor = {"network_file": args.network}
+    source = {"scenario": None, "params": {}, "network_file": args.network}
     if isinstance(doc, dict) and ("candidates" in doc or "spanning_tree" in doc):
         cs = candidate_set_from_json(doc)
-        labels = tuple(f"g{i}" for i in range(len(cs.candidates)))
-        return None, cs, labels, descriptor
+        return source, None, cs, tuple(f"g{i}" for i in range(len(cs.candidates)))
     net, trips = instance_from_json(doc)
-    return Instance(net, trips), None, (), descriptor
+    return source, Instance(net, trips), None, ()
 
 
-def _base_report(command: str, routing: Optional[str], source: dict, cfg=None) -> dict:
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "scenario": source.get("scenario"),
-        "params": source.get("params", {}),
-        "network_file": source.get("network_file"),
-        "routing": routing,
-    }
-    if cfg is not None:
-        report["config"] = dataclasses.asdict(cfg)
-    return report
+def _fields(result) -> dict:
+    """The fields of a result dataclass, less the routing, which the report
+    states once. A shallow ``dataclasses.asdict``: the callers turn nested
+    results into rows themselves, and asdict's deep copy of each value took
+    10 us an evaluation row against 0.3 us (Python 3.11, 2-vCPU x86-64)."""
+    fields = dict(vars(result))
+    fields.pop("routing", None)
+    return fields
 
 
-def _certificate_dict(cert) -> dict:
-    return {
-        "kind": cert.kind,
-        "max_violation": cert.max_violation,
-        "per_trip_spread": list(cert.per_trip_spread),
-        "tolerance": cert.tolerance,
-        "satisfied": cert.satisfied,
-    }
-
-
-def _solve_results(result) -> dict:
-    return {
-        "total_cost": result.total_cost,
-        "per_trip_cost": list(result.per_trip_cost),
-        "per_trip_used_range": [list(r) for r in result.per_trip_used_range],
-        "path_flows": result.assignment.path_flow_map(),
-        "edge_flows": {f"{i}-{j}": f for (i, j), f in result.assignment.edge_flows},
-        "iterations": result.iterations,
-        "relative_gap": result.relative_gap,
-        "certificate": _certificate_dict(result.certificate),
-    }
-
-
-def _subset_names(subset, labels) -> str:
-    return "+".join(labels[i] if i < len(labels) else f"g{i}" for i in subset)
-
-
-def _evaluation_rows(evaluations, labels) -> list:
-    return [
-        {
-            "bitmask": ev.bitmask,
-            "subset": list(ev.subset),
-            "subset_names": _subset_names(ev.subset, labels),
-            "value": ev.value,
-            "relative_gap": ev.relative_gap,
-            "iterations": ev.iterations,
-        }
-        for ev in evaluations
-    ]
+def _rows(evaluations, labels) -> list:
+    return [{**_fields(ev), "subset_names": "+".join(labels[i] for i in ev.subset)}
+            for ev in evaluations]
 
 
 def emit_plot_data(report: dict) -> str:
@@ -175,13 +147,6 @@ def emit_plot_data(report: dict) -> str:
     return buf.getvalue()
 
 
-def _write_report(report: dict, out: Optional[str], csv_path: Optional[str] = None):
-    if out:
-        _write_text(out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if csv_path:
-        _write_text(csv_path, emit_plot_data(report))
-
-
 def _write_text(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -190,146 +155,103 @@ def _write_text(path: str, text: str):
         raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
-def _solver_for(routing: str):
-    return {"mc": solve_mc, "so": solve_so, "ue": solve_ue}[routing]
-
-
-def cmd_solve(args) -> int:
+def _run(args) -> int:
+    """The path of every command but ``scenario``; ``args.func`` is the
+    command's own computation."""
     cfg = _config_from(args)
-    instance, candidate_set, _, source = _load_source(args, args.routing)
+    source, instance, candidate_set, labels = _load_source(args)
+    if candidate_set is None and args.cmd != "solve":
+        raise BadParams("this command needs a design problem "
+                        "(a scenario with candidates or a design document)")
+    results, lines = args.func(args, cfg, instance, candidate_set, labels)
+    report = {"format_version": FORMAT_VERSION, "command": args.cmd, **source,
+              "routing": args.routing, "config": dataclasses.asdict(cfg), "results": results}
+    if args.out:
+        _write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if getattr(args, "csv", None):  # solve has no --csv
+        _write_text(args.csv, emit_plot_data(report))
+    print("\n".join(lines))
+    if args.cmd == "check" and args.expect and results["verdict"] != args.expect.upper():
+        print(f"expectation failed: wanted {args.expect.upper()}, got {results['verdict']}",
+              file=sys.stderr)
+        return EXIT_EXPECT_FAILED
+    return EXIT_OK
+
+
+def cmd_solve(args, cfg, instance, candidate_set, labels):
     if instance is None:
         instance = Instance(candidate_set.subset_network(range(len(candidate_set.candidates))),
                             candidate_set.trips)
-    result = _solver_for(args.routing)(instance, cfg)
-    report = _base_report("solve", args.routing, source, cfg)
-    report["results"] = _solve_results(result)
-    _write_report(report, args.out)
-    print(f"routing={args.routing} total_cost={result.total_cost:.6f} "
-          f"iterations={result.iterations} relative_gap={result.relative_gap:.2e}")
-    for m, cost in enumerate(result.per_trip_cost):
-        lo, hi = result.per_trip_used_range[m]
-        print(f"  trip {m}: cost={cost:.6f} used-range=[{lo:.6f}, {hi:.6f}]")
-    print(f"certificate: {result.certificate.kind} "
-          f"satisfied={result.certificate.satisfied} "
-          f"max_violation={result.certificate.max_violation:.2e}")
-    return EXIT_OK
-
-
-def _require_candidates(candidate_set):
-    if candidate_set is None:
-        raise BadParams("this command needs a design problem "
-                        "(a scenario with candidates or a design document)")
-    return candidate_set
-
-
-def cmd_lambda(args) -> int:
-    cfg = _config_from(args)
-    _, candidate_set, labels, source = _load_source(args, args.routing)
-    candidate_set = _require_candidates(candidate_set)
-    state = DesignState.create(candidate_set, _parse_subset(args.subset))
-    ev = lambda_eval(args.routing, state, cfg)
-    report = _base_report("lambda", args.routing, source, cfg)
-    report["results"] = {
-        "subset": list(ev.subset),
-        "bitmask": ev.bitmask,
-        "subset_names": _subset_names(ev.subset, labels),
-        "value": ev.value,
-        "iterations": ev.iterations,
-        "relative_gap": ev.relative_gap,
-        "evaluations": _evaluation_rows([ev], labels),
+    result = {"mc": solve_mc, "so": solve_so, "ue": solve_ue}[args.routing](instance, cfg)
+    cert = result.certificate
+    results = {
+        "total_cost": result.total_cost,
+        "per_trip_cost": result.per_trip_cost,
+        "per_trip_used_range": result.per_trip_used_range,
+        "path_flows": result.assignment.path_flow_map(),
+        "edge_flows": {f"{i}-{j}": f for (i, j), f in result.assignment.edge_flows},
+        "iterations": result.iterations,
+        "relative_gap": result.relative_gap,
+        "certificate": dataclasses.asdict(cert),
     }
-    _write_report(report, args.out, getattr(args, "csv", None))
-    print(f"lambda[{args.routing}]({{{_subset_names(ev.subset, labels)}}}) = {ev.value:.6f}")
-    return EXIT_OK
+    return results, [
+        f"routing={args.routing} total_cost={result.total_cost:.6f} "
+        f"iterations={result.iterations} relative_gap={result.relative_gap:.2e}",
+        *(f"  trip {m}: cost={cost:.6f} used-range=[{lo:.6f}, {hi:.6f}]"
+          for m, (cost, (lo, hi)) in enumerate(zip(result.per_trip_cost,
+                                                    result.per_trip_used_range))),
+        f"certificate: {cert.kind} satisfied={cert.satisfied} "
+        f"max_violation={cert.max_violation:.2e}",
+    ]
 
 
-def _parse_subset(text: Optional[str]):
-    if not text:
-        return ()
+def _parse_subset(text: str):
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise BadParams(f"--subset expects comma-separated indices, got {text!r}") from exc
 
 
-def cmd_check(args) -> int:
-    cfg = _config_from(args)
-    _, candidate_set, labels, source = _load_source(args, args.routing)
-    candidate_set = _require_candidates(candidate_set)
+def cmd_lambda(args, cfg, instance, candidate_set, labels):
+    state = DesignState.create(candidate_set, _parse_subset(args.subset))
+    row, = _rows([lambda_eval(args.routing, state, cfg)], labels)
+    return ({**row, "evaluations": [row]},
+            [f"lambda[{args.routing}]({{{row['subset_names']}}}) = {row['value']:.6f}"])
+
+
+def cmd_check(args, cfg, instance, candidate_set, labels):
     checker = check_monotonicity if args.property == "monotone" else check_supermodularity
-    report_obj: PropertyReport = checker(
-        args.routing, candidate_set, tol=args.tol, mode=args.mode,
-        seed=args.seed, trials=args.trials, cfg=cfg)
-    report = _base_report("check", args.routing, source, cfg)
-    report["results"] = {
-        "property": report_obj.property,
-        "verdict": report_obj.verdict,
-        "tolerance": report_obj.tolerance,
-        "mode": report_obj.mode,
-        "seed": report_obj.seed,
-        "trials": report_obj.trials,
-        "pairs_checked": report_obj.pairs_checked,
-        "witnesses": [
-            {
-                "subset_a": list(w.subset_a),
-                "subset_b": list(w.subset_b),
-                "x": w.x,
-                "x_name": None if w.x is None else _subset_names((w.x,), labels),
-                "lhs": w.lhs,
-                "rhs": w.rhs,
-                "margin": w.margin,
-            }
-            for w in report_obj.witnesses
-        ],
-        "evaluations": _evaluation_rows(report_obj.evaluations, labels),
-    }
-    _write_report(report, args.out, args.csv)
-    print(f"{report_obj.property} [{args.routing}]: {report_obj.verdict} "
-          f"(tolerance {report_obj.tolerance:.2e}, "
-          f"{report_obj.pairs_checked} comparisons, "
-          f"{len(report_obj.witnesses)} witness(es))")
-    for w in report_obj.witnesses[:5]:
-        xs = "" if w.x is None else f" x={_subset_names((w.x,), labels)}"
-        print(f"  witness: A={list(w.subset_a)} B={list(w.subset_b)}{xs} "
-              f"lhs={w.lhs:.6f} rhs={w.rhs:.6f} margin={w.margin:.6f}")
-    if args.expect:
-        expected = "HOLDS" if args.expect == "holds" else "VIOLATED"
-        if report_obj.verdict != expected:
-            print(f"expectation failed: wanted {expected}, got {report_obj.verdict}",
-                  file=sys.stderr)
-            return EXIT_EXPECT_FAILED
-    return EXIT_OK
+    report = checker(args.routing, candidate_set, tol=args.tol, mode=args.mode,
+                     seed=args.seed, trials=args.trials, cfg=cfg)
+    results = {**_fields(report), "evaluations": _rows(report.evaluations, labels),
+               "witnesses": [{**_fields(w), "x_name": None if w.x is None else labels[w.x]}
+                             for w in report.witnesses]}
+    lines = [f"{report.property} [{args.routing}]: {report.verdict} "
+             f"(tolerance {report.tolerance:.2e}, "
+             f"{report.pairs_checked} comparisons, {len(report.witnesses)} witness(es))"]
+    for w in report.witnesses[:5]:
+        xs = "" if w.x is None else f" x={labels[w.x]}"
+        lines.append(f"  witness: A={list(w.subset_a)} B={list(w.subset_b)}{xs} "
+                     f"lhs={w.lhs:.6f} rhs={w.rhs:.6f} margin={w.margin:.6f}")
+    return results, lines
 
 
-def cmd_design(args) -> int:
-    cfg = _config_from(args)
-    _, candidate_set, labels, source = _load_source(args, args.routing)
-    candidate_set = _require_candidates(candidate_set)
-    result: GreedyDesign = greedy_designer(args.routing, candidate_set, args.budget, cfg)
-    report = _base_report("design", args.routing, source, cfg)
-    report["results"] = {
-        "picks": list(result.picks),
-        "pick_names": [_subset_names((i,), labels) for i in result.picks],
-        "values": list(result.values),
-        "best_subset": None if result.best_subset is None else list(result.best_subset),
-        "best_value": result.best_value,
-        "evaluations": _evaluation_rows(result.evaluations, labels),
-    }
-    _write_report(report, args.out, getattr(args, "csv", None))
-    print(f"greedy[{args.routing}] budget={args.budget}: "
-          f"picks={list(result.picks)} values={[round(v, 6) for v in result.values]}")
+def cmd_design(args, cfg, instance, candidate_set, labels):
+    result = greedy_designer(args.routing, candidate_set, args.budget, cfg)
+    results = {**_fields(result), "pick_names": [labels[i] for i in result.picks],
+               "evaluations": _rows(result.evaluations, labels)}
+    lines = [f"greedy[{args.routing}] budget={args.budget}: "
+             f"picks={list(result.picks)} values={[round(v, 6) for v in result.values]}"]
     if result.best_value is not None:
-        print(f"exhaustive optimum: subset={list(result.best_subset)} "
-              f"value={result.best_value:.6f}")
+        lines.append(f"exhaustive optimum: subset={list(result.best_subset)} "
+                     f"value={result.best_value:.6f}")
+    return results, lines
+
+
+def cmd_scenario() -> int:
+    for name, desc in scenario_descriptions():
+        print(f"{name:16s} {desc}")
     return EXIT_OK
-
-
-def cmd_scenario(args) -> int:
-    if args.action == "list":
-        for name, desc in scenario_descriptions():
-            print(f"{name:16s} {desc}")
-        return EXIT_OK
-    raise BadParams(f"unknown scenario action {args.action!r}")
 
 
 def build_parser() -> _Parser:
@@ -387,7 +309,6 @@ def build_parser() -> _Parser:
 
     p_scn = sub.add_parser("scenario", help="scenario utilities")
     p_scn.add_argument("action", choices=("list",))
-    p_scn.set_defaults(func=cmd_scenario)
     return parser
 
 
@@ -400,7 +321,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return cmd_scenario() if args.cmd == "scenario" else _run(args)
     except SolverError as exc:
         print(f"netdesign: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

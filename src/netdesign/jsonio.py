@@ -76,8 +76,10 @@ def trip_to_json(trip: Trip) -> dict:
     return {"source": trip.source, "sink": trip.sink, "demand": trip.demand}
 
 
-def network_from_json(obj, what: str = "instance",
-                      optional: Sequence[str] = ()) -> Tuple[Network, Tuple[Trip, ...]]:
+def instance_from_json(obj, what: str = "instance",
+                       optional: Sequence[str] = ()) -> Tuple[Network, Tuple[Trip, ...]]:
+    """The network and trips of an instance document, or of a document
+    (``what``) that also allows the ``optional`` keys."""
     _require_keys(obj, ("nodes", "edges", "trips"), optional=optional, what=what)
     if not isinstance(obj["nodes"], list):
         raise FormatError("nodes must be a list of integers")
@@ -98,10 +100,6 @@ def network_from_json(obj, what: str = "instance",
         if missing:
             raise FormatError(f"trip {m} endpoint(s) {missing} not in the nodes")
     return net, trips
-
-
-def instance_from_json(obj) -> Tuple[Network, Tuple[Trip, ...]]:
-    return network_from_json(obj, what="instance")
 
 
 def instance_to_json(net: Network, trips: Sequence[Trip]) -> dict:
@@ -132,7 +130,7 @@ def design_from_json(obj):
     ``(trip_index, edge_pairs)``. Graph validation happens at a higher level
     where the candidate-set semantics live.
     """
-    net, trips = network_from_json(
+    net, trips = instance_from_json(
         obj, what="design document", optional=("spanning_tree", "candidates"))
     tree_pairs = None
     if "spanning_tree" in obj:

@@ -160,6 +160,26 @@ def test_bad_param_value():
                 "--param", "with_edge=maybe"]) == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scenario", "parallel", "--param", "n=3", "--param", "n=5"],
+     "--param key 'n' given more than once"),
+    (["--scenario", "braess", "--param", "with_edge=true", "--param", "with_edge=false"],
+     "--param key 'with_edge' given more than once"),
+    (["--network", "NETWORK", "--param", "n=5", "--param", "bogus=1"], "--param needs --scenario"),
+    (["--network", "NETWORK", "--param", "bogus"], "--param needs --scenario"),
+], ids=["repeated-n", "repeated-with_edge", "network-with-params", "network-with-malformed-param"])
+def test_param_can_not_silently_change_the_run(tmp_path, capsys, pigou, argv, message):
+    # a repeated key used to override the earlier value, and a network
+    # file used to ignore every --param
+    path = tmp_path / "pigou.json"
+    path.write_text(json.dumps(instance_to_json(pigou.instance.network, pigou.instance.trips)))
+    out = tmp_path / "report.json"
+    argv = [str(path) if a == "NETWORK" else a for a in argv]
+    assert run(["solve", "--routing", "ue", *argv, "--out", str(out)]) == 64
+    assert capsys.readouterr() == ("", f"netdesign: error: {message}\n")
+    assert not out.exists()
+
+
 def test_network_file_solve(tmp_path, pigou):
     doc = instance_to_json(pigou.instance.network, pigou.instance.trips)
     path = tmp_path / "pigou.json"
@@ -392,6 +412,47 @@ def test_help_texts_are_unchanged(monkeypatch, capsys):
         assert exc.value.code == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == "c94755ca0b5ec55a7c869c0ae99687c93ac32284caff2aafa0ebb133b532bafa"
+
+
+# Reports of counterexample under mc: every value is an exact sum of
+# constant edge costs, so the bytes depend on no BLAS or summation order.
+PINNED_REPORTS = [
+    (["solve"], "ddab0fff3dae3cd22da34786de71e540653ef707a2165b4d9a49f19fe6566241", None),
+    (["lambda", "--subset", "1"],
+     "dd7ee3353b9161ed7648de53a1232385b152b9d5335539e254f17e6451daefaf",
+     "dd0e7b74b7e259231d53886b8b6c826c90c8ac6197afd2cee28bede92b06c6ac"),
+    (["check", "--property", "monotone"],
+     "456aca454258bc5d86cc427ef4531257af27a2e58ea3c18a602a3f2c5af3ca86",
+     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+    (["check", "--property", "monotone", "--mode", "sampled", "--seed", "3", "--trials", "20"],
+     "5d77e4428aef7686bc89cfcc7331bc2bb526ed30156c85fe294f684101d9705b",
+     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+    (["check", "--property", "supermodular"],
+     "9f769865612b52fd61e5dfd4b75fd038e5c0ea4a984b5732aa8ff6d12f1ca8ce",
+     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+    (["check", "--property", "supermodular", "--mode", "sampled", "--seed", "3",
+      "--trials", "20"],
+     "44e6c08efc243dee2730914a580bf345fbe01ba7d6fb1aea693624e2b3deb57d",
+     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+    (["design", "--budget", "2"],
+     "416ccd86daefcc152f0046a3d335cf7561ce94bb65e57fb159c4711682a5895b",
+     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+]
+
+
+@pytest.mark.parametrize("command, report_sha, csv_sha", PINNED_REPORTS,
+                         ids=["solve", "lambda", "monotone", "monotone-sampled", "supermodular",
+                              "supermodular-sampled", "design"])
+def test_report_bytes_are_pinned(tmp_path, command, report_sha, csv_sha):
+    out, plot = tmp_path / "report.json", tmp_path / "report.csv"
+    argv = [*command, "--routing", "mc", "--scenario", "counterexample",
+            "--param", "costing=mc", "--out", str(out)]
+    if csv_sha is not None:
+        argv += ["--csv", str(plot)]
+    assert run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == report_sha
+    if csv_sha is not None:
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == csv_sha
 
 
 def test_emit_plot_data_empty_report():

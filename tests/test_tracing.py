@@ -6,11 +6,16 @@ those attributes would crash a traced run or leave its routing metrics at
 zero, so one small traced session is run here.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 import os
 
+import netdesign.cli as nd_cli
 import netdesign.design as nd_design
 import netdesign.routing as nd_routing
+from netdesign.design import candidate_set_to_json
 from netdesign.routing import Instance
 from netdesign.scenarios import materialize
 
@@ -58,3 +63,34 @@ def test_traced_session_records_every_routing_layer():
     for metric in ("routing.so_s", "routing.mc_s", "routing.certify_s",
                    "routing.iterations", "routing.paths_used"):
         assert totals[metric] > 0.0
+
+
+def test_traced_cli_session_records_the_cli_bindings(tmp_path):
+    # the command pipeline must look each bound name up on netdesign.cli
+    # when it runs, or the traced run would miss its spans
+    tracing = _tracing()
+    doc = tmp_path / "design.json"
+    doc.write_text(json.dumps(candidate_set_to_json(
+        materialize("counterexample", {"costing": "greenshields"}).candidate_set)))
+    originals = {(module, attr): getattr(module, attr) for module, attr, *_ in tracing.BINDINGS}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.root(0), contextlib.redirect_stdout(io.StringIO()):
+            codes = [nd_cli.main(["check", "--property", "supermodular", "--routing", "so",
+                                  "--network", str(doc)]),
+                     nd_cli.main(["solve", "--scenario", "counterexample", "--routing", "mc"])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert {key: getattr(*key) for key in originals} == originals
+    assert sorted(attr for module, attr in originals if module is nd_cli) == [
+        "candidate_set_from_json", "check_monotonicity", "check_supermodularity",
+        "greedy_designer", "lambda_eval", "load_file", "main", "solve_mc", "solve_so", "solve_ue"]
+
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    for name in ("cli.main", "jsonio.load", "design.check", "design.lambda_eval",
+                 "routing.so", "routing.mc"):
+        assert name in names
+    assert names.count("cli.main") == 2
+    assert names.count("jsonio.load") == 2  # load_file, then candidate_set_from_json
