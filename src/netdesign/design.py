@@ -9,20 +9,22 @@ parallel candidates that are node-disjoint except at the endpoints), the
 monotonicity and supermodularity checkers with explicit witnesses, the
 parallel-case closed forms and a greedy designer.
 
-Subset evaluations are cached by bitmask, and subsets with equal union
-graphs share one solve; reports never depend on evaluation order.
+Subset evaluations are cached by bitmask, and subsets whose union graphs
+are equal up to an order-preserving relabelling of their nodes share one
+solve; reports never depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .costs import evaluate, is_constant, max_flow_bound
+from .costs import CostModel, evaluate, is_constant, max_flow_bound
 from .errors import BadParams, DomainError, FormatError, UncertifiedValue
 from .jsonio import design_from_json, design_to_json
 from .network import (
@@ -31,6 +33,7 @@ from .network import (
     Trip,
     TripPathGraph,
     TripSpanningTree,
+    _set_bits,
     graph_union,  # unused here; perfbench's tracer binds design.graph_union
     subgraph_issues,
     validate_trip_path_graph,
@@ -141,9 +144,75 @@ class CandidateSet:
             edges |= member_edges
         return nodes, edges
 
+    @cached_property
+    def _shape_tables(self):
+        """What ``union_shape`` and ``union_sketch`` read, for the template
+        edges that some member holds: each one's (tail mask, head mask,
+        class) by edge id, where a node's mask has a bit for each template
+        position below its own; each trip's (source mask, sink mask); and
+        plane j, the edges whose class has bit j set. Two edges share a
+        class when their cost models and capacities are equal bit for bit
+        (``_bit_key``)."""
+        template = self.template.network
+        position = template.position
+        edges = template.edges
+        (_, held), members = self._bitsets
+        for _, member_edges in members:
+            held |= member_edges
+
+        def below(node):
+            return (1 << position(node)) - 1
+
+        classes = {}
+        ends = {}
+        for k in _set_bits(held):
+            e = edges[k]
+            c = classes.setdefault(_bit_key(e.cost, e.capacity), len(classes))
+            ends[k] = (below(e.tail), below(e.head), c)
+        planes = [sum(1 << k for k, (_, _, c) in ends.items() if c >> j & 1)
+                  for j in range(len(classes).bit_length())]
+        return ends, [(below(t.source), below(t.sink)) for t in self.trips], planes
+
+    def union_sketch(self, nodes: int, edges: int) -> tuple:
+        """A summary of ``union_shape(nodes, edges)`` that costs a few
+        integer operations: the node count, the edge count and, for each
+        plane j of ``_shape_tables``, the number of edges whose class has
+        bit j set. Equal shapes have equal sketches."""
+        planes = self._shape_tables[2]
+        return (nodes.bit_count(), edges.bit_count(),
+                *map(int.bit_count, map(edges.__and__, planes)))
+
+    def union_shape(self, nodes: int, edges: int) -> tuple:
+        """The shape of the union graph whose ``union_key`` is ``(nodes,
+        edges)``: its node count, then each edge in id order as (tail rank,
+        head rank, class), then each trip's (source rank, sink rank), where
+        a node's rank is its position in the union graph, the number of
+        the union's nodes below it. Two union graphs have equal shapes
+        exactly when an order-preserving relabelling of the nodes maps one
+        onto the other, edge classes and trip ends included."""
+        ends, trips, _ = self._shape_tables
+        return (nodes.bit_count(),
+                *[((nodes & t).bit_count(), (nodes & h).bit_count(), c)
+                  for t, h, c in map(ends.__getitem__, _set_bits(edges))],
+                *[((nodes & s).bit_count(), (nodes & t).bit_count()) for s, t in trips])
+
     def subset_network(self, subset) -> Network:
         """The union graph of ``subset`` (see ``union_key``), cut from the template."""
         return self.template.network.restrict(*self.union_key(subset))
+
+
+def _bit_key(model: CostModel, capacity: float):
+    """A key that two edges share only when their cost models and
+    capacities are equal bit for bit: the model's class and the marshal
+    bytes of its fields and the capacity, which hold a float's eight bytes
+    (so 0.0 and -0.0 differ) and tell an int from a float. When marshal
+    refuses a field, such as a Marginalized model's base, the repr of the
+    values stands in: it spells every float exactly."""
+    values = (capacity, *vars(model).values())
+    try:
+        return type(model), marshal.dumps(values, 2)  # version 2: no back-references
+    except ValueError:
+        return type(model), repr(values)
 
 
 @dataclass(frozen=True)
@@ -209,23 +278,32 @@ def lambda_eval(routing: str, state: DesignState,
 class LambdaEvaluator:
     """Caching evaluator for subset objective values.
 
-    Evaluations are cached by bitmask. Subsets with equal union graphs
-    share one solve: the value depends only on the union graph and every
-    solver is deterministic, so a shared evaluation is bit-identical to a
-    cold solve of each subset. A union graph is keyed by the candidate
-    set's ``union_key``, and only a graph not yet solved gets a network,
-    cut from the template by that key; its solve gathers the edge tables
-    from the template's, built once.
-    ``misses`` counts solver calls; ``hits`` counts ``value`` lookups
-    answered from the bitmask cache and bitmasks whose union graph was
-    already solved. Reads through ``values`` count as neither.
+    Evaluations are cached by bitmask. Subsets share one solve when their
+    union graphs are equal up to an order-preserving relabelling of the
+    nodes, that is when their ``union_shape``s are equal; equal union
+    graphs have equal shapes. Sharing is bit-exact: a solver reads a
+    network only through node positions, edge ids, the edges' cost models
+    and capacities and the trips, which the shape fixes, and node ids
+    only name the paths of a flow, in an order the relabelling keeps.
+    Every solver being deterministic, two cuts of one shape give
+    bit-identical values, iterations, relative gaps and certificates.
+    Solved graphs are grouped by their ``union_sketch``, and a graph's
+    shape is built only when it meets another graph of its sketch, so a
+    check in which no two subsets share a solve builds almost no shapes.
+    Only a shape not yet solved gets a network, cut from the template by
+    the subset's ``union_key``; its solve gathers the edge tables from the
+    template's, built once.
+    ``misses`` counts solver calls, one per shape solved; ``hits`` counts
+    ``value`` lookups answered from the bitmask cache and bitmasks whose
+    shape was already solved. Reads through ``values`` count as neither.
     """
 
     def __init__(self, candidate_set: CandidateSet, cfg: SolverConfig = SolverConfig()):
         self.candidate_set = candidate_set
         self.cfg = cfg
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
-        self._graphs: Dict[Tuple[str, int, int], LambdaEvaluation] = {}
+        # (routing, sketch) -> {union key: [shape or None, evaluation]} of the solves
+        self._solved: Dict[Tuple[str, tuple], Dict[Tuple[int, int], list]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -233,25 +311,44 @@ class LambdaEvaluator:
         """The evaluation of ``subset``, a bitmask or an iterable of
         candidate indices, from the caches or from one solve."""
         subset = subset if isinstance(subset, int) else tuple(subset)
-        nodes, edges = self.candidate_set.union_key(subset)
+        cs = self.candidate_set
+        nodes, edges = cs.union_key(subset)
         mask = subset if isinstance(subset, int) else subset_bitmask(subset)
         ev = self._cache.get((routing, mask))
         if ev is not None:
             self.hits += 1
             return ev
         subset = bitmask_subset(mask)
-        graph = (routing, nodes, edges)
-        first = self._graphs.get(graph)
+        solved = self._solved.setdefault((routing, cs.union_sketch(nodes, edges)), {})
+        first = self._same_shape(solved, nodes, edges)
         if first is None:
             self.misses += 1
-            state = DesignState(self.candidate_set, subset,
-                                self.candidate_set.template.network.restrict(nodes, edges))
-            ev = self._graphs[graph] = lambda_eval(routing, state, self.cfg)
+            state = DesignState(cs, subset, cs.template.network.restrict(nodes, edges))
+            ev = lambda_eval(routing, state, self.cfg)
+            solved[nodes, edges] = [None, ev]
         else:
             self.hits += 1
             ev = replace(first, subset=subset, bitmask=mask)
         self._cache[(routing, mask)] = ev
         return ev
+
+    def _same_shape(self, solved, nodes: int, edges: int) -> Optional[LambdaEvaluation]:
+        """The evaluation in ``solved``, the solves of one sketch, whose
+        union graph has the shape of the one keyed ``(nodes, edges)``, or
+        None. An equal key has an equal shape; other shapes are built on
+        first comparison and kept."""
+        entry = solved.get((nodes, edges))
+        if entry is not None:
+            return entry[1]
+        shape = None
+        for key, entry in solved.items():
+            if shape is None:
+                shape = self.candidate_set.union_shape(nodes, edges)
+            if entry[0] is None:
+                entry[0] = self.candidate_set.union_shape(*key)
+            if entry[0] == shape:
+                return entry[1]
+        return None
 
     def values(self, routing: str) -> Dict[int, float]:
         """Value of every cached bitmask under ``routing``."""

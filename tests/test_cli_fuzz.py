@@ -177,7 +177,8 @@ def flag_lines(draw):
     params = [value(SCENARIO_PARAMS[scenario], ODD_PARAMS) for _ in range(draw(st.integers(0, 2)))]
     for flag, text in [*flags.items(), *(("--param", p) for p in params)]:
         argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
-    # the last n given is the one the scenario sees
+    # a repeated --param key exits 64 before any scenario is built, so a
+    # line whose last n is past the cap exits 64 whether or not n repeats
     n = dict(p.split("=", 1) for p in params if "=" in p).get("n")
     past_cap = ((scenario == "parallel" and n in ROUTES_PAST_CAP)
                 or (flags.get("--mode") == "sampled" and flags.get("--trials") == TRIALS_PAST_CAP))

@@ -4,12 +4,13 @@ import math
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from brute_force import lattice_witnesses, pairwise_overlaps
 
 from netdesign import design
-from netdesign.costs import Affine, Constant
+from netdesign.costs import Affine, Constant, Marginalized
 from netdesign.design import (
     DOUBLE_PRIME,
     HOLDS,
@@ -182,6 +183,128 @@ def test_union_graphs_keyed_on_sparse_node_ids(routing, monkeypatch):
     assert set(built) == graphs
     assert evaluator.evaluations(routing) == cold
     assert evaluator.values(routing) == {ev.bitmask: ev.value for ev in cold}
+
+
+def assert_one_solve_per_shape(routing, cs, shapes, monkeypatch):
+    # every subset of the ground set, through one evaluator and through the
+    # exhaustive supermodularity check: one solve per shape, and each
+    # evaluation a cold solve of the subset's own cut, bit for bit (repr
+    # spells every float exactly)
+    masks = range(1 << len(cs.candidates))
+    cold = [lambda_eval(routing, DesignState.create(cs, bitmask_subset(m))) for m in masks]
+    solved = []
+
+    def counting(*args):
+        solved.append(args[1].chosen)
+        return lambda_eval(*args)
+
+    monkeypatch.setattr(design, "lambda_eval", counting)
+    evaluator = LambdaEvaluator(cs)
+    evaluator.ensure(routing, masks)
+    assert (evaluator.misses, evaluator.hits) == (shapes, len(masks) - shapes)
+    assert len(solved) == shapes
+    assert list(map(repr, evaluator.evaluations(routing))) == list(map(repr, cold))
+    solved.clear()
+    report = check_supermodularity(routing, cs)
+    assert len(solved) == shapes
+    assert list(map(repr, report.evaluations)) == list(map(repr, cold))
+
+
+@pytest.mark.parametrize("routing", ["so", "ue"])
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_identical_parallel_routes_solve_once_per_size(routing, k, monkeypatch):
+    # k identical routes, one of them the tree: a subset's union graph is
+    # fixed up to an order-preserving relabelling by its size
+    cs = materialize("parallel", {"n": k}).candidate_set
+    assert_one_solve_per_shape(routing, cs, k, monkeypatch)
+
+
+def test_identical_constant_parallel_routes_solve_once_per_size(monkeypatch):
+    cs = parallel_mc_set(3.0, [3.0] * 4, 1.0)
+    assert_one_solve_per_shape("mc", cs, 5, monkeypatch)
+
+
+def two_route_set(models, capacities=(math.inf, math.inf), mirror=False):
+    """Trip 0 -> 5 on the edge 0-5 and two candidates of two edges each,
+    0-1-5 and 0-2-5, the first with cost ``models[0]`` and capacity
+    ``capacities[0]`` on both edges, the second with the others. With
+    ``mirror`` the candidates are three edges long, 0-1-2-5 and 0-4-3-5:
+    their unions with the tree are isomorphic, but only through a map that
+    swaps the order of the inner nodes."""
+    routes = ([(0, 1, 2, 5), (0, 4, 3, 5)] if mirror else [(0, 1, 5), (0, 2, 5)])
+    edges = [Edge(0, 5, Constant(9.0), 10.0)]
+    for nodes, model, capacity in zip(routes, models, capacities):
+        edges += [Edge(i, j, model, capacity) for i, j in zip(nodes, nodes[1:])]
+    template = Network({v for e in edges for v in e.pair}, edges)
+    return candidate_set_from_pairs(template, (Trip(0, 5, 1.0),), [(0, 5)],
+                                    [(0, list(zip(nodes, nodes[1:]))) for nodes in routes])
+
+
+@pytest.mark.parametrize("routing, cs", [
+    # affine costs that differ only in the sign of a zero
+    ("so", two_route_set([Affine(1.0, 0.0), Affine(1.0, -0.0)])),
+    ("ue", two_route_set([Affine(0.0, 1.0), Affine(-0.0, 1.0)])),
+    # equal costs, different capacities
+    ("mc", two_route_set([Constant(1.0)] * 2, capacities=(2.0, 3.0))),
+    # a mirror image
+    ("mc", two_route_set([Constant(1.0)] * 2, capacities=(2.0, 2.0), mirror=True)),
+])
+def test_no_solve_shared_without_an_order_preserving_relabelling(routing, cs, monkeypatch):
+    assert_one_solve_per_shape(routing, cs, 4, monkeypatch)
+
+
+def test_edge_classes_tell_apart_every_bit():
+    # a class is shared only by equal bits, also for numbers marshal does
+    # not take, and inside a Marginalized model
+    key = design._bit_key
+    assert key(Affine(1.0, 0.0), 2.0) == key(Affine(1.0, 0.0), 2.0)
+    assert key(Affine(1.0, 0.0), 2.0) != key(Affine(1.0, -0.0), 2.0)
+    assert key(Constant(1.0), 2.0) != key(Constant(1.0), 2)
+    assert key(Constant(1.0), Fraction(1, 3)) == key(Constant(1.0), Fraction(1, 3))
+    assert key(Constant(1.0), Fraction(1, 3)) != key(Constant(1.0), Fraction(2, 3))
+    assert key(Marginalized(Affine(1.0, 0.0)), 2.0) != key(Affine(1.0, 0.0), 2.0)
+    assert key(Marginalized(Affine(1.0, 0.0)), 2.0) != key(Marginalized(Affine(1.0, -0.0)), 2.0)
+
+
+def reference_shape(cs, mask):
+    """The union graph of ``mask`` with each node replaced by its rank,
+    read off its cut network; costs and capacities by repr, which spells
+    every float exactly."""
+    net = cs.subset_network(mask)
+    rank = {v: r for r, v in enumerate(net.node_order)}
+    return (tuple((rank[e.tail], rank[e.head], repr(e.cost), repr(e.capacity)) for e in net.edges),
+            tuple((rank[t.source], rank[t.sink]) for t in cs.trips))
+
+
+@pytest.mark.parametrize("cs", [
+    *(random_candidate_set(seed, costing) for seed in range(6)
+      for costing in ("constant", "greenshields")),
+    *(random_parallel_family(seed, flavour).candidate_set for seed in range(4)
+      for flavour in ("constant", "greenshields")),
+    materialize("parallel", {"n": 5}).candidate_set,
+    two_route_set([Constant(1.0)] * 2, capacities=(2.0, 2.0), mirror=True),
+    two_route_set([Affine(1.0, 0.0), Affine(1.0, -0.0)]),
+])
+def test_shapes_are_union_graphs_up_to_an_order_preserving_relabelling(cs):
+    # two masks have equal shapes exactly when their relabelled union
+    # graphs are equal, and equal shapes have equal sketches
+    masks = range(1 << len(cs.candidates))
+    keys = [cs.union_key(m) for m in masks]
+    shapes = [cs.union_shape(*key) for key in keys]
+    references = [reference_shape(cs, m) for m in masks]
+    for a in masks:
+        for b in masks:
+            assert (shapes[a] == shapes[b]) == (references[a] == references[b])
+            if shapes[a] == shapes[b]:
+                assert cs.union_sketch(*keys[a]) == cs.union_sketch(*keys[b])
+
+
+def test_twin_routes_share_one_solve(monkeypatch):
+    # the control for the cases above: routes of equal bits share a solve
+    cs = two_route_set([Constant(1.0)] * 2, capacities=(2.0, 2.0))
+    assert_one_solve_per_shape("mc", cs, 3, monkeypatch)
+    cs = two_route_set([Affine(1.0, -0.0), Affine(1.0, -0.0)])
+    assert_one_solve_per_shape("so", cs, 3, monkeypatch)
 
 
 def test_restricted_networks_equal_graph_unions(counterexample_gs):
@@ -431,6 +554,14 @@ def test_sampled_mode_beyond_exhaustive_cap():
     assert supermod == again
 
 
+def distinct_parallel_set(n):
+    """A parallel candidate set of ``n`` candidates whose routes (the
+    tree's too) have pairwise-distinct constant costs, so that no two
+    subsets have union graphs equal up to an order-preserving relabelling
+    and a ``table_lambda`` stand-in keeps every subset's own value."""
+    return parallel_mc_set(1.0, [2.0 + k for k in range(n)], 1.0)
+
+
 def table_lambda(table):
     """A ``lambda_eval`` stand-in that reads each subset's value from
     ``table`` by bitmask, at relative gap 0."""
@@ -446,13 +577,13 @@ def witness_tuples(report):
 
 @pytest.mark.parametrize("n", range(6))
 def test_exhaustive_checkers_match_the_definitions(n, monkeypatch):
-    # random values make violations of both properties plentiful; each
-    # parallel candidate has its own union graph, so every subset keeps
-    # its table value
+    # random values make violations of both properties plentiful; the
+    # parallel routes' costs differ pairwise, so no two subsets share a
+    # solve and every subset keeps its table value
     rng = random.Random(f"lattice-oracle-{n}")
     table = [rng.uniform(0.0, 10.0) for _ in range(1 << n)]
     monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
-    cs = materialize("parallel", {"n": n + 1}).candidate_set
+    cs = distinct_parallel_set(n)
 
     def value(subset):
         return table[subset_bitmask(subset)]
@@ -617,7 +748,7 @@ def test_greedy_ties_within_certified_error(monkeypatch, shortfall, pick):
     # wins, in the greedy round and in the exhaustive optimum alike
     table = [2.0, 1.0, 1.0 * (1.0 - shortfall), 0.5]
     monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
-    cs = materialize("parallel", {"n": 3}).candidate_set
+    cs = distinct_parallel_set(2)
     res = greedy_designer("so", cs, budget=1)
     assert res.picks == (pick,)
     assert res.values == (2.0, table[1 << pick])

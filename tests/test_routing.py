@@ -1579,6 +1579,78 @@ def test_lambda_does_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+# Small costs with many ties, where a tie-break that read node ids other
+# than through their order would show.
+_TIED_CONSTANTS = (Constant(1.0), Constant(1.0), Constant(2.0), Constant(0.5))
+_TIED_CONGESTED = (Affine(1.0, 0.0), Affine(1.0, 0.5), Affine(0.5, 1.0), BPR(1.0, 2.0, 0.15, 4.0),
+                   Greenshields(1.0, 1.0, 20.0), Marginalized(Affine(1.0, 0.5)))
+
+
+@st.composite
+def _relabelled_instance(draw):
+    """A small instance on nodes 0..k-1, its kind, and a strictly
+    increasing map of those nodes to sparse ids. A chain through the nodes
+    in a drawn order keeps the first trip routable; the other edges may
+    close cycles and the second trip may have no path."""
+    kind = draw(st.sampled_from(("mc", "so", "ue")))
+    k = draw(st.integers(2, 6))
+    chain = draw(st.permutations(range(k)))
+    pairs = set(zip(chain, chain[1:]))
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=12)))
+    models = _TIED_CONSTANTS if kind == "mc" else _TIED_CONGESTED
+    capacities = (1.0, 2.5, math.inf) if kind == "mc" else (math.inf,)
+    defs = [(i, j, draw(st.sampled_from(models)), draw(st.sampled_from(capacities)))
+            for i, j in sorted(pairs)]
+    trips = [Trip(chain[0], chain[-1], draw(st.sampled_from((1.0, 2.0))))]
+    if draw(st.booleans()):
+        source, sink = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        trips.append(Trip(source, sink, 0.5))
+    ids = sorted(draw(st.lists(st.integers(0, 10 ** 6), min_size=k, max_size=k, unique=True)))
+    return kind, k, defs, trips, ids
+
+
+def _solve_or_error(kind, instance):
+    solver = {"mc": solve_mc, "so": solve_so, "ue": solve_ue}[kind]
+    try:
+        return solver(instance)
+    except (Infeasible, Unreachable, CapacitySaturation) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabelled_instance())
+def test_solves_keep_their_bits_under_order_preserving_relabelling(case):
+    # the design layer shares one solve between union graphs that an
+    # order-preserving relabelling maps onto each other, so no solver step
+    # may read a node id other than through its order: the relabelled
+    # instance gives the same bits, with its flows on the relabelled paths
+    kind, k, defs, trips, ids = case
+    plain = _solve_or_error(kind, Instance(
+        Network(range(k), [Edge(i, j, c, u) for i, j, c, u in defs]), trips))
+    moved = _solve_or_error(kind, Instance(
+        Network(ids, [Edge(ids[i], ids[j], c, u) for i, j, c, u in defs]),
+        [Trip(ids[t.source], ids[t.sink], t.demand) for t in trips]))
+    if isinstance(plain, type):
+        assert moved is plain
+        return
+    a = plain.assignment
+    expected = dataclasses.replace(
+        plain,
+        assignment=dataclasses.replace(
+            a, paths=tuple(Path(p.trip_index, tuple(ids[v] for v in p.nodes)) for p in a.paths),
+            edge_flows=tuple(((ids[i], ids[j]), f) for (i, j), f in a.edge_flows)),
+        duals=plain.duals and dataclasses.replace(
+            plain.duals,
+            edge_prices=tuple(((ids[i], ids[j]), y) for (i, j), y in plain.duals.edge_prices)))
+    assert moved.total_cost.hex() == plain.total_cost.hex()
+    assert (moved.iterations, moved.relative_gap.hex()) == (plain.iterations,
+                                                           plain.relative_gap.hex())
+    assert repr(moved.certificate) == repr(plain.certificate)
+    # repr spells every float exactly, -0.0 included
+    assert repr(moved) == repr(expected)
+
+
 def test_wardrop_against_every_simple_path():
     # independent of the solver's pricing: networkx lists every path and
     # the scalar cost closed forms price them
