@@ -11,20 +11,21 @@ parallel-case closed forms and a greedy designer.
 
 Subset evaluations are cached by bitmask, and subsets whose union graphs
 are equal up to an order-preserving relabelling of their nodes share one
-solve; reports never depend on evaluation order.
+solve, where two edges count as equal when the solver's edge table holds
+the same bits for them (``routing.edge_classes``); reports never depend
+on evaluation order.
 """
 
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .costs import CostModel, evaluate, is_constant, max_flow_bound
+from .costs import evaluate, is_constant, max_flow_bound
 from .errors import BadParams, DomainError, FormatError, UncertifiedValue
 from .jsonio import design_from_json, design_to_json
 from .network import (
@@ -47,6 +48,7 @@ from .routing import (
     ROUTINGS,
     Instance,
     SolverConfig,
+    edge_classes,
     solve_mc,
     solve_so,
     solve_ue,
@@ -146,31 +148,21 @@ class CandidateSet:
 
     @cached_property
     def _shape_tables(self):
-        """What ``union_shape`` and ``union_sketch`` read, for the template
-        edges that some member holds: each one's (tail mask, head mask,
-        class) by edge id, where a node's mask has a bit for each template
-        position below its own; each trip's (source mask, sink mask); and
-        plane j, the edges whose class has bit j set. Two edges share a
-        class when their cost models and capacities are equal bit for bit
-        (``_bit_key``)."""
+        """What ``union_shape`` and ``union_sketch`` read: each template
+        edge's (tail mask, head mask, class) by edge id, where a node's mask
+        has a bit for each template position below its own and the class is
+        the solver's (``routing.edge_classes``); each trip's (source mask,
+        sink mask); and plane j, the edges whose class has bit j set."""
         template = self.template.network
         position = template.position
-        edges = template.edges
-        (_, held), members = self._bitsets
-        for _, member_edges in members:
-            held |= member_edges
 
         def below(node):
             return (1 << position(node)) - 1
 
-        classes = {}
-        ends = {}
-        for k in _set_bits(held):
-            e = edges[k]
-            c = classes.setdefault(_bit_key(e.cost, e.capacity), len(classes))
-            ends[k] = (below(e.tail), below(e.head), c)
-        planes = [sum(1 << k for k, (_, _, c) in ends.items() if c >> j & 1)
-                  for j in range(len(classes).bit_length())]
+        classes = edge_classes(template)
+        ends = [(below(e.tail), below(e.head), c) for e, c in zip(template.edges, classes)]
+        planes = [sum(1 << k for k, c in enumerate(classes) if c >> j & 1)
+                  for j in range(max(classes, default=0).bit_length())]
         return ends, [(below(t.source), below(t.sink)) for t in self.trips], planes
 
     def union_sketch(self, nodes: int, edges: int) -> tuple:
@@ -187,7 +179,8 @@ class CandidateSet:
         edges)``: its node count, then each edge in id order as (tail rank,
         head rank, class), then each trip's (source rank, sink rank), where
         a node's rank is its position in the union graph, the number of
-        the union's nodes below it. Two union graphs have equal shapes
+        the union's nodes below it, and a class is the solver's
+        (``routing.edge_classes``). Two union graphs have equal shapes
         exactly when an order-preserving relabelling of the nodes maps one
         onto the other, edge classes and trip ends included."""
         ends, trips, _ = self._shape_tables
@@ -199,20 +192,6 @@ class CandidateSet:
     def subset_network(self, subset) -> Network:
         """The union graph of ``subset`` (see ``union_key``), cut from the template."""
         return self.template.network.restrict(*self.union_key(subset))
-
-
-def _bit_key(model: CostModel, capacity: float):
-    """A key that two edges share only when their cost models and
-    capacities are equal bit for bit: the model's class and the marshal
-    bytes of its fields and the capacity, which hold a float's eight bytes
-    (so 0.0 and -0.0 differ) and tell an int from a float. When marshal
-    refuses a field, such as a Marginalized model's base, the repr of the
-    values stands in: it spells every float exactly."""
-    values = (capacity, *vars(model).values())
-    try:
-        return type(model), marshal.dumps(values, 2)  # version 2: no back-references
-    except ValueError:
-        return type(model), repr(values)
 
 
 @dataclass(frozen=True)
@@ -282,8 +261,9 @@ class LambdaEvaluator:
     union graphs are equal up to an order-preserving relabelling of the
     nodes, that is when their ``union_shape``s are equal; equal union
     graphs have equal shapes. Sharing is bit-exact: a solver reads a
-    network only through node positions, edge ids, the edges' cost models
-    and capacities and the trips, which the shape fixes, and node ids
+    network only through node positions, edge ids, the edges' columns of
+    its edge table and the trips, which the shape fixes (edges of one
+    class have equal columns, see ``routing.edge_classes``), and node ids
     only name the paths of a flow, in an order the relabelling keeps.
     Every solver being deterministic, two cuts of one shape give
     bit-identical values, iterations, relative gaps and certificates.

@@ -445,7 +445,7 @@ class _EdgeCalculator:
         marg = np.zeros(n, dtype=bool)
         params = np.zeros((4, n))  # p1..p4: each edge's parameters in table order
         self.bound = np.full(n, math.inf)
-        self.capacities = np.array([e.capacity for e in edges])
+        self.capacities = np.array([e.capacity for e in edges], dtype=float)
         for k, edge in enumerate(edges):
             model = base = edge.cost
             if isinstance(model, Marginalized):
@@ -648,6 +648,20 @@ def _new_calculator(net: Network) -> _EdgeCalculator:
     return calc
 
 
+def edge_classes(network: Network) -> Tuple[int, ...]:
+    """Each edge's class by edge id, numbered in order of first appearance.
+
+    Two edges share a class exactly when their columns of the edge
+    calculator are equal bit for bit: table column, family code, level,
+    flow bound and capacity, so 0.0 and -0.0 differ while an int and the
+    float it converts to do not. A solve reads edges only through the
+    calculator, so swapping edges of one class changes no solve's bits."""
+    calc = _calculator(network)
+    columns = np.vstack((calc.table, calc.family, calc.ue_level, calc.bound, calc.capacities))
+    classes = {}
+    return tuple(classes.setdefault(column.tobytes(), len(classes)) for column in columns.T)
+
+
 def _objective(calc: _EdgeCalculator, xe: np.ndarray, kind: str) -> float:
     if kind == UE:
         return float(calc.integral(xe).sum())
@@ -743,8 +757,11 @@ def _guarded_walk(net: Network, costs: Sequence[float], dist: Sequence[float],
 
 def _tie_tolerance(dist: Sequence[float], source: int) -> float:
     """How far an edge's cost plus its head's label may miss its tail's
-    label, on a walk from ``source``, for the edge to count as tight."""
-    return 1e-12 * (1.0 + abs(dist[source]))
+    label, on a walk from ``source``, for the edge to count as tight: a
+    fraction of the source's label, so that tightness does not depend on
+    the unit of cost. The edge a label was set from is exactly tight, so a
+    zero tolerance still finds a path."""
+    return 1e-12 * abs(dist[source])
 
 
 def _distances_to(net: Network, costs: Sequence[float], root: int):

@@ -414,39 +414,181 @@ def test_help_texts_are_unchanged(monkeypatch, capsys):
     assert digest.hexdigest() == "c94755ca0b5ec55a7c869c0ae99687c93ac32284caff2aafa0ebb133b532bafa"
 
 
+COUNTEREXAMPLE_MC = ["--routing", "mc", "--scenario", "counterexample", "--param", "costing=mc"]
+SUPERMODULAR = ["check", "--property", "supermodular"]
+
 # Reports of counterexample under mc: every value is an exact sum of
 # constant edge costs, so the bytes depend on no BLAS or summation order.
 PINNED_REPORTS = [
-    (["solve"], "ddab0fff3dae3cd22da34786de71e540653ef707a2165b4d9a49f19fe6566241", None),
-    (["lambda", "--subset", "1"],
-     "dd7ee3353b9161ed7648de53a1232385b152b9d5335539e254f17e6451daefaf",
-     "dd0e7b74b7e259231d53886b8b6c826c90c8ac6197afd2cee28bede92b06c6ac"),
-    (["check", "--property", "monotone"],
-     "456aca454258bc5d86cc427ef4531257af27a2e58ea3c18a602a3f2c5af3ca86",
-     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
-    (["check", "--property", "monotone", "--mode", "sampled", "--seed", "3", "--trials", "20"],
-     "5d77e4428aef7686bc89cfcc7331bc2bb526ed30156c85fe294f684101d9705b",
-     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
-    (["check", "--property", "supermodular"],
-     "9f769865612b52fd61e5dfd4b75fd038e5c0ea4a984b5732aa8ff6d12f1ca8ce",
-     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
-    (["check", "--property", "supermodular", "--mode", "sampled", "--seed", "3",
-      "--trials", "20"],
-     "44e6c08efc243dee2730914a580bf345fbe01ba7d6fb1aea693624e2b3deb57d",
-     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
-    (["design", "--budget", "2"],
-     "416ccd86daefcc152f0046a3d335cf7561ce94bb65e57fb159c4711682a5895b",
-     "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0"),
+    pytest.param(["solve", *COUNTEREXAMPLE_MC],
+                 "ddab0fff3dae3cd22da34786de71e540653ef707a2165b4d9a49f19fe6566241", None,
+                 id="solve"),
+    pytest.param(["lambda", "--subset", "1", *COUNTEREXAMPLE_MC],
+                 "dd7ee3353b9161ed7648de53a1232385b152b9d5335539e254f17e6451daefaf",
+                 "dd0e7b74b7e259231d53886b8b6c826c90c8ac6197afd2cee28bede92b06c6ac",
+                 id="lambda"),
+    pytest.param(["check", "--property", "monotone", *COUNTEREXAMPLE_MC],
+                 "456aca454258bc5d86cc427ef4531257af27a2e58ea3c18a602a3f2c5af3ca86",
+                 "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0",
+                 id="monotone"),
+    pytest.param(["check", "--property", "monotone", "--mode", "sampled", "--seed", "3",
+                  "--trials", "20", *COUNTEREXAMPLE_MC],
+                 "5d77e4428aef7686bc89cfcc7331bc2bb526ed30156c85fe294f684101d9705b",
+                 "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0",
+                 id="monotone-sampled"),
+    pytest.param([*SUPERMODULAR, *COUNTEREXAMPLE_MC],
+                 "9f769865612b52fd61e5dfd4b75fd038e5c0ea4a984b5732aa8ff6d12f1ca8ce",
+                 "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0",
+                 id="supermodular"),
+    pytest.param(["check", "--property", "supermodular", "--mode", "sampled", "--seed", "3",
+                  "--trials", "20", *COUNTEREXAMPLE_MC],
+                 "44e6c08efc243dee2730914a580bf345fbe01ba7d6fb1aea693624e2b3deb57d",
+                 "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0",
+                 id="supermodular-sampled"),
+    pytest.param(["design", "--budget", "2", *COUNTEREXAMPLE_MC],
+                 "416ccd86daefcc152f0046a3d335cf7561ce94bb65e57fb159c4711682a5895b",
+                 "8d9df440d73457285d88520709473f745247c0ae1f9db420206233eb911a8fa0",
+                 id="design"),
+]
+
+# The exhaustive supermodularity check and lambda on the full subset of
+# every design scenario under each routing it accepts, beyond those above;
+# their so and ue values come from the Newton solves.
+PINNED_REPORTS += [
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "braess"],
+                 "989bfcaa917cf77ccf637843e9d40efc55b019d65a31fe85344e4c5c6c38c3a5",
+                 "6ccf2c12d06cfdabdaf8dc30a2a9c17720f17b0cbbc01db83a7a59a84588260a",
+                 id="braess-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "so", "--scenario", "braess"],
+                 "593eeb944db02ddaf47adc5e2387133d78039ff06420db1d6036e87beace2fb5",
+                 "04bddaeb2483514721206242293177adbe59d7b4101b7c3c0ec0b417ff959cca",
+                 id="braess-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "braess"],
+                 "86b47f212ad4897a1cda6617fea452d7bf8ca9f0053b4c7983c012e3b9a3c5db",
+                 "03e287a1aa4497daf94f46d495748146dd896b6598dedbd6fa295a850a4fb80a",
+                 id="braess-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "ue", "--scenario", "braess"],
+                 "dd5981a5a95e47dfb1657ec0eed380e534a51a72c912fb750c30107622eadc86",
+                 "d2301a91b178af991635e9ab1b06db9cd27eff6af677f53a8335557a8e0ca6ef",
+                 id="braess-ue-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "mc", "--scenario", "fig3"],
+                 "5a0f432bdf6e14997f13d4ebcc569729502b5296311162e47fb118b3d5621bfe",
+                 "9851f41cdcb56b72ddfa09fd0caf8859991fa3f47a9ecb9b4e5db00e2cf0b5ac",
+                 id="fig3-mc-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "mc", "--scenario", "fig3"],
+                 "08f5e862d10bd3f06f709ad2a79add9ffab44bfb53a6a6b8391f4e896b36f83a",
+                 "dbe8bc0db6258a83c09bdba8d34f578116eb68635959817307c75be0548e49da",
+                 id="fig3-mc-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "fig3"],
+                 "c2ab892ab8735ac0ab01e504b024ff7b5c4d8c8903d4c72321c028584ec2c560",
+                 "0328e2cc1b110155730bfecb2ee4aa2ee504590e496c4b23c58935b1fd15f8cc",
+                 id="fig3-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "so", "--scenario", "fig3"],
+                 "d9ca0cf030d258681e5ff97ee008f084ab33f70f9b0744744f621dccfdc62e1a",
+                 "774b5dcbd6ecfd407a2c65be006b9228f8d672ae13cac97f292944ef6bde9522",
+                 id="fig3-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "fig3"],
+                 "2aa03e16da1e275604fa924de4d97ac13d845a32b7347678af032dc851a3cdc5",
+                 "148df258b896e15c70e482ace8d4fbf15a8580f699b977a850c3f029427c3355",
+                 id="fig3-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "ue", "--scenario", "fig3"],
+                 "1fc744b8085d4099d9e0cf7312dbd8686c3cc2fc062fcb898e8df9bac778eb2f",
+                 "d70fe453a7d9bb7467e7e5c5e8e3e6a2fb65aa8400ac22472e853c906d6cefae",
+                 id="fig3-ue-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "mc", "--scenario", "fig4"],
+                 "ea301d6302a933dcf3c5b1ed2f4316434a1d0b5f0eb1748aa680bcc6a6d090a5",
+                 "f1a857faed6b8cb324156e51e690959edf1e883a446edfac7f3af87f80db63bd",
+                 id="fig4-mc-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "mc", "--scenario", "fig4"],
+                 "8efbd2f0c216614f9f6c7f74aa536b4b3295cc6f11bbd3059e7d031db6f88f95",
+                 "f0c5b1ffb27a6817d025555261ebdc1e191da033826a1df5ff75772a5c7aa4d0",
+                 id="fig4-mc-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "fig4"],
+                 "b8660a4d4945495a02b65b1928aecf6cd28af5cba7e7d1539ca2de5ae0cbc700",
+                 "f5f3bdda36eee5f62d2ee2d974d11394d8bffe7c368099aa05724c7e77676e9a",
+                 id="fig4-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "so", "--scenario", "fig4"],
+                 "cb5fbc0d858ab329fccefa263cd74745b033e55b098349ded0989fbd4f52ae56",
+                 "6c296efc0d74d22a0d805bfd33666b5ac14d83aba4f861fa8b5e547329da7121",
+                 id="fig4-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "fig4"],
+                 "8924c15e7f97927d4e4122e127708951ba35b6c95d93b3c43c04594bb10652d4",
+                 "4edddd562228c9485bfddae9efa48e24a94076e56f095d42e8256c9313d6a845",
+                 id="fig4-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0", "--routing", "ue", "--scenario", "fig4"],
+                 "06d7e0d606068c8a709d29eb4b9821e55b281df3391fabb0f1e623b2edd683c1",
+                 "051eb94b874478a619f57b4078affaafd5f6603174ab702a72104334edc2a0fe",
+                 id="fig4-ue-lambda-full"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "mc", "--scenario", "counterexample",
+                  "--param", "costing=mc"],
+                 "534104b99b89760933e2b5d5022ce11a0a9bb5e866ea2e9d3f49863d8425df1b",
+                 "439af651ff440ae70e18049dc4bdfa6d8ff249b5cd3c85b522c32a2e508c798f",
+                 id="counterexample-mc-mc-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "counterexample",
+                  "--param", "costing=mc"],
+                 "d7d742178f6b5f5d968449bb0c61d6017416794c704d072c77b83130ce8ce585",
+                 "e49d5c82bcd05586398495bf1cfb4ce44b2c114a35cebfe9159b707d978d3d45",
+                 id="counterexample-mc-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "so", "--scenario", "counterexample",
+                  "--param", "costing=mc"],
+                 "7e652b87982fcf79e357ee6f26c1f6d9e58725f33a00ba93e6b7078531abc1e7",
+                 "886e40e0783d2c958c9445fbcf20ab7d0548e7ddaad14b03284b9f92ddaa7499",
+                 id="counterexample-mc-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "counterexample",
+                  "--param", "costing=mc"],
+                 "dac88491bd12a0cad5749198aafdc1da50686d9d239180c8586642346af94d75",
+                 "d43855b1c00c086701f7be344e9d592f180a48ef2a93f028a85ca51af1842478",
+                 id="counterexample-mc-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "ue", "--scenario", "counterexample",
+                  "--param", "costing=mc"],
+                 "4c97c5330dea582a84625b7f9cdfac5328db166c780b73bf2c15fdf0096cdb16",
+                 "c83f17d79560d9457b211007fbc57ab6c8c577f02d440fd349c0391ad0d9ccf1",
+                 id="counterexample-mc-ue-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "counterexample",
+                  "--param", "costing=greenshields"],
+                 "48d1c8f18652bcae5f2ee3ee0c11ba1257d20878aad1ae1bd118609b3b9af77c",
+                 "39a17c796b7d77d49fcf427ca5c0980523218cf5546c209ef49429fd207a1c40",
+                 id="counterexample-greenshields-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "so", "--scenario", "counterexample",
+                  "--param", "costing=greenshields"],
+                 "539883d2a4f85c9490883b89eb2a6d6f9f0450407b47bb5c0c15c0a1b41d14be",
+                 "9948e4ec33252c24f7eeeb56e954d7fc37ef8a95d03d09e4e13d42829c869810",
+                 id="counterexample-greenshields-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "counterexample",
+                  "--param", "costing=greenshields"],
+                 "1b7ecdb9b8f5acd8348908abca64e2c2df06620371807279ec2f4dded5dadb1c",
+                 "1e043d382dbb6516b6858e73f306391a1e5ef5529567c64f2b67e7d5570dbaf1",
+                 id="counterexample-greenshields-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "ue", "--scenario", "counterexample",
+                  "--param", "costing=greenshields"],
+                 "0c9a5d9af3ba7f3be35418435410cbd10147e9d47899ccab8daee25b53d3fbdb",
+                 "0a564006c78c5d62c4971fb8893579804c9f57baa9ece3c2992ddc4f2a2335bb",
+                 id="counterexample-greenshields-ue-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "so", "--scenario", "parallel", "--param", "n=3"],
+                 "b059279410e64853323a8d064b5f639652de16e3376b87e72c8c027946c3e342",
+                 "fe029d60fb2c1ec63488a0e4fcd512e5d47da20de04f53a20ee6ddf821cd74d1",
+                 id="parallel-3-so-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "so", "--scenario", "parallel",
+                  "--param", "n=3"],
+                 "0db527ab3c90d0b311c127a7225004a3421547df2b7249a3fdccc7e0d78e491c",
+                 "a2af7d023191e774c36c1e74aec600a115bf87d17b612790cc1a4f16370318fb",
+                 id="parallel-3-so-lambda-full"),
+    pytest.param([*SUPERMODULAR, "--routing", "ue", "--scenario", "parallel", "--param", "n=3"],
+                 "a6da27629bc04676dfb17b9690f846c13645855f2c53fd323ffef5d25eed8670",
+                 "73a12929d795707a65f7df0601a48827b20f2dd98a86081e03da0162aeae1568",
+                 id="parallel-3-ue-supermodular"),
+    pytest.param(["lambda", "--subset", "0,1", "--routing", "ue", "--scenario", "parallel",
+                  "--param", "n=3"],
+                 "2026c2adf6bc9843f504ab2f3c3e3d403c0f2bb240fecf2af20a0d368863d062",
+                 "83f6bacdfa855620e98004bae90c6a88d9f8e5f9d4ac656582fbd9a4b3eadbd8",
+                 id="parallel-3-ue-lambda-full"),
 ]
 
 
-@pytest.mark.parametrize("command, report_sha, csv_sha", PINNED_REPORTS,
-                         ids=["solve", "lambda", "monotone", "monotone-sampled", "supermodular",
-                              "supermodular-sampled", "design"])
+@pytest.mark.parametrize("command, report_sha, csv_sha", PINNED_REPORTS)
 def test_report_bytes_are_pinned(tmp_path, command, report_sha, csv_sha):
     out, plot = tmp_path / "report.json", tmp_path / "report.csv"
-    argv = [*command, "--routing", "mc", "--scenario", "counterexample",
-            "--param", "costing=mc", "--out", str(out)]
+    argv = [*command, "--out", str(out)]
     if csv_sha is not None:
         argv += ["--csv", str(plot)]
     assert run(argv) == 0

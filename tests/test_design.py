@@ -10,7 +10,7 @@ import pytest
 from brute_force import lattice_witnesses, pairwise_overlaps
 
 from netdesign import design
-from netdesign.costs import Affine, Constant, Marginalized
+from netdesign.costs import Affine, Constant, Greenshields, Marginalized
 from netdesign.design import (
     DOUBLE_PRIME,
     HOLDS,
@@ -39,6 +39,8 @@ from netdesign.routing import (
     CERTIFICATE_RTOL,
     Instance,
     _EdgeCalculator,
+    edge_classes,
+    solve_mc,
     solve_so,
     solve_ue,
     verify_certificate,
@@ -254,25 +256,64 @@ def test_no_solve_shared_without_an_order_preserving_relabelling(routing, cs, mo
 
 
 def test_edge_classes_tell_apart_every_bit():
-    # a class is shared only by equal bits, also for numbers marshal does
-    # not take, and inside a Marginalized model
-    key = design._bit_key
-    assert key(Affine(1.0, 0.0), 2.0) == key(Affine(1.0, 0.0), 2.0)
-    assert key(Affine(1.0, 0.0), 2.0) != key(Affine(1.0, -0.0), 2.0)
-    assert key(Constant(1.0), 2.0) != key(Constant(1.0), 2)
-    assert key(Constant(1.0), Fraction(1, 3)) == key(Constant(1.0), Fraction(1, 3))
-    assert key(Constant(1.0), Fraction(1, 3)) != key(Constant(1.0), Fraction(2, 3))
-    assert key(Marginalized(Affine(1.0, 0.0)), 2.0) != key(Affine(1.0, 0.0), 2.0)
-    assert key(Marginalized(Affine(1.0, 0.0)), 2.0) != key(Marginalized(Affine(1.0, -0.0)), 2.0)
+    # a class is shared exactly by equal columns of the solver's edge
+    # table, also for Fraction capacities and inside a Marginalized model
+    def classes(*edges):
+        return edge_classes(Network(range(len(edges) + 1), [
+            Edge(0, k + 1, model, capacity) for k, (model, capacity) in enumerate(edges)]))
+
+    assert classes((Affine(1.0, 0.0), 2.0), (Affine(1.0, 0.0), 2.0)) == (0, 0)
+    assert classes((Affine(1.0, 0.0), 2.0), (Affine(1.0, -0.0), 2.0)) == (0, 1)
+    assert classes((Constant(1.0), 2.0), (Constant(1.0), 3.0)) == (0, 1)
+    # the solver reads an int, a Fraction and the float they convert to alike
+    assert classes((Constant(1.0), 2.0), (Constant(1.0), 2)) == (0, 0)
+    assert classes((Constant(1.0), Fraction(1, 3)), (Constant(1.0), 1 / 3)) == (0, 0)
+    assert classes((Constant(1.0), Fraction(1, 3)), (Constant(1.0), Fraction(2, 3))) == (0, 1)
+    assert classes((Marginalized(Affine(1.0, 0.0)), 2.0), (Affine(1.0, 0.0), 2.0)) == (0, 1)
+    assert classes((Marginalized(Affine(1.0, 0.0)), 2.0),
+                   (Marginalized(Affine(1.0, -0.0)), 2.0)) == (0, 1)
+    # classes are numbered in order of first appearance, by edge id
+    assert classes((Constant(2.0), 1.0), (Constant(1.0), 1.0), (Constant(2.0), 1.0)) == (0, 1, 0)
+
+
+# Pairs of routes whose models differ but whose edge table columns do not:
+# the solver reads 1 and 2 as 1.0 and 2.0, and Greenshields(l, v_max, u)
+# only as u, l / v_max and l * u / v_max.
+_CONSTANT_TWINS = two_route_set([Constant(1), Constant(1.0)], capacities=(2, 2.0))
+_GREENSHIELDS_TWINS = two_route_set([Greenshields(2.0, 2.0, 10.0), Greenshields(1.0, 1.0, 10.0)])
+
+
+@pytest.mark.parametrize("routing, cs", [
+    *((routing, _CONSTANT_TWINS) for routing in ("mc", "so", "ue")),
+    *((routing, _GREENSHIELDS_TWINS) for routing in ("so", "ue")),
+], ids=["mc-constant", "so-constant", "ue-constant", "so-greenshields", "ue-greenshields"])
+def test_routes_of_equal_table_columns_share_one_solve(routing, cs, monkeypatch):
+    # {0} and {1} share a solve, and a cold solve of each subset's own cut
+    # agrees with the other subsets of its shape in every bit the
+    # evaluations and certificates hold
+    assert_one_solve_per_shape(routing, cs, 3, monkeypatch)
+    solve = {"mc": solve_mc, "so": solve_so, "ue": solve_ue}[routing]
+    by_shape = {}
+    for mask in range(4):
+        result = solve(Instance(cs.subset_network(mask), cs.trips))
+        bits = (result.total_cost.hex(), result.iterations, result.relative_gap.hex(),
+                repr(result.certificate))
+        by_shape.setdefault(cs.union_shape(*cs.union_key(mask)), set()).add(bits)
+    assert len(by_shape) == 3
+    assert all(len(bits) == 1 for bits in by_shape.values())
 
 
 def reference_shape(cs, mask):
     """The union graph of ``mask`` with each node replaced by its rank,
-    read off its cut network; costs and capacities by repr, which spells
-    every float exactly."""
+    read off its cut network; each edge also by the bytes of its columns in
+    an edge calculator built from the cut's own edges, which is what a
+    solve reads of an edge."""
     net = cs.subset_network(mask)
     rank = {v: r for r, v in enumerate(net.node_order)}
-    return (tuple((rank[e.tail], rank[e.head], repr(e.cost), repr(e.capacity)) for e in net.edges),
+    calc = _EdgeCalculator(net.edges)
+    columns = (calc.table, calc.family, calc.ue_level, calc.bound, calc.capacities)
+    return (tuple((rank[e.tail], rank[e.head], *(c[..., k].tobytes() for c in columns))
+                  for k, e in enumerate(net.edges)),
             tuple((rank[t.source], rank[t.sink]) for t in cs.trips))
 
 
@@ -284,6 +325,8 @@ def reference_shape(cs, mask):
     materialize("parallel", {"n": 5}).candidate_set,
     two_route_set([Constant(1.0)] * 2, capacities=(2.0, 2.0), mirror=True),
     two_route_set([Affine(1.0, 0.0), Affine(1.0, -0.0)]),
+    _CONSTANT_TWINS,
+    _GREENSHIELDS_TWINS,
 ])
 def test_shapes_are_union_graphs_up_to_an_order_preserving_relabelling(cs):
     # two masks have equal shapes exactly when their relabelled union
@@ -865,6 +908,27 @@ def test_verdicts_invariant_under_units(name, params, routings):
             for factor in (1e-3, 1e3):
                 assert _verdicts(routing, _rescaled(cs, unit, factor)) == expected, (
                     routing, unit, factor)
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e-13, 1e-10, 1e-3, 1e3, 1e8, 1e12])
+@pytest.mark.parametrize("name, params, check, routings", [
+    ("counterexample", {"costing": "mc"}, check_supermodularity, ("mc", "so", "ue")),
+    ("braess", {}, check_monotonicity, ("ue",)),
+], ids=["counterexample-supermodular", "braess-monotone"])
+def test_verdicts_and_values_invariant_under_the_time_unit(name, params, check, routings, scale):
+    # a tie tolerance with an absolute floor counted every edge as tight
+    # once costs fell near 1e-12, and at a scale of 1e-13 the
+    # counterexample's supermodularity held: every subset cost 9 s
+    cs = materialize(name, params).candidate_set
+    scaled = _rescaled(cs, "time", scale)
+    for routing in routings:
+        expected, got = check(routing, cs), check(routing, scaled)
+        assert (got.verdict, [(w.subset_a, w.subset_b, w.x) for w in got.witnesses]) == (
+            expected.verdict, [(w.subset_a, w.subset_b, w.x) for w in expected.witnesses])
+        assert [ev.bitmask for ev in got.evaluations] == [ev.bitmask for ev in expected.evaluations]
+        for ev, at_scale in zip(expected.evaluations, got.evaluations):
+            error = design._certified_error(ev) + design._certified_error(at_scale) / scale
+            assert abs(at_scale.value / scale - ev.value) <= error, (routing, ev.subset)
 
 
 # -- perfbench tracer bindings -------------------------------------------------------

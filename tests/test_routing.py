@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,32 @@ def test_mc_capacity_forces_split():
     flows = r.assignment.path_flow_map()
     assert flows["0-1-3"] == pytest.approx(1.0)
     assert flows["0-2-3"] == pytest.approx(1.0)
+
+
+def test_mc_fraction_capacity_reads_as_its_float():
+    # the capacities used to form an object array, on which np.isfinite
+    # raised TypeError
+    def solve(capacity):
+        return solve_mc(Instance(net_of([
+            (0, 1, Constant(1.0), capacity), (1, 2, C1, math.inf), (0, 2, Constant(3.0), math.inf),
+        ]), (Trip(0, 2, 1.0),)))
+
+    assert repr(solve(Fraction(1, 3))) == repr(solve(1 / 3))
+
+
+@pytest.mark.xfail(strict=True, reason="absolute floors in the simplex pivot tolerance, the mc "
+                   "pricing threshold and the certificate tolerance")
+def test_mc_value_invariant_under_a_small_cost_scale():
+    # routes costing 1, 2 and 1.5 with capacities 0.5, inf and 0.3: at
+    # scale s <= 1e-9 the solve leaves the 1.5 route empty, sends half the
+    # demand over the 2 route and certifies 1.5 s instead of 1.35 s
+    scale = 1e-10
+    routes = [(1.0, 0.5), (2.0, math.inf), (1.5, 0.3)]
+    instance = Instance(net_of([
+        edge for k, (cost, capacity) in enumerate(routes)
+        for edge in ((0, 2 + k, Constant(cost * scale / 2), capacity),
+                     (2 + k, 1, Constant(cost * scale / 2), capacity))]), (Trip(0, 1, 1.0),))
+    assert solve_mc(instance).total_cost / scale == pytest.approx(1.35, rel=1e-9)
 
 
 def test_mc_infeasible():
