@@ -148,31 +148,15 @@ class CandidateSet:
 
     @cached_property
     def _shape_tables(self):
-        """What ``union_shape`` and ``union_sketch`` read: each template
-        edge's (tail mask, head mask, class) by edge id, where a node's mask
-        has a bit for each template position below its own and the class is
-        the solver's (``routing.edge_classes``); each trip's (source mask,
-        sink mask); and plane j, the edges whose class has bit j set."""
+        """What ``union_shape`` reads: each template edge's (tail mask, head
+        mask, class) by edge id, where a node's mask has a bit for each
+        template position below its own and the class is the solver's
+        (``routing.edge_classes``); and each trip's (source mask, sink mask)."""
         template = self.template.network
-        position = template.position
-
-        def below(node):
-            return (1 << position(node)) - 1
-
-        classes = edge_classes(template)
-        ends = [(below(e.tail), below(e.head), c) for e, c in zip(template.edges, classes)]
-        planes = [sum(1 << k for k, c in enumerate(classes) if c >> j & 1)
-                  for j in range(max(classes, default=0).bit_length())]
-        return ends, [(below(t.source), below(t.sink)) for t in self.trips], planes
-
-    def union_sketch(self, nodes: int, edges: int) -> tuple:
-        """A summary of ``union_shape(nodes, edges)`` that costs a few
-        integer operations: the node count, the edge count and, for each
-        plane j of ``_shape_tables``, the number of edges whose class has
-        bit j set. Equal shapes have equal sketches."""
-        planes = self._shape_tables[2]
-        return (nodes.bit_count(), edges.bit_count(),
-                *map(int.bit_count, map(edges.__and__, planes)))
+        below = {v: (1 << p) - 1 for p, v in enumerate(template.node_order)}
+        ends = [(below[e.tail], below[e.head], c)
+                for e, c in zip(template.edges, edge_classes(template))]
+        return ends, [(below[t.source], below[t.sink]) for t in self.trips]
 
     def union_shape(self, nodes: int, edges: int) -> tuple:
         """The shape of the union graph whose ``union_key`` is ``(nodes,
@@ -183,7 +167,7 @@ class CandidateSet:
         (``routing.edge_classes``). Two union graphs have equal shapes
         exactly when an order-preserving relabelling of the nodes maps one
         onto the other, edge classes and trip ends included."""
-        ends, trips, _ = self._shape_tables
+        ends, trips = self._shape_tables
         return (nodes.bit_count(),
                 *[((nodes & t).bit_count(), (nodes & h).bit_count(), c)
                   for t, h, c in map(ends.__getitem__, _set_bits(edges))],
@@ -267,12 +251,10 @@ class LambdaEvaluator:
     only name the paths of a flow, in an order the relabelling keeps.
     Every solver being deterministic, two cuts of one shape give
     bit-identical values, iterations, relative gaps and certificates.
-    Solved graphs are grouped by their ``union_sketch``, and a graph's
-    shape is built only when it meets another graph of its sketch, so a
-    check in which no two subsets share a solve builds almost no shapes.
-    Only a shape not yet solved gets a network, cut from the template by
-    the subset's ``union_key``; its solve gathers the edge tables from the
-    template's, built once.
+    Each subset the bitmask cache misses builds its union's shape, and
+    the shape keys the solve. Only a shape not yet solved gets a network,
+    cut from the template by the subset's ``union_key``; its solve gathers
+    the edge tables from the template's, built once.
     ``misses`` counts solver calls, one per shape solved; ``hits`` counts
     ``value`` lookups answered from the bitmask cache and bitmasks whose
     shape was already solved. Reads through ``values`` count as neither.
@@ -282,8 +264,8 @@ class LambdaEvaluator:
         self.candidate_set = candidate_set
         self.cfg = cfg
         self._cache: Dict[Tuple[str, int], LambdaEvaluation] = {}
-        # (routing, sketch) -> {union key: [shape or None, evaluation]} of the solves
-        self._solved: Dict[Tuple[str, tuple], Dict[Tuple[int, int], list]] = {}
+        # (routing, union shape) -> the evaluation of the first solve of that shape
+        self._solved: Dict[Tuple[str, tuple], LambdaEvaluation] = {}
         self.hits = 0
         self.misses = 0
 
@@ -299,36 +281,17 @@ class LambdaEvaluator:
             self.hits += 1
             return ev
         subset = bitmask_subset(mask)
-        solved = self._solved.setdefault((routing, cs.union_sketch(nodes, edges)), {})
-        first = self._same_shape(solved, nodes, edges)
+        key = (routing, cs.union_shape(nodes, edges))
+        first = self._solved.get(key)
         if first is None:
             self.misses += 1
             state = DesignState(cs, subset, cs.template.network.restrict(nodes, edges))
-            ev = lambda_eval(routing, state, self.cfg)
-            solved[nodes, edges] = [None, ev]
+            ev = self._solved[key] = lambda_eval(routing, state, self.cfg)
         else:
             self.hits += 1
             ev = replace(first, subset=subset, bitmask=mask)
         self._cache[(routing, mask)] = ev
         return ev
-
-    def _same_shape(self, solved, nodes: int, edges: int) -> Optional[LambdaEvaluation]:
-        """The evaluation in ``solved``, the solves of one sketch, whose
-        union graph has the shape of the one keyed ``(nodes, edges)``, or
-        None. An equal key has an equal shape; other shapes are built on
-        first comparison and kept."""
-        entry = solved.get((nodes, edges))
-        if entry is not None:
-            return entry[1]
-        shape = None
-        for key, entry in solved.items():
-            if shape is None:
-                shape = self.candidate_set.union_shape(nodes, edges)
-            if entry[0] is None:
-                entry[0] = self.candidate_set.union_shape(*key)
-            if entry[0] == shape:
-                return entry[1]
-        return None
 
     def values(self, routing: str) -> Dict[int, float]:
         """Value of every cached bitmask under ``routing``."""

@@ -330,16 +330,17 @@ def reference_shape(cs, mask):
 ])
 def test_shapes_are_union_graphs_up_to_an_order_preserving_relabelling(cs):
     # two masks have equal shapes exactly when their relabelled union
-    # graphs are equal, and equal shapes have equal sketches
+    # graphs are equal, and an evaluator solves once per such graph
     masks = range(1 << len(cs.candidates))
-    keys = [cs.union_key(m) for m in masks]
-    shapes = [cs.union_shape(*key) for key in keys]
+    shapes = [cs.union_shape(*cs.union_key(m)) for m in masks]
     references = [reference_shape(cs, m) for m in masks]
     for a in masks:
         for b in masks:
             assert (shapes[a] == shapes[b]) == (references[a] == references[b])
-            if shapes[a] == shapes[b]:
-                assert cs.union_sketch(*keys[a]) == cs.union_sketch(*keys[b])
+    constant = all(isinstance(e.cost, Constant) for e in cs.template.network.edges)
+    evaluator = LambdaEvaluator(cs)
+    evaluator.ensure("mc" if constant else "so", masks)
+    assert evaluator.misses == len(set(references))
 
 
 def test_twin_routes_share_one_solve(monkeypatch):
