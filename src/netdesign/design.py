@@ -298,8 +298,10 @@ class LambdaEvaluator:
         return {mask: ev.value for (r, mask), ev in self._cache.items() if r == routing}
 
     def ensure(self, routing: str, masks: Iterable[int]) -> None:
-        """Populate the cache for ``masks``, in sorted mask order so
-        downstream reports are order-independent."""
+        """Populate the cache for ``masks``, in ascending mask order.
+        Reports do not depend on that order: ``evaluations`` sorts by
+        bitmask, and subsets that share a solve get bit-identical values
+        whichever of them is solved first."""
         for mask in sorted({m for m in masks if (routing, m) not in self._cache}):
             self.value(routing, mask)
 
@@ -389,7 +391,7 @@ def check_restriction(cs: CandidateSet, declared: Optional[str] = None) -> Restr
                 reference, ref_name = profile, name
             else:
                 mismatch = any(
-                    abs(a - b) > 1e-9 * (1.0 + abs(a)) for a, b in zip(reference, profile))
+                    abs(a - b) > 1e-9 * max(abs(a), abs(b)) for a, b in zip(reference, profile))
                 if mismatch:
                     violations.append(
                         f"{name} path cost function differs from {ref_name}'s")
@@ -454,10 +456,6 @@ class PropertyReport:
     trials: Optional[int]
     pairs_checked: int
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == HOLDS
-
 
 def _certified_error(ev: LambdaEvaluation) -> float:
     """Certified error of one subset value: its relative gap plus the
@@ -480,12 +478,12 @@ def check_monotonicity(routing: str, cs: CandidateSet, tol: Optional[float] = No
                        cfg: SolverConfig = SolverConfig()) -> PropertyReport:
     """Check that adding candidates never increases the objective.
 
-    Exhaustive mode compares every nested pair A ⊆ B: B in ascending
-    bitmask order and, for each B, A over B's submasks in descending
-    bitmask order (A = B first, the empty set last). Sampled mode draws
-    ``trials`` seeded pairs. Witnesses come in comparison order; each
-    violating pair carries lhs = λ(B), rhs = λ(A) and the positive excess
-    margin λ(B) − λ(A).
+    A nested pair A ⊆ B compares lhs = λ(B) with rhs = λ(A) and is a
+    witness when lhs > rhs + tol; its margin lhs − rhs is the positive
+    excess. Exhaustive mode compares every pair: B in ascending bitmask
+    order and, for each B, A over B's submasks in descending bitmask order
+    (A = B first, the empty set last). Sampled mode draws ``trials`` seeded
+    pairs. Witnesses come in comparison order.
     """
     return _check(MONOTONE, routing, cs, tol, mode, seed, trials, cfg)
 
@@ -496,12 +494,12 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
     """Check diminishing returns: the benefit of adding x to a set is at
     least its benefit when added to any superset.
 
-    Exhaustive mode compares every triple A ⊆ B ⊆ N∖{x}: x ascending, then
-    B in ascending bitmask order, then A in ascending bitmask order.
-    Sampled mode draws ``trials`` seeded triples. Witnesses come in
-    comparison order and carry both sides, lhs = λ(A) − λ(A+x) and
-    rhs = λ(B) − λ(B+x); a negative margin lhs − rhs quantifies the
-    violation.
+    A triple A ⊆ B ⊆ N∖{x} compares lhs = λ(A) − λ(A+x) with
+    rhs = λ(B) − λ(B+x) and is a witness when lhs < rhs − tol; its
+    negative margin lhs − rhs quantifies the violation. Exhaustive mode
+    compares every triple: x ascending, then B in ascending bitmask order,
+    then A in ascending bitmask order. Sampled mode draws ``trials`` seeded
+    triples. Witnesses come in comparison order.
     """
     return _check(SUPERMODULAR, routing, cs, tol, mode, seed, trials, cfg)
 
@@ -509,7 +507,11 @@ def check_supermodularity(routing: str, cs: CandidateSet, tol: Optional[float] =
 def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode: str,
            seed: int, trials: int, cfg: SolverConfig) -> PropertyReport:
     """Both checkers' driver, over ``(a, b, x)`` bitmask comparisons with
-    ``x`` None for monotonicity."""
+    ``x`` None for monotonicity. Each comparison gives one ``(lhs, rhs)``
+    pair, (λ(B), λ(A)) for monotonicity and (λ(A) − λ(A+x), λ(B) − λ(B+x))
+    for supermodularity, and is a witness, of margin lhs − rhs, when
+    lhs > rhs + tol (monotonicity) or lhs < rhs − tol (supermodularity).
+    Both modes feed the same loop."""
     monotone = prop == MONOTONE
     if mode == "sampled" and trials < 1:
         raise BadParams(f"sampled mode needs at least 1 trial, got {trials}")
@@ -526,11 +528,9 @@ def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode
             what = "monotonicity" if monotone else "supermodularity"
             raise BadParams(f"exhaustive {what} is capped at {cap} candidates")
         evaluator.ensure(routing, range(1 << n))
-        if monotone:
-            comparisons = ((a, b, None) for a, b in _submask_pairs(full, descending=True))
-        else:
-            comparisons = ((a, b, x) for x in range(n)
-                           for a, b in _submask_pairs(full & ~(1 << x)))
+        comparisons = ((a, b, x) for x in ((None,) if monotone else range(n))
+                       for b in _submasks(full if x is None else full & ~(1 << x))
+                       for a in _submasks(b, descending=monotone))
     elif mode == "sampled":
         rng = random.Random(seed)
         comparisons = []
@@ -542,7 +542,7 @@ def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode
                 b = _random_submask(rng, full & ~(1 << x))
             comparisons.append((_random_submask(rng, b), b, x))
         evaluator.ensure(routing, {m for a, b, x in comparisons
-                                   for m in ((a, b) if x is None
+                                   for m in ((a, b) if monotone
                                              else (a, b, a | 1 << x, b | 1 << x))})
     else:
         raise BadParams(f"unknown mode {mode!r}")
@@ -553,20 +553,14 @@ def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode
     checked = 0
     for a, b, x in comparisons:
         checked += 1
-        if x is None:
-            va = v[a]
-            vb = v[b]
-            if vb > va + tol:
-                witnesses.append(Witness(
-                    subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=None,
-                    lhs=vb, rhs=va, margin=vb - va))
+        if monotone:
+            lhs, rhs = v[b], v[a]
         else:
-            lhs = v[a] - v[a | 1 << x]
-            rhs = v[b] - v[b | 1 << x]
-            if lhs < rhs - tol:
-                witnesses.append(Witness(
-                    subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=x,
-                    lhs=lhs, rhs=rhs, margin=lhs - rhs))
+            lhs, rhs = v[a] - v[a | 1 << x], v[b] - v[b | 1 << x]
+        if (lhs > rhs + tol) if monotone else (lhs < rhs - tol):
+            witnesses.append(Witness(
+                subset_a=bitmask_subset(a), subset_b=bitmask_subset(b), x=x,
+                lhs=lhs, rhs=rhs, margin=lhs - rhs))
     sampled = mode == "sampled"
     return PropertyReport(
         property=prop, routing=routing,
@@ -578,20 +572,14 @@ def _check(prop: str, routing: str, cs: CandidateSet, tol: Optional[float], mode
         pairs_checked=checked)
 
 
-def _submask_pairs(mask: int, descending: bool = False):
-    """Every pair a ⊆ b ⊆ ``mask``: b in ascending order and, for each b,
-    its submasks a in ascending (or descending) order."""
-    b = 0
+def _submasks(mask: int, descending: bool = False):
+    """Every submask of ``mask``, in ascending (or descending) order."""
+    a = mask if descending else 0
     while True:
-        a = b if descending else 0
-        while True:
-            yield a, b
-            if a == (0 if descending else b):
-                break
-            a = (a - 1) & b if descending else (a - b) & b
-        if b == mask:
-            break
-        b = (b - mask) & mask
+        yield a
+        if a == (0 if descending else mask):
+            return
+        a = (a - 1) & mask if descending else (a - mask) & mask
 
 
 def _random_submask(rng: random.Random, mask: int) -> int:
@@ -734,7 +722,6 @@ def greedy_designer(routing: str, cs: CandidateSet, budget: int,
     picks = []
     for _ in range(budget):
         candidates = [i for i in range(n) if i not in chosen]
-        evaluator.ensure(routing, [subset_bitmask(chosen + (i,)) for i in candidates])
         options = [evaluator.value(routing, chosen + (i,)) for i in candidates]
         k = _first_lowest(options)
         picks.append(candidates[k])

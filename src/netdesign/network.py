@@ -530,10 +530,9 @@ def validate_trip_path_graph(candidate: Network, trip: Trip, trip_index: int = 0
         stray = sorted(candidate.nodes - set(path.nodes))
         if stray:
             violations.append(Violation(3, f"nodes {stray} are off the path"))
-        # edges not on the path would create extra paths or dangling nodes;
-        # with properties 2-3 satisfied only path edges can remain, except
-        # possibly anti-parallel duplicates, which property 2 already rules
-        # out for length > 1.
+        # properties 2-3 do not rule out every edge off the path: an edge
+        # pointing back along it, such as (2, 0) on 0 -> 1 -> 2, adds no
+        # source-to-sink path and no node, so only this check rejects it
         on_path = set(path.edge_pairs)
         extra = [e.pair for e in candidate.edges if e.pair not in on_path]
         if extra and not violations:

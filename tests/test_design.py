@@ -480,6 +480,23 @@ def test_restriction_violations(declared, build, message):
     assert report.violations == (message,)
 
 
+@pytest.mark.parametrize("unit", [10.0 ** k for k in range(-12, 13, 3)])
+def test_double_prime_path_cost_identity_is_scale_free(unit):
+    # parallel greenshields routes 0-1-3 (the tree) and 0-2-3: with edge
+    # lengths unit and 2 * unit they differ at every time unit, and with
+    # equal edge lengths they are identical at every time unit
+    def route_lengths(candidate_factor):
+        return lambda pair: (Greenshields(
+            unit * (candidate_factor if pair in ((0, 2), (2, 3)) else 1.0), 1.0, 10.0), math.inf)
+
+    differ = paths_set([(0, 1, 3), (0, 2, 3)], edge=route_lengths(2.0))
+    assert check_restriction(differ, DOUBLE_PRIME).violations == (
+        "candidate 0 path cost function differs from spanning tree path's",)
+    same = paths_set([(0, 1, 3), (0, 2, 3)], edge=route_lengths(1.0))
+    report = check_restriction(same, DOUBLE_PRIME)
+    assert report.ok, report.violations
+
+
 def test_declared_class_verified_on_construction(counterexample_mc):
     cs = counterexample_mc.candidate_set
     with pytest.raises(ValueError):
@@ -621,35 +638,44 @@ def witness_tuples(report):
 
 @pytest.mark.parametrize("n", range(6))
 def test_exhaustive_checkers_match_the_definitions(n, monkeypatch):
-    # random values make violations of both properties plentiful; the
-    # parallel routes' costs differ pairwise, so no two subsets share a
-    # solve and every subset keeps its table value
+    # random values make violations of both properties plentiful; quarters
+    # of small integers give exact ties and margins exactly equal to the
+    # tolerance, which only the strict comparisons keep out of the
+    # witnesses. The parallel routes' costs differ pairwise, so no two
+    # subsets share a solve and every subset keeps its table value
     rng = random.Random(f"lattice-oracle-{n}")
-    table = [rng.uniform(0.0, 10.0) for _ in range(1 << n)]
-    monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
+    uniform = [rng.uniform(0.0, 10.0) for _ in range(1 << n)]
+    quarters = [rng.randrange(12) / 4 for _ in range(1 << n)]
     cs = distinct_parallel_set(n)
+    for table, tols in ((uniform, (None, 0.0, 1.0)), (quarters, (0.0, 0.25))):
+        monkeypatch.setattr(design, "lambda_eval", table_lambda(table))
 
-    def value(subset):
-        return table[subset_bitmask(subset)]
+        def value(subset):
+            return table[subset_bitmask(subset)]
 
-    largest = max((0.0 + CERTIFICATE_RTOL) * abs(v) for v in table)
-    for tol in (None, 0.0, 1.0):
-        mono = check_monotonicity("so", cs, tol=tol)
-        supermod = check_supermodularity("so", cs, tol=tol)
-        if tol is None:
-            assert (mono.tolerance, supermod.tolerance) == (2 * largest, 4 * largest)
-        pairs, mono_w, triples, super_w = lattice_witnesses(n, value, mono.tolerance)
-        assert (mono.pairs_checked, witness_tuples(mono)) == (pairs, mono_w)
-        assert lattice_witnesses(n, value, supermod.tolerance)[2:] == (
-            supermod.pairs_checked, witness_tuples(supermod))
-        if n >= 3 and tol is not None:
-            assert mono.witnesses and supermod.witnesses
-        if n and tol == 0.0:
-            for seed in (0, 1):
-                sampled = check_supermodularity("so", cs, tol=tol, mode="sampled", seed=seed)
-                assert set(witness_tuples(sampled)) <= set(super_w)
-                sampled = check_monotonicity("so", cs, tol=tol, mode="sampled", seed=seed)
-                assert set(witness_tuples(sampled)) <= set(mono_w)
+        largest = max((0.0 + CERTIFICATE_RTOL) * abs(v) for v in table)
+        for tol in tols:
+            mono = check_monotonicity("so", cs, tol=tol)
+            supermod = check_supermodularity("so", cs, tol=tol)
+            if tol is None:
+                assert (mono.tolerance, supermod.tolerance) == (2 * largest, 4 * largest)
+            pairs, mono_w, triples, super_w = lattice_witnesses(n, value, mono.tolerance)
+            assert (mono.pairs_checked, witness_tuples(mono)) == (pairs, mono_w)
+            assert lattice_witnesses(n, value, supermod.tolerance)[2:] == (
+                supermod.pairs_checked, witness_tuples(supermod))
+            if n >= 3 and table is uniform and tol is not None:
+                assert mono.witnesses and supermod.witnesses
+            if n >= 3 and table is quarters:
+                # some margins sit exactly on the tolerance
+                below = lattice_witnesses(n, value, tol - 0.125)
+                assert len(below[1]) > len(mono_w) and len(below[3]) > len(super_w)
+            if n and tol == 0.0:
+                for seed in (0, 1):
+                    sampled = check_supermodularity("so", cs, tol=tol, mode="sampled",
+                                                    seed=seed)
+                    assert set(witness_tuples(sampled)) <= set(super_w)
+                    sampled = check_monotonicity("so", cs, tol=tol, mode="sampled", seed=seed)
+                    assert set(witness_tuples(sampled)) <= set(mono_w)
 
 
 def test_sampled_checks_on_an_empty_ground_set():

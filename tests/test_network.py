@@ -321,6 +321,17 @@ def test_path_graph_two_parallel_paths():
     assert {v.property_id for v in result.violations} == {2}
 
 
+@pytest.mark.parametrize("chord", [(2, 0), (1, 0), (2, 1)])
+def test_path_graph_backward_chord(chord):
+    # an edge back along the path 0 -> 1 -> 2 keeps a sole path through
+    # every node, so only the off-path edge check rejects it
+    g = net_of([(0, 1), (1, 2), chord])
+    result = validate_trip_path_graph(g, Trip(0, 2, 1.0))
+    assert isinstance(result, ViolationList)
+    assert [(v.property_id, v.message) for v in result.violations] == [
+        (2, f"edges [{chord}] are off the path")]
+
+
 def test_validators_stop_at_the_second_path():
     # a 6x6 bidirectional grid has far more than DEFAULT_PATH_LIMIT paths
     # from corner to corner; both validators reject it without listing them
